@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .diagram import DiagramError
+from .errors import DiagramError
 from .dessin import Dessin
 from .poly import LaurentPoly, PolyError
 

@@ -2,58 +2,26 @@
 
 Exit codes: 0 success, 2 usage, 3 bad input, 4 cap exceeded,
 5 unmet precondition, 1 internal error.
+
+Each command imports the math modules it uses when it runs, so
+`--version` and a cache hit load none of them.
 """
+
+from __future__ import annotations
 
 import argparse
 import hashlib
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from . import __version__
-from .chord import (
-    char_poly,
-    chords_to_text,
-    intersection_matrix,
-    parse_chords,
-    quasi_counts_and_det,
-    to_chord_diagram,
-)
-from .diagram import (
-    CapExceededError,
-    DiagramError,
-    OrientationError,
-    PDCode,
-    knot_table,
-    parse_pd,
-    pd_to_text,
-    pretzel_pd,
-    reduce_to_one_vertex,
-    state_sum_bracket,
-    strand_components,
-    table_pd,
-    twist_pd,
-)
-from .dessin import (
-    build_dessin,
-    contract_parallel,
-    dessin_counts,
-    dessin_to_text,
-    dual,
-    mixed_state_face_count,
-    quasi_tree_counts,
-)
-from .invariants import (
-    DET_METHODS,
-    bracket_via_dessin,
-    coefficient_table,
-    determinant,
-    jones_polynomial,
-    pretzel_determinant,
-    top_coefficient_closed_form,
-    weighted_bracket,
-)
-from .poly import LaurentPoly
+from .errors import CapExceededError, DiagramError, InternalError, OrientationError
+from .table import knot_table
+
+if TYPE_CHECKING:
+    from .diagram import PDCode
+    from .poly import LaurentPoly
 
 SCHEMA = "dessinlink/1"
 
@@ -89,6 +57,8 @@ def _poly_fields(p: LaurentPoly, var: str) -> Dict[str, Any]:
 
 
 def _load_pd(args: argparse.Namespace) -> PDCode:
+    from .diagram import parse_pd, table_pd
+
     if getattr(args, "pd", None) and getattr(args, "name", None):
         raise _UsageError("give either --pd or --name, not both")
     if getattr(args, "pd", None):
@@ -123,6 +93,9 @@ def _state_arg(pd: PDCode, text: str):
 
 
 def _cmd_bracket(args) -> Dict[str, Any]:
+    from .diagram import pd_to_text, state_sum_bracket
+    from .invariants import bracket_via_dessin
+
     pd = _load_pd(args)
     cap = _cap(args)
     br = bracket_via_dessin(pd, cap=cap)
@@ -138,6 +111,9 @@ def _cmd_bracket(args) -> Dict[str, Any]:
 
 
 def _cmd_jones(args) -> Dict[str, Any]:
+    from .diagram import pd_to_text
+    from .invariants import jones_polynomial
+
     pd = _load_pd(args)
     jr = jones_polynomial(pd, cap=_cap(args))
     payload = {
@@ -150,6 +126,9 @@ def _cmd_jones(args) -> Dict[str, Any]:
 
 
 def _cmd_det(args) -> Dict[str, Any]:
+    from .diagram import pd_to_text
+    from .invariants import determinant
+
     pd = _load_pd(args)
     if args.method == "all":
         methods = None
@@ -165,6 +144,9 @@ def _cmd_det(args) -> Dict[str, Any]:
 
 
 def _cmd_dessin(args) -> Dict[str, Any]:
+    from .dessin import build_dessin, dessin_counts, dessin_to_text, dual
+    from .diagram import pd_to_text
+
     pd = _load_pd(args)
     state = _state_arg(pd, args.state)
     d = build_dessin(pd, state)
@@ -179,6 +161,9 @@ def _cmd_dessin(args) -> Dict[str, Any]:
 
 
 def _cmd_quasitrees(args) -> Dict[str, Any]:
+    from .dessin import build_dessin, dessin_counts, quasi_tree_counts
+    from .diagram import pd_to_text
+
     pd = _load_pd(args)
     d = build_dessin(pd, 0)
     c = dessin_counts(d)
@@ -194,6 +179,14 @@ def _cmd_quasitrees(args) -> Dict[str, Any]:
 
 
 def _cmd_coeffs(args) -> Dict[str, Any]:
+    from .dessin import build_dessin
+    from .diagram import pd_to_text
+    from .invariants import (
+        bracket_via_dessin,
+        coefficient_table,
+        top_coefficient_closed_form,
+    )
+
     pd = _load_pd(args)
     cap = _cap(args)
     tab = coefficient_table(pd, cap=cap, check=False)
@@ -211,6 +204,10 @@ def _cmd_coeffs(args) -> Dict[str, Any]:
 
 
 def _cmd_reduce(args) -> Dict[str, Any]:
+    from .dessin import build_dessin, dessin_counts
+    from .diagram import pd_to_text, reduce_to_one_vertex
+    from .invariants import bracket_via_dessin
+
     pd = _load_pd(args)
     cap = _cap(args)
     red = reduce_to_one_vertex(pd)
@@ -234,12 +231,24 @@ def _cmd_reduce(args) -> Dict[str, Any]:
 
 
 def _cmd_charpoly(args) -> Dict[str, Any]:
+    from .chord import (
+        char_poly,
+        chords_to_text,
+        intersection_matrix,
+        parse_chords,
+        quasi_counts_and_det,
+        to_chord_diagram,
+    )
+
     if args.chords:
         if getattr(args, "pd", None) or getattr(args, "name", None):
             raise _UsageError("give either --chords or a diagram, not both")
         cd = parse_chords(args.chords)
         source: Dict[str, Any] = {"chords": chords_to_text(cd)}
     else:
+        from .dessin import build_dessin
+        from .diagram import pd_to_text, reduce_to_one_vertex
+
         pd = _load_pd(args)
         red = reduce_to_one_vertex(pd)
         cd = to_chord_diagram(build_dessin(red, 0))
@@ -259,6 +268,10 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
 
 
 def _cmd_pretzel(args) -> Dict[str, Any]:
+    from .dessin import build_dessin, dessin_counts
+    from .diagram import pd_to_text, pretzel_pd
+    from .invariants import determinant, pretzel_determinant
+
     pd = pretzel_pd(args.params)
     c = dessin_counts(build_dessin(pd, 0))
     payload: Dict[str, Any] = {
@@ -280,6 +293,10 @@ def _cmd_pretzel(args) -> Dict[str, Any]:
 
 
 def _cmd_twist(args) -> Dict[str, Any]:
+    from .dessin import build_dessin, dessin_counts
+    from .diagram import pd_to_text, strand_components, twist_pd
+    from .invariants import bracket_via_dessin, determinant, jones_polynomial
+
     pd = twist_pd(args.p, args.q)
     cap = _cap(args)
     c = dessin_counts(build_dessin(pd, 0))
@@ -305,6 +322,31 @@ def _cmd_twist(args) -> Dict[str, Any]:
 
 
 def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
+    from .chord import char_poly, quasi_counts_and_det, to_chord_diagram
+    from .dessin import (
+        build_dessin,
+        contract_parallel,
+        dessin_counts,
+        dual,
+        mixed_state_face_count,
+        quasi_tree_counts,
+    )
+    from .diagram import (
+        parse_pd,
+        pretzel_pd,
+        reduce_to_one_vertex,
+        state_sum_bracket,
+        twist_pd,
+    )
+    from .invariants import (
+        bracket_via_dessin,
+        coefficient_table,
+        determinant,
+        pretzel_determinant,
+        weighted_bracket,
+    )
+    from .poly import LaurentPoly
+
     checks: List[Dict[str, Any]] = []
 
     def add(name: str, ok: bool) -> None:
@@ -399,10 +441,27 @@ def _emit(payload: Dict[str, Any], args) -> None:
 
 
 def _cache_key(command: str, args) -> str:
+    """Hash of everything the payload depends on.
+
+    A `--name` is keyed on the PD text it names in the active table, and
+    `verify` on the whole table, so pointing DESSINLINK_TABLE elsewhere
+    never serves a result computed from another table.  A name missing
+    from the table stays in the key; the command itself reports it.
+    """
+    pd_text = getattr(args, "pd", None)
+    name = getattr(args, "name", None)
+    table = None
+    if command == "verify":
+        table = knot_table()
+    elif name and not pd_text:
+        entries = knot_table()
+        if name in entries:
+            pd_text, name = entries[name], None
     relevant = {
         "command": command,
-        "pd": getattr(args, "pd", None),
-        "name": getattr(args, "name", None),
+        "pd": pd_text,
+        "name": name,
+        "table": table,
         "chords": getattr(args, "chords", None),
         "params": list(getattr(args, "params", []) or []),
         "p": getattr(args, "p", None),
@@ -419,17 +478,23 @@ def _cache_key(command: str, args) -> str:
 
 
 def _cache_get(path: str, key: str) -> Optional[Dict[str, Any]]:
+    """The payload cached under `key`; a line that does not decode is a miss."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                if entry.get("key") == key:
-                    return entry["payload"]
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
+    with fh:
+        for line in fh:
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue
+            if (
+                isinstance(entry, dict)
+                and entry.get("key") == key
+                and isinstance(entry.get("payload"), dict)
+            ):
+                return entry["payload"]
     return None
 
 
@@ -525,6 +590,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         _error(args, "usage", str(exc))
         return EXIT_USAGE
+    except InternalError as exc:
+        _error(args, "internal", str(exc))
+        return EXIT_INTERNAL
     except CapExceededError as exc:
         _error(args, "cap-exceeded", str(exc))
         return EXIT_CAP

@@ -13,16 +13,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-from .diagram import (
-    CapExceededError,
-    DiagramError,
-    PDCode,
-    StateLike,
-    smooth_state,
-    state_circle_count,
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
+from .errors import CapExceededError, DiagramError, InternalError
+
+if TYPE_CHECKING:
+    from .diagram import PDCode, StateLike
 
 __all__ = [
     "Dessin",
@@ -107,6 +113,8 @@ def build_dessin(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Dessin:
     its two smoothing channels; each circle's rotation lists the chord
     ends in the circle's oriented cyclic order.
     """
+    from .diagram import smooth_state
+
     circles = smooth_state(pd, s, outer_corner)
     rotations = [
         tuple(2 * c + ch for (c, ch) in spots) for spots in circles.cyclic_orders
@@ -266,10 +274,10 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
         if f != 1:
             continue
         if k != 1:
-            raise DiagramError("internal error: one-face sub-dessin not connected")
+            raise InternalError("internal error: one-face sub-dessin not connected")
         g2 = 1 + eh - v
         if g2 % 2 or g2 // 2 > full.g:
-            raise DiagramError("internal error: quasi-tree genus out of range")
+            raise InternalError("internal error: quasi-tree genus out of range")
         s[g2 // 2] += 1
     return tuple(s)
 
@@ -280,6 +288,8 @@ def mixed_state_face_count(pd: PDCode, edges: Iterable[int]) -> int:
     Equals the face count of the corresponding sub-dessin of the all-A
     dessin, which is the bridge between state sums and subset scans.
     """
+    from .diagram import state_circle_count
+
     mask = 0
     for c in edges:
         if not 0 <= c < len(pd.crossings):
@@ -391,7 +401,7 @@ def contract_parallel(d: Dessin) -> WeightedDessin:
                 word = [lab for lab in word if lab != b]
                 check, _ = _one_vertex_from_word(word)
                 if dessin_counts(check).g != g0:
-                    raise DiagramError("internal error: merge changed the genus")
+                    raise InternalError("internal error: merge changed the genus")
                 merged = True
                 break
     out, order = _one_vertex_from_word(word)

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from .errors import CapExceededError, DiagramError, InternalError, OrientationError
 from .poly import DELTA, LaurentPoly
+from .table import knot_table
 
 __all__ = [
     "PDCode",
@@ -46,18 +48,6 @@ __all__ = [
     "knot_table",
     "table_pd",
 ]
-
-
-class DiagramError(ValueError):
-    """Malformed, disconnected, or non-planar diagram input."""
-
-
-class OrientationError(DiagramError):
-    """Crossing signs are required but cannot be inferred."""
-
-
-class CapExceededError(RuntimeError):
-    """An exponential scan would exceed the configured cap."""
 
 
 Crossing = Tuple[int, int, int, int]
@@ -367,12 +357,12 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircle
         left = find(face_id[b])
         right = find(face_id[(b & ~3) | ((b + 3) & 3)])
         if left == right:
-            raise DiagramError("internal error: circle bounds a single region")
+            raise InternalError("internal error: circle bounds a single region")
         sides.append((left, right))
 
     regions = {find(f) for f in range(pm.n_faces)}
     if len(regions) != len(traced) + 1:
-        raise DiagramError("internal error: region count is not circles+1")
+        raise InternalError("internal error: region count is not circles+1")
 
     # Breadth-first nesting depth over the region tree (edges = circles).
     adj: Dict[int, List[int]] = {r: [] for r in regions}
@@ -391,7 +381,7 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircle
                     nxt.append(r2)
         frontier = nxt
     if len(depth) != len(regions):
-        raise DiagramError("internal error: region tree not connected")
+        raise InternalError("internal error: region tree not connected")
 
     # Orient: a circle at even nesting depth runs counterclockwise; the
     # traversal is counterclockwise exactly when its left side is the
@@ -400,7 +390,7 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircle
     for (spots, _), (left, right) in zip(traced, sides):
         dl, dr = depth[left], depth[right]
         if abs(dl - dr) != 1:
-            raise DiagramError("internal error: circle sides differ by != 1 in depth")
+            raise InternalError("internal error: circle sides differ by != 1 in depth")
         want_ccw = min(dl, dr) % 2 == 0
         is_ccw = dl > dr
         oriented.append(tuple(spots if want_ccw == is_ccw else spots[::-1]))
@@ -503,32 +493,75 @@ def strand_components(pd: PDCode) -> List[List[Tuple[int, int]]]:
     return comps
 
 
+def _traced_signs(pd: PDCode) -> Tuple[int, List[Tuple[int, int, int]]]:
+    """Component count, and per crossing (sign, under component, over component)
+    under the orientation `strand_components` traces.
+
+    A crossing is positive exactly when its over-strand enters three
+    positions counterclockwise of the under-entry (over entering at d for
+    under entering at a).
+    """
+    comps = strand_components(pd)
+    entries: Dict[int, List[Tuple[int, int]]] = {}
+    for ci, walk in enumerate(comps):
+        for c, p in walk:
+            entries.setdefault(c, []).append((p, ci))
+    out = []
+    for c in range(pd.n):
+        pair = entries[c]
+        evens = [e for e in pair if e[0] % 2 == 0]
+        odds = [e for e in pair if e[0] % 2 == 1]
+        if len(evens) != 1 or len(odds) != 1:
+            raise InternalError(f"internal error: bad strand entries {pair} at crossing {c}")
+        (pu, cu), (po, co) = evens[0], odds[0]
+        out.append((1 if (po - pu) % 4 == 3 else -1, cu, co))
+    return len(comps), out
+
+
+def _check_signs(pd: PDCode) -> None:
+    """Explicit signs must be those of some orientation of the components.
+
+    Reversing one component flips exactly the crossings it shares with
+    another component, so a self-crossing's sign must equal the traced one,
+    and the mixed crossings must agree with one flip per component.
+    """
+    n_comps, traced = _traced_signs(pd)
+    adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_comps)]
+    for c, ((sign, cu, co), given) in enumerate(zip(traced, pd.signs)):
+        adj[cu].append((co, sign * given, c))
+        adj[co].append((cu, sign * given, c))
+    flip: List[Optional[int]] = [None] * n_comps
+    flip[0] = 1
+    pending = [0]
+    while pending:
+        a = pending.pop()
+        for b, rel, c in adj[a]:
+            if flip[b] is None:
+                flip[b] = flip[a] * rel
+                pending.append(b)
+            elif flip[b] != flip[a] * rel:
+                raise DiagramError(
+                    f"S[...] sign of crossing {c} fits no orientation of the "
+                    f"{n_comps}-component diagram"
+                )
+
+
 def writhe(pd: PDCode) -> int:
     """Signed crossing count of an oriented diagram.
 
-    Explicit S[...] signs are used when present.  Otherwise the diagram
-    must be a knot: the single strand is traced, and a crossing is positive
-    exactly when its over-strand enters three positions counterclockwise of
-    the under-entry (over entering at d for under entering at a).
+    Explicit S[...] signs are used when present, after checking that some
+    orientation of the components gives them.  Otherwise the diagram must
+    be a knot, and its single strand is traced.
     """
     if pd.signs is not None:
+        _check_signs(pd)
         return sum(pd.signs)
-    comps = strand_components(pd)
-    if len(comps) != 1:
+    n_comps, traced = _traced_signs(pd)
+    if n_comps != 1:
         raise OrientationError(
-            f"{len(comps)}-component diagram: writhe needs explicit S[...] signs"
+            f"{n_comps}-component diagram: writhe needs explicit S[...] signs"
         )
-    entries: Dict[int, List[int]] = {}
-    for c, p in comps[0]:
-        entries.setdefault(c, []).append(p)
-    total = 0
-    for c, pair in entries.items():
-        evens = [p for p in pair if p % 2 == 0]
-        odds = [p for p in pair if p % 2 == 1]
-        if len(evens) != 1 or len(odds) != 1:
-            raise DiagramError(f"internal error: bad strand entries {pair} at crossing {c}")
-        total += 1 if (odds[0] - evens[0]) % 4 == 3 else -1
-    return total
+    return sum(sign for sign, _, _ in traced)
 
 
 # ============================================================
@@ -623,7 +656,7 @@ def twist_pd(p: int, q: int) -> PDCode:
     """The (p,q) double-twist knot diagram with a one-vertex all-A dessin."""
     pd = _double_twist(p, q, *_TWIST_VARIANT)
     if state_circle_count(pd, 0) != 1:
-        raise DiagramError("internal error: twist diagram all-A state is not one circle")
+        raise InternalError("internal error: twist diagram all-A state is not one circle")
     return pd
 
 
@@ -662,11 +695,11 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
                 target = c
                 break
         if target < 0:
-            raise DiagramError("internal error: no circle-joining crossing found")
+            raise InternalError("internal error: no circle-joining crossing found")
         x = crossings[target][1]
         y = crossings[target][2]
         if x == y:
-            raise DiagramError("internal error: joining crossing with x == y")
+            raise InternalError("internal error: joining crossing with x == y")
         cx, px = next(
             (c, p)
             for c in range(len(crossings))
@@ -688,7 +721,7 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
         reduced = PDCode(tuple(tuple(t) for t in crossings))
         next_circles = smooth_state(reduced, 0)
         if next_circles.count != circles.count - 1:
-            raise DiagramError("internal error: clasp insertion did not merge circles")
+            raise InternalError("internal error: clasp insertion did not merge circles")
         circles = next_circles
     out = PDCode(tuple(tuple(t) for t in crossings))
     return out
@@ -697,33 +730,6 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
 # ============================================================
 # Bundled knot table
 # ============================================================
-
-_TABLE_ENV = "DESSINLINK_TABLE"
-
-
-def _table_text() -> str:
-    path = os.environ.get(_TABLE_ENV)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    from importlib import resources
-
-    return resources.files("dessinlink").joinpath("tables/knots.txt").read_text("utf-8")
-
-
-def knot_table() -> Dict[str, str]:
-    """Bundled name -> PD string mapping (override path via DESSINLINK_TABLE)."""
-    table: Dict[str, str] = {}
-    for line in _table_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, _, pd_text = line.partition(":")
-        name, pd_text = name.strip(), pd_text.strip()
-        if not name or not pd_text:
-            raise DiagramError(f"bad table line {line!r}")
-        table[name] = pd_text
-    return table
 
 
 def table_pd(name: str) -> PDCode:

@@ -13,12 +13,10 @@ per-subset (edges, components, faces) profile of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from .chord import quasi_counts_and_det, to_chord_diagram, bareiss_det
 from .dessin import (
     Dessin,
     WeightedDessin,
@@ -28,15 +26,8 @@ from .dessin import (
     dual,
     quasi_tree_counts,
 )
-from .diagram import (
-    CapExceededError,
-    DiagramError,
-    PDCode,
-    reduce_to_one_vertex,
-    state_circle_count,
-    strand_components,
-    writhe,
-)
+from .diagram import PDCode, reduce_to_one_vertex, strand_components, writhe
+from .errors import CapExceededError, DiagramError, InternalError
 from .poly import (
     DELTA,
     MINUS_I,
@@ -44,6 +35,9 @@ from .poly import (
     PolyError,
     factor_and_eval_A2,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "JonesResult",
@@ -137,12 +131,12 @@ def jones_polynomial(pd: PDCode, cap: int = 24) -> JonesResult:
     if w % 2:
         va = -va
     if va and va.exponent_parity() != 0:
-        raise PolyError("internal error: odd exponent after writhe normalization")
+        raise InternalError("internal error: odd exponent after writhe normalization")
     q_poly = LaurentPoly({-(e // 2): c for e, c in va.terms()})
     knot = len(strand_components(pd)) == 1
     if knot:
         if q_poly and q_poly.exponent_parity() != 0:
-            raise PolyError("internal error: odd q-exponent for a knot")
+            raise InternalError("internal error: odd q-exponent for a knot")
         t_poly = LaurentPoly({e // 2: c for e, c in q_poly.terms()})
         return JonesResult("t", q_poly, t_poly, w)
     return JonesResult("q", q_poly, None, w)
@@ -178,6 +172,8 @@ def spanning_tree_count(d: Dessin) -> int:
         lap[b][b] += 1
         lap[a][b] -= 1
         lap[b][a] -= 1
+    from .chord import bareiss_det
+
     minor = [row[1:] for row in lap[1:]]
     return bareiss_det(minor)
 
@@ -198,6 +194,8 @@ def _det_jones_eval(pd: PDCode, cap: int) -> int:
 
 
 def _det_charpoly(pd: PDCode) -> int:
+    from .chord import quasi_counts_and_det, to_chord_diagram
+
     d = build_dessin(pd, 0)
     if d.n_vertices != 1:
         pd = reduce_to_one_vertex(pd)
@@ -319,7 +317,7 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
                 f"top coefficient {table.coefficient(0)} != closed form {closed}"
             )
         if table.as_poly() != bracket_via_dessin(pd, cap):
-            raise DiagramError("internal error: coefficient table != bracket")
+            raise InternalError("internal error: coefficient table != bracket")
     return table
 
 
@@ -439,6 +437,8 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[Fraction, int]:
     side is the exact rational value of the normalized bracket, the right
     side is sum over subsets H of (-2)^g(H).  The two agree.
     """
+    from fractions import Fraction
+
     d = build_dessin(pd, 0)
     if d.n_vertices != 1:
         pd = reduce_to_one_vertex(pd)
@@ -465,6 +465,8 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[Fraction, int]:
 
 def pretzel_determinant(p_seq: Sequence[int], q_seq: Sequence[int]) -> int:
     """det K(p_1..p_n, -q_1..-q_m) = |prod p prod q (sum 1/p - sum 1/q)|."""
+    from fractions import Fraction
+
     ps = [int(p) for p in p_seq]
     qs = [int(q) for q in q_seq]
     if not ps or not qs:

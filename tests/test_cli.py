@@ -1,17 +1,27 @@
 """CLI dispatch: payload shapes, exit codes, cache behavior, verify."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import dessinlink
+from dessinlink import diagram
 from dessinlink.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    _build_parser,
+    _cache_key,
     run_cli,
 )
 
 HOPF_UNSIGNED = "X[1,3,2,4] X[3,1,4,2]"
+TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"  # the bundled 3_1, writhe +3
 
 
 def run_json(capsys, *argv):
@@ -150,6 +160,31 @@ def test_orientation_precondition(capsys):
     assert json.loads(err)["error"]["kind"] == "precondition"
 
 
+def test_internal_error_exits_1(capsys, monkeypatch):
+    # a twist diagram whose all-A state is not one circle trips a
+    # consistency check: that is a bug, not bad input
+    monkeypatch.setattr(diagram, "state_circle_count", lambda pd, s: 2)
+    code, _, err = run_json(capsys, "twist", "2", "3")
+    assert code == EXIT_INTERNAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert error["message"].startswith("internal error:")
+
+
+def test_explicit_signs_are_checked(capsys):
+    code, payload, _ = run_json(capsys, "jones", "--pd", TREFOIL + " S[+,+,+]")
+    assert code == EXIT_OK
+    assert payload["jones"]["string"] == "-t^4 + t^3 + t"
+    for signs in ("S[+,-,-]", "S[-,-,-]"):
+        code, _, err = run_json(capsys, "jones", "--pd", f"{TREFOIL} {signs}")
+        assert code == EXIT_BAD_INPUT, signs
+        assert json.loads(err)["error"]["kind"] == "bad-input"
+    # reversing one Hopf component flips both crossings together
+    for signs, want in (("S[+,+]", EXIT_OK), ("S[-,-]", EXIT_OK), ("S[+,-]", EXIT_BAD_INPUT)):
+        code, _, _ = run_json(capsys, "jones", "--pd", f"{HOPF_UNSIGNED} {signs}")
+        assert code == want, signs
+
+
 # ==========================================================================
 # output modes and cache
 # ==========================================================================
@@ -185,6 +220,38 @@ def test_cache_round_trip(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 2  # different flags, new entry
 
 
+def test_cache_keys_name_on_active_table(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    code, payload, _ = run_json(capsys, "jones", "--name", "3_1", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert payload["jones"]["string"] == "-t^4 + t^3 + t"
+    mirrored = tmp_path / "mirror.txt"
+    mirror_text = diagram.pd_to_text(diagram.mirror(diagram.parse_pd(TREFOIL)))
+    mirrored.write_text(f"3_1: {mirror_text}\n")
+    monkeypatch.setenv("DESSINLINK_TABLE", str(mirrored))
+    code, payload, _ = run_json(capsys, "jones", "--name", "3_1", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert payload["jones"]["string"] == "t^-1 + t^-3 - t^-4"
+    assert len(cache.read_text().splitlines()) == 2
+    # verify reads the whole table, so its key covers the whole table
+    args = _build_parser().parse_args(["verify"])
+    mirror_key = _cache_key("verify", args)
+    monkeypatch.delenv("DESSINLINK_TABLE")
+    assert _cache_key("verify", args) != mirror_key
+
+
+def test_undecodable_cache_lines_are_misses(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(b'{"key": "trunc\n[1, 2]\n\xff\xfe not utf-8\n')
+    code, payload, _ = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
+    assert code == EXIT_OK
+    assert payload["value"] == 3
+    assert len(cache.read_bytes().splitlines()) == 4
+    again = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
+    assert again[1] == payload
+    assert len(cache.read_bytes().splitlines()) == 4  # served from the cache
+
+
 # ==========================================================================
 # verify
 # ==========================================================================
@@ -210,3 +277,95 @@ def test_verify_plain_lists_checks(capsys):
     assert code == EXIT_OK
     assert "PASS bracket_oracle_3_1" in out
     assert "FAIL" not in out
+
+
+# ==========================================================================
+# import budget: each command loads only the modules it uses
+# ==========================================================================
+
+MATH_MODULES = {
+    "dessinlink.diagram",
+    "dessinlink.dessin",
+    "dessinlink.chord",
+    "dessinlink.invariants",
+    "dessinlink.poly",
+    "fractions",
+}
+
+# Runs the CLI in a fresh interpreter and prints its exit code and the
+# modules it loaded as JSON on stderr (stdout carries the CLI's output).
+_PROBE = """
+import json, sys
+from dessinlink.cli import run_cli
+try:
+    code = run_cli(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+# Imports the package, then resolves every public name through it.
+_NAMES = """
+import importlib, json, sys, types
+import dessinlink
+loaded = sorted(m for m in sys.modules if m.startswith("dessinlink."))
+wrong = []
+for name in dessinlink.__all__[:-1]:  # all but __version__
+    module = importlib.import_module("dessinlink." + dessinlink._MODULE_OF[name])
+    obj = getattr(dessinlink, name)
+    defined_here = not isinstance(obj, (type, types.FunctionType)) or (
+        obj.__module__ == module.__name__
+    )
+    if obj is not getattr(module, name) or not defined_here:
+        wrong.append(name)
+sys.stderr.write(json.dumps({"loaded": loaded, "wrong": wrong}))
+"""
+
+
+def run_python(script, *argv):
+    """JSON report a script writes to stderr, run in a new interpreter."""
+    env = dict(os.environ)
+    src = str(Path(dessinlink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(proc.stderr)
+
+
+def probe_cli(*argv):
+    """(exit code, loaded module names) of one CLI run in a new interpreter."""
+    report = run_python(_PROBE, *argv)
+    return report["code"], set(report["modules"])
+
+
+def test_version_loads_no_math():
+    code, modules = probe_cli("--version")
+    assert code == EXIT_OK
+    assert not modules & MATH_MODULES
+
+
+def test_cache_hit_loads_no_math(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    for argv in (("det", "--name", "3_1"), ("jones", "--pd", TREFOIL), ("verify",)):
+        assert run_cli([*argv, "--cache", str(cache)]) == EXIT_OK
+        capsys.readouterr()
+        size = cache.stat().st_size
+        code, modules = probe_cli(*argv, "--cache", str(cache))
+        assert code == EXIT_OK
+        assert cache.stat().st_size == size, argv  # answered from the cache
+        assert not modules & MATH_MODULES, argv
+
+
+def test_charpoly_from_chords_loads_no_diagram_layer():
+    code, modules = probe_cli("charpoly", "--chords", "1 2 1 2")
+    assert code == EXIT_OK
+    assert "dessinlink.chord" in modules
+    assert not modules & {"dessinlink.diagram", "dessinlink.invariants"}
+
+
+def test_public_names_resolve_lazily():
+    report = run_python(_NAMES)
+    assert report == {"loaded": [], "wrong": []}
+    assert set(dessinlink.__all__) <= set(dir(dessinlink))
