@@ -199,7 +199,7 @@ def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
 
 
 # ============================================================
-# Exact and batched determinants for principal minors
+# Exact determinants and principal minors
 # ============================================================
 
 
@@ -229,44 +229,23 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def unit_principal_minors(cd: ChordDiagram, exact_samples: int = 32) -> Dict[int, int]:
+def unit_principal_minors(cd: ChordDiagram) -> Dict[int, int]:
     """Map each chord subset (bitmask) to its principal minor, all 0 or 1.
 
-    Even-size minors are evaluated in a batched float determinant with a
-    wide rounding margin, a sample re-checked exactly; odd-size minors of
+    Even-size minors are exact Bareiss determinants; odd-size minors of
     an antisymmetric matrix vanish identically.
     """
-    import numpy as np
-    from itertools import combinations
-
     mat = intersection_matrix(cd)
-    m = cd.m
-    arr = np.array(mat, dtype=np.float64) if m else np.zeros((0, 0))
-    out: Dict[int, int] = {0: 1}
-    exact_queue: List[Tuple[int, Tuple[int, ...]]] = []
-    for size in range(1, m + 1):
-        combos = list(combinations(range(m), size))
-        masks = [sum(1 << i for i in combo) for combo in combos]
-        if size % 2:
-            for mask in masks:
-                out[mask] = 0
+    out: Dict[int, int] = {}
+    for mask in range(1 << cd.m):
+        idx = [i for i in range(cd.m) if mask >> i & 1]
+        if len(idx) % 2:
+            out[mask] = 0
             continue
-        stack = np.stack([arr[np.ix_(c, c)] for c in combos])
-        dets = np.linalg.det(stack)
-        for mask, combo, val in zip(masks, combos, dets):
-            nearest = int(round(val))
-            if abs(val - nearest) > 0.25 or nearest not in (0, 1):
-                raise DiagramError(
-                    f"principal minor {val} for subset {mask:#x} is not 0 or 1"
-                )
-            out[mask] = nearest
-            exact_queue.append((mask, combo))
-    if exact_queue:
-        step = max(1, len(exact_queue) // max(1, exact_samples))
-        for mask, combo in exact_queue[::step]:
-            exact = bareiss_det([[mat[i][j] for j in combo] for i in combo])
-            if exact != out[mask]:
-                raise DiagramError(
-                    f"float minor {out[mask]} disagrees with exact {exact}"
-                )
+        minor = bareiss_det([[mat[i][j] for j in idx] for i in idx])
+        if minor not in (0, 1):
+            raise DiagramError(
+                f"principal minor {minor} for subset {mask:#x} is not 0 or 1"
+            )
+        out[mask] = minor
     return out

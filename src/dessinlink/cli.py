@@ -1,7 +1,8 @@
 """Command-line front end: dispatch computations, emit JSON or plain text.
 
 Exit codes: 0 success, 2 usage, 3 bad input, 4 cap exceeded,
-5 unmet precondition, 1 internal error.
+5 unmet precondition, 6 file error (a table, cache or output path that
+cannot be read or written), 1 internal error.
 
 Each command imports the math modules it uses when it runs, so
 `--version` and a cache hit load none of them.
@@ -31,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_BAD_INPUT = 3
 EXIT_CAP = 4
 EXIT_PRECONDITION = 5
+EXIT_IO = 6
 
 _METHOD_ALIASES = {
     "quasitree": "quasitree",
@@ -59,11 +61,11 @@ def _poly_fields(p: LaurentPoly, var: str) -> Dict[str, Any]:
 def _load_pd(args: argparse.Namespace) -> PDCode:
     from .diagram import parse_pd, table_pd
 
-    if getattr(args, "pd", None) and getattr(args, "name", None):
+    if args.pd and args.name:
         raise _UsageError("give either --pd or --name, not both")
-    if getattr(args, "pd", None):
+    if args.pd:
         return parse_pd(args.pd)
-    if getattr(args, "name", None):
+    if args.name:
         return table_pd(args.name)
     raise _UsageError("an input diagram is required (--pd or --name)")
 
@@ -241,7 +243,7 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
     )
 
     if args.chords:
-        if getattr(args, "pd", None) or getattr(args, "name", None):
+        if args.pd or args.name:
             raise _UsageError("give either --chords or a diagram, not both")
         cd = parse_chords(args.chords)
         source: Dict[str, Any] = {"chords": chords_to_text(cd)}
@@ -519,9 +521,8 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # options of every command; commands that read a diagram add `source`
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pd", help="inline PD string, e.g. 'X[1,4,2,5] ...'")
-    common.add_argument("--name", help="bundled table entry, e.g. 8_21")
     common.add_argument("--cap", type=int, help="scan size cap (default 24)")
     common.add_argument(
         "--allow-large", action="store_true", help="acknowledge caps beyond 28"
@@ -530,6 +531,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to a file")
     common.add_argument("--cache", help="JSON-lines results cache path")
     common.add_argument("--plain", action="store_true", help="text output")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--pd", help="inline PD string, e.g. 'X[1,4,2,5] ...'")
+    source.add_argument("--name", help="bundled table entry, e.g. 8_21")
+    reads_diagram = [source, common]
 
     parser = argparse.ArgumentParser(
         prog="dessinlink",
@@ -538,21 +543,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("bracket", parents=[common])
+    p = sub.add_parser("bracket", parents=reads_diagram)
     p.add_argument("--oracle", action="store_true", help="cross-check by state sum")
-    sub.add_parser("jones", parents=[common])
-    p = sub.add_parser("det", parents=[common])
+    sub.add_parser("jones", parents=reads_diagram)
+    p = sub.add_parser("det", parents=reads_diagram)
     p.add_argument(
         "--method",
         choices=sorted(_METHOD_ALIASES) + ["all"],
         default="all",
     )
-    p = sub.add_parser("dessin", parents=[common])
+    p = sub.add_parser("dessin", parents=reads_diagram)
     p.add_argument("--state", default="A", help="A, B, or a per-crossing string")
-    sub.add_parser("quasitrees", parents=[common])
-    sub.add_parser("coeffs", parents=[common])
-    sub.add_parser("reduce", parents=[common])
-    p = sub.add_parser("charpoly", parents=[common])
+    sub.add_parser("quasitrees", parents=reads_diagram)
+    sub.add_parser("coeffs", parents=reads_diagram)
+    sub.add_parser("reduce", parents=reads_diagram)
+    p = sub.add_parser("charpoly", parents=reads_diagram)
     p.add_argument("--chords", help="endpoint sequence, e.g. '1 2 1 2'")
     p = sub.add_parser("pretzel", parents=[common])
     p.add_argument("params", type=int, nargs="+")
@@ -602,6 +607,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except (DiagramError, ValueError) as exc:
         _error(args, "bad-input", str(exc))
         return EXIT_BAD_INPUT
+    except OSError as exc:
+        _error(args, "io", str(exc))
+        return EXIT_IO
     except Exception as exc:  # pragma: no cover - defensive
         _error(args, "internal", f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -20,6 +21,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -80,6 +82,15 @@ class Dessin:
     def n_vertices(self) -> int:
         return len(self.rotations)
 
+    @cached_property
+    def vertex_of(self) -> Tuple[int, ...]:
+        """Index of the vertex each half-edge is attached to."""
+        out = [0] * (2 * self.n_edges)
+        for vi, rot in enumerate(self.rotations):
+            for h in rot:
+                out[h] = vi
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Counts:
@@ -135,10 +146,7 @@ class _ScanState:
     def __init__(self, d: Dessin):
         self.rot_lists = [list(rot) for rot in d.rotations]
         nh = 2 * d.n_edges
-        self.vert_of = [0] * nh
-        for vi, rot in enumerate(self.rot_lists):
-            for h in rot:
-                self.vert_of[h] = vi
+        self.vert_of = d.vertex_of
         self.nxt = [0] * nh
         self.stamp = [0] * nh
         self.v = len(self.rot_lists)
@@ -206,7 +214,8 @@ def _scan(
     """Yield (mask, edges, components, faces) for every subset of `universe`.
 
     Subsets are emitted in increasing bitmask order.  This is the only
-    subset enumerator in the package.
+    subset enumerator in the package; quantities that need only the
+    (edges, components, faces) multiplicities read `_subset_profile`.
     """
     e = d.n_edges
     full = (1 << e) - 1
@@ -226,6 +235,20 @@ def _scan(
         if sub == universe:
             return
         sub = (sub - universe) & universe
+
+
+# Reuse is between the invariants of one diagram, so a few entries suffice.
+@lru_cache(maxsize=16)
+def _subset_profile(
+    d: Dessin, cap: int, universe: Optional[int] = None
+) -> Mapping[Tuple[int, int, int], int]:
+    """Multiplicity of each (edges, components, faces) triple over the
+    subsets of `universe` (default: all edges)."""
+    profile: Dict[Tuple[int, int, int], int] = {}
+    for _, eh, k, f in _scan(d, universe, cap):
+        key = (eh, k, f)
+        profile[key] = profile.get(key, 0) + 1
+    return profile
 
 
 def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
@@ -270,7 +293,7 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
     full = dessin_counts(d)
     v = full.v
     s = [0] * (full.g + 1)
-    for _, eh, k, f in _scan(d, cap=cap):
+    for (eh, k, f), cnt in _subset_profile(d, cap).items():
         if f != 1:
             continue
         if k != 1:
@@ -278,7 +301,7 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
         g2 = 1 + eh - v
         if g2 % 2 or g2 // 2 > full.g:
             raise InternalError("internal error: quasi-tree genus out of range")
-        s[g2 // 2] += 1
+        s[g2 // 2] += cnt
     return tuple(s)
 
 
@@ -354,21 +377,6 @@ class WeightedDessin:
             raise DiagramError("weights must be positive")
 
 
-def _one_vertex_from_word(word: Sequence[int]) -> Tuple[Dessin, List[int]]:
-    """Dessin of a chord word; returns it with labels in first-seen order."""
-    first: Dict[int, int] = {}
-    order: List[int] = []
-    half: List[int] = []
-    for lab in word:
-        if lab in first:
-            half.append(2 * first[lab] + 1)
-        else:
-            first[lab] = len(order)
-            order.append(lab)
-            half.append(2 * first[lab])
-    return Dessin((tuple(half),)), order
-
-
 def contract_parallel(d: Dessin) -> WeightedDessin:
     """Merge nested-adjacent parallel chords of a one-vertex dessin.
 
@@ -377,6 +385,8 @@ def contract_parallel(d: Dessin) -> WeightedDessin:
     paired ends).  Merging adds multiplicities; the genus of the
     underlying dessin is asserted unchanged at every merge.
     """
+    from .chord import ChordDiagram, to_dessin
+
     if d.n_vertices != 1:
         raise DiagramError("contract_parallel needs a one-vertex dessin")
     g0 = dessin_counts(d).g
@@ -399,13 +409,12 @@ def contract_parallel(d: Dessin) -> WeightedDessin:
             if len(inner) == 2 and set(pos[b]) == inner:
                 weights[a] += weights.pop(b)
                 word = [lab for lab in word if lab != b]
-                check, _ = _one_vertex_from_word(word)
-                if dessin_counts(check).g != g0:
+                if dessin_counts(to_dessin(ChordDiagram(word))).g != g0:
                     raise InternalError("internal error: merge changed the genus")
                 merged = True
                 break
-    out, order = _one_vertex_from_word(word)
-    return WeightedDessin(out, tuple(weights[lab] for lab in order))
+    out = to_dessin(ChordDiagram(word))
+    return WeightedDessin(out, tuple(weights[lab] for lab in dict.fromkeys(word)))
 
 
 # ============================================================

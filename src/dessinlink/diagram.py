@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import CapExceededError, DiagramError, InternalError, OrientationError
-from .poly import DELTA, LaurentPoly
+from .poly import LaurentPoly, delta_power_sum
 from .table import knot_table
 
 __all__ = [
@@ -180,7 +180,8 @@ class _PlanarMap:
     darts_of: Mapping[int, Tuple[int, int]]
 
 
-@lru_cache(maxsize=512)
+# Reuse is between the invariants of one diagram, so a few entries suffice.
+@lru_cache(maxsize=16)
 def _planar_map(crossings: Tuple[Crossing, ...]) -> _PlanarMap:
     n = len(crossings)
     nd = 4 * n
@@ -454,14 +455,7 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPol
         for part in parts:
             for key, mult in part.items():
                 counts[key] = counts.get(key, 0) + mult
-    max_k = max(k for _, k in counts)
-    dpow = [LaurentPoly.one()]
-    for _ in range(max_k):
-        dpow.append(dpow[-1] * DELTA)
-    acc = LaurentPoly()
-    for (shift, k1), mult in sorted(counts.items()):
-        acc = acc + dpow[k1].shift(shift) * mult
-    return acc
+    return delta_power_sum(counts.items())
 
 
 # ============================================================

@@ -13,7 +13,6 @@ per-subset (edges, components, faces) profile of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, isqrt
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -21,6 +20,7 @@ from .dessin import (
     Dessin,
     WeightedDessin,
     _scan,
+    _subset_profile,
     build_dessin,
     dessin_counts,
     dual,
@@ -29,10 +29,10 @@ from .dessin import (
 from .diagram import PDCode, reduce_to_one_vertex, strand_components, writhe
 from .errors import CapExceededError, DiagramError, InternalError
 from .poly import (
-    DELTA,
     MINUS_I,
     LaurentPoly,
     PolyError,
+    delta_power_sum,
     factor_and_eval_A2,
 )
 
@@ -60,21 +60,6 @@ __all__ = [
 DET_METHODS = ("quasitree", "jones_eval", "charpoly", "tree_difference")
 
 
-# ============================================================
-# Scan profiles
-# ============================================================
-
-
-@lru_cache(maxsize=512)
-def _subset_profile(d: Dessin, cap: int) -> Mapping[Tuple[int, int, int], int]:
-    """Multiplicity of each (edges, components, faces) triple over subsets."""
-    profile: Dict[Tuple[int, int, int], int] = {}
-    for _, eh, k, f in _scan(d, cap=cap):
-        key = (eh, k, f)
-        profile[key] = profile.get(key, 0) + 1
-    return profile
-
-
 def _genus_of(v: int, eh: int, k: int, f: int) -> int:
     g2 = 2 * k - v + eh - f
     if g2 < 0 or g2 % 2:
@@ -91,15 +76,9 @@ def bracket_via_dessin(pd: PDCode, cap: int = 24) -> LaurentPoly:
     """Kauffman bracket from the sub-dessin expansion of the all-A dessin."""
     d = build_dessin(pd, 0)
     e = d.n_edges
-    profile = _subset_profile(d, cap)
-    max_f = max(f for (_, _, f) in profile)
-    dpow = [LaurentPoly.one()]
-    for _ in range(max_f - 1):
-        dpow.append(dpow[-1] * DELTA)
-    acc = LaurentPoly()
-    for (eh, _, f), cnt in sorted(profile.items()):
-        acc = acc + dpow[f - 1].shift(e - 2 * eh) * cnt
-    return acc
+    return delta_power_sum(
+        ((e - 2 * eh, f - 1), cnt) for (eh, _, f), cnt in _subset_profile(d, cap).items()
+    )
 
 
 @dataclass(frozen=True)
@@ -159,13 +138,9 @@ class DeterminantReport:
 def spanning_tree_count(d: Dessin) -> int:
     """Spanning trees of the underlying multigraph (loops ignored)."""
     v = d.n_vertices
-    vert_of = {}
-    for vi, rot in enumerate(d.rotations):
-        for h in rot:
-            vert_of[h] = vi
     lap = [[0] * v for _ in range(v)]
     for i in range(d.n_edges):
-        a, b = vert_of[2 * i], vert_of[2 * i + 1]
+        a, b = d.vertex_of[2 * i : 2 * i + 2]
         if a == b:
             continue
         lap[a][a] += 1
@@ -338,37 +313,29 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
 
 
 def _loop_mask(d: Dessin) -> int:
-    mask = 0
-    vert_of = {}
-    for vi, rot in enumerate(d.rotations):
-        for h in rot:
-            vert_of[h] = vi
-    for i in range(d.n_edges):
-        if vert_of[2 * i] == vert_of[2 * i + 1]:
-            mask |= 1 << i
-    return mask
+    vert_of = d.vertex_of
+    return sum(1 << i for i in range(d.n_edges) if vert_of[2 * i] == vert_of[2 * i + 1])
 
 
 def top_coefficient_closed_form(d: Dessin, cap: int = 24) -> int:
     """a[0] = sum over genus-0 subsets of loops of (-1)^(v + e(H) - 1)."""
     v = d.n_vertices
+    loops = _loop_mask(d)
+    # an all-loop dessin shares the full profile with the other invariants
+    universe = None if loops == (1 << d.n_edges) - 1 else loops
     total = 0
-    for _, eh, k, f in _scan(d, universe=_loop_mask(d), cap=cap):
+    for (eh, k, f), cnt in _subset_profile(d, cap, universe).items():
         if _genus_of(v, eh, k, f) == 0:
-            total += (-1) ** (v + eh - 1)
+            total += (-1) ** (v + eh - 1) * cnt
     return total
 
 
 def a1_adequate(d: Dessin) -> int:
     """a[1] of a loopless dessin: (-1)^v (e' - v + 1), e' counting
     endpoint-pair classes of edges."""
-    vert_of = {}
-    for vi, rot in enumerate(d.rotations):
-        for h in rot:
-            vert_of[h] = vi
     pairs: set = set()
     for i in range(d.n_edges):
-        a, b = vert_of[2 * i], vert_of[2 * i + 1]
+        a, b = d.vertex_of[2 * i : 2 * i + 2]
         if a == b:
             raise DiagramError("dessin has a loop; the adequate a[1] form needs none")
         pairs.add(frozenset((a, b)))
@@ -451,10 +418,11 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[Fraction, int]:
         if exp > 0 or exp % 4:
             raise PolyError(f"normalized bracket exponent {exp} not in -4N")
         lhs += c * point ** (-exp // 4)
-    rhs = 0
     v = d.n_vertices
-    for _, eh, k, f in _scan(d, cap=cap):
-        rhs += (-2) ** _genus_of(v, eh, k, f)
+    rhs = sum(
+        cnt * (-2) ** _genus_of(v, eh, k, f)
+        for (eh, k, f), cnt in _subset_profile(d, cap).items()
+    )
     return lhs, rhs
 
 

@@ -16,7 +16,7 @@ __all__ = [
     "LaurentPoly",
     "GaussianInt",
     "DELTA",
-    "coefficient_at",
+    "delta_power_sum",
     "factor_and_eval_A2",
     "PolyError",
 ]
@@ -314,9 +314,19 @@ class LaurentPoly:
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-def coefficient_at(p: LaurentPoly, exp: int) -> int:
-    """Coefficient of the given exponent (0 when absent)."""
-    return p.coefficient(exp)
+def delta_power_sum(counts: Iterable[Tuple[Tuple[int, int], int]]) -> LaurentPoly:
+    """Sum of cnt * A^shift * DELTA^j over ((shift, j), cnt) pairs.
+
+    Both bracket expansions (over states and over sub-dessins) end here.
+    """
+    dpow = [LaurentPoly.one()]
+    acc: Dict[int, int] = {}
+    for (shift, j), cnt in counts:
+        while len(dpow) <= j:
+            dpow.append(dpow[-1] * DELTA)
+        for e, c in dpow[j]._terms.items():
+            acc[e + shift] = acc.get(e + shift, 0) + cnt * c
+    return LaurentPoly(acc)
 
 
 # ============================================================

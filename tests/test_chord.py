@@ -1,9 +1,15 @@
 """Chord diagrams, interlacement matrices, and characteristic polynomials."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
+
+import dessinlink
 
 from dessinlink.chord import (
     ChordDiagram,
@@ -147,6 +153,28 @@ def test_unit_principal_minors_match_face_counts():
             c = dessin_counts(d, edges)
             assert value in (0, 1)
             assert (value == 1) == (c.f == 1)
+
+
+_MINORS_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from dessinlink.chord import parse_chords, to_dessin, unit_principal_minors
+from dessinlink.dessin import scan_subdessins
+cd = parse_chords(sys.argv[1])
+minors = unit_principal_minors(cd)
+one_face = {}
+scan_subdessins(to_dessin(cd), lambda mask, c: one_face.__setitem__(mask, int(c.f == 1)))
+print(json.dumps({"equal": minors == one_face, "subsets": len(minors)}))
+"""
+
+
+def test_unit_principal_minors_need_no_numpy():
+    src = str(Path(dessinlink.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MINORS_WITHOUT_NUMPY, FIG8_WORD],
+        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(proc.stdout) == {"equal": True, "subsets": 32}
 
 
 def test_bareiss_det():

@@ -6,12 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dessinlink
 from dessinlink import diagram
 from dessinlink.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
     EXIT_INTERNAL,
+    EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
@@ -135,6 +138,19 @@ def test_usage_errors(capsys):
     assert "--allow-large" in json.loads(err)["error"]["message"]
 
 
+def test_diagram_options_only_where_a_diagram_is_read(capsys):
+    for argv in (
+        ("twist", "2", "3", "--name", "3_1"),
+        ("twist", "2", "3", "--name", "3_1", "--pd", "X[1]"),
+        ("pretzel", "2", "3", "-5", "--pd", TREFOIL),
+        ("verify", "--name", "3_1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(list(argv))
+        assert exc.value.code == EXIT_USAGE, argv
+    capsys.readouterr()
+
+
 def test_no_command_is_usage(capsys):
     assert run_cli([]) == EXIT_USAGE
     capsys.readouterr()
@@ -169,6 +185,25 @@ def test_internal_error_exits_1(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["kind"] == "internal"
     assert error["message"].startswith("internal error:")
+
+
+def test_missing_table_is_a_file_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DESSINLINK_TABLE", str(tmp_path / "missing.txt"))
+    code, _, err = run_json(capsys, "det", "--name", "3_1")
+    assert code == EXIT_IO
+    assert json.loads(err)["error"]["kind"] == "io"
+
+
+def test_cache_directory_is_a_file_error(tmp_path, capsys):
+    code, _, err = run_json(capsys, "det", "--name", "3_1", "--cache", str(tmp_path))
+    assert code == EXIT_IO
+    assert json.loads(err)["error"]["kind"] == "io"
+
+
+def test_out_directory_is_a_file_error(tmp_path, capsys):
+    code, _, err = run_json(capsys, "det", "--name", "3_1", "--out", str(tmp_path))
+    assert code == EXIT_IO
+    assert json.loads(err)["error"]["kind"] == "io"
 
 
 def test_explicit_signs_are_checked(capsys):
@@ -363,6 +398,20 @@ def test_charpoly_from_chords_loads_no_diagram_layer():
     assert code == EXIT_OK
     assert "dessinlink.chord" in modules
     assert not modules & {"dessinlink.diagram", "dessinlink.invariants"}
+
+
+_MINORS = """
+import json, sys
+from dessinlink.chord import parse_chords, unit_principal_minors
+minors = unit_principal_minors(parse_chords("1 2 3 4 5 2 1 5 4 3"))
+sys.stderr.write(json.dumps({"ones": sum(minors.values()), "modules": sorted(sys.modules)}))
+"""
+
+
+def test_principal_minors_load_no_numpy():
+    report = run_python(_MINORS)
+    assert report["ones"] == 1 + 6 + 0  # s(0) + s(1) + s(2) of the figure-eight
+    assert "numpy" not in report["modules"]
 
 
 def test_public_names_resolve_lazily():

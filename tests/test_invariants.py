@@ -3,6 +3,7 @@ knots plus seeded random diagrams."""
 
 import pytest
 
+from dessinlink import dessin, invariants
 from dessinlink.chord import quasi_counts_and_det, to_chord_diagram
 from dessinlink.dessin import (
     build_dessin,
@@ -272,3 +273,39 @@ def test_quasi_counts_agree_with_charpoly():
             s_dessin.pop()
         assert s_dessin == s_chord, name
         assert det == DETS[name]
+
+
+# ==========================================================================
+# one shared sub-dessin profile per dessin
+# ==========================================================================
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Dessins of every full-universe subset scan made from now on."""
+    real = dessin._scan
+    calls = []
+
+    def counting(d, universe=None, cap=24):
+        if universe is None or universe == (1 << d.n_edges) - 1:
+            calls.append(d)
+        return real(d, universe, cap)
+
+    for module in (dessin, invariants):
+        monkeypatch.setattr(module, "_scan", counting)
+    dessin._subset_profile.cache_clear()
+    return calls
+
+
+def test_determinant_scans_once(full_scans):
+    rep = determinant(table_pd("8_21"))
+    assert {"quasitree", "jones_eval"} <= set(rep.methods)
+    assert len(full_scans) == 1
+
+
+def test_quasi_tree_counts_reuse_the_bracket_profile(full_scans):
+    pd = table_pd("6_2")
+    bracket_via_dessin(pd)
+    assert len(full_scans) == 1
+    quasi_tree_counts(build_dessin(pd, 0))
+    assert len(full_scans) == 1

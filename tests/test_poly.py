@@ -12,7 +12,7 @@ from dessinlink.poly import (
     LaurentPoly,
     MINUS_I,
     PolyError,
-    coefficient_at,
+    delta_power_sum,
     factor_and_eval_A2,
 )
 
@@ -68,8 +68,21 @@ def test_exponent_parity():
 
 def test_delta_is_loop_value():
     assert DELTA == LaurentPoly({2: -1, -2: -1})
-    assert coefficient_at(DELTA, 2) == -1
-    assert coefficient_at(DELTA, 0) == 0
+    assert DELTA.coefficient(2) == -1
+    assert DELTA.coefficient(0) == 0
+
+
+def test_delta_power_sum_matches_term_by_term():
+    rng = random.Random(17)
+    for _ in range(20):
+        counts = [
+            ((rng.randint(-8, 8), rng.randint(0, 5)), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 6))
+        ]
+        want = LaurentPoly()
+        for (shift, j), cnt in counts:
+            want = want + (DELTA ** j).shift(shift) * cnt
+        assert delta_power_sum(counts) == want
 
 
 # ==========================================================================

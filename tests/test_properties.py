@@ -1,0 +1,62 @@
+"""Property tests over seeded random diagrams with at most 10 crossings.
+
+Hypothesis draws the seed; `helpers.random_diagram` turns it into a
+connected braid-closure diagram.  Runs are derandomized so the suite
+stays reproducible, and example counts are small so it stays fast.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from dessinlink.dessin import build_dessin, quasi_tree_counts
+from dessinlink.diagram import PDCode, mirror, state_sum_bracket
+from dessinlink.invariants import bracket_via_dessin, determinant
+from dessinlink.poly import LaurentPoly
+
+from helpers import random_diagram
+
+diagrams = st.integers(min_value=0, max_value=2**32 - 1).map(
+    lambda seed: random_diagram(random.Random(seed), max_crossings=10)
+)
+
+checked = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def abs_at_a4_minus_one(p: LaurentPoly) -> int:
+    """|p| at a primitive 8th root of unity A, where A^4 = -1.
+
+    Every bracket exponent has one residue mod 4, so the value is
+    A^e0 times an integer."""
+    terms = p.terms()
+    e0 = terms[0][0]
+    assert all((e - e0) % 4 == 0 for e, _ in terms)
+    return abs(sum(c * (-1) ** ((e - e0) // 4) for e, c in terms))
+
+
+@checked
+@given(diagrams)
+def test_dessin_bracket_equals_state_sum(pd: PDCode):
+    assert bracket_via_dessin(pd) == state_sum_bracket(pd)
+
+
+@checked
+@given(diagrams)
+def test_mirror_inverts_the_variable(pd: PDCode):
+    assert bracket_via_dessin(mirror(pd)) == bracket_via_dessin(pd).reciprocal_variable()
+
+
+@checked
+@given(diagrams)
+def test_determinant_routes_agree(pd: PDCode):
+    rep = determinant(pd)
+    assert {"quasitree", "jones_eval", "charpoly"} <= set(rep.methods)
+    assert set(rep.methods.values()) == {rep.value}
+
+
+@checked
+@given(diagrams)
+def test_quasi_tree_alternating_sum_is_the_bracket_at_a4_minus_one(pd: PDCode):
+    s = quasi_tree_counts(build_dessin(pd, 0))
+    alternating = abs(sum((-1) ** j * sj for j, sj in enumerate(s)))
+    assert alternating == abs_at_a4_minus_one(bracket_via_dessin(pd))
