@@ -12,11 +12,13 @@ its coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
+from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .errors import DiagramError
+from .errors import DiagramError, InternalError
 from .dessin import Dessin
-from .poly import LaurentPoly, PolyError
+from .poly import LaurentPoly
 
 __all__ = [
     "ChordDiagram",
@@ -27,6 +29,7 @@ __all__ = [
     "to_dessin",
     "intersection_matrix",
     "char_poly",
+    "counts_from_char_poly",
     "quasi_counts_and_det",
     "bareiss_det",
     "unit_principal_minors",
@@ -147,55 +150,128 @@ def _as_matrix(source: MatrixLike) -> List[List[int]]:
     return rows
 
 
-def char_poly(source: MatrixLike) -> LaurentPoly:
-    """det(M - xI) as an exact integer polynomial in x.
+# Exponents q of the Mersenne primes 2^q - 1, the moduli of char_poly.
+_MERSENNE_EXPONENTS = (
+    13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+    4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503,
+    132049, 216091,
+)
 
-    Computed by the Faddeev-LeVerrier recursion; every trace division is
-    checked to be exact.
+
+def _coefficient_bound(mat: Sequence[Sequence[int]]) -> int:
+    """prod_i (1 + ceil(|row_i|_2)), a bound on every coefficient of det(M - xI).
+
+    The coefficient of x^(m-k) is a signed sum of the k x k principal
+    minors, and by Hadamard each minor on rows S is at most
+    prod_{i in S} |row_i|_2; summing over all S gives the product.
+    """
+    bound = 1
+    for row in mat:
+        sq = sum(x * x for x in row)
+        bound *= 1 + (isqrt(sq - 1) + 1 if sq else 0)  # 1 + ceil(sqrt(sq))
+    return bound
+
+
+def _hessenberg_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
+    """det(xI - M) mod the prime p, coefficients from x^0 up to x^m.
+
+    M is brought to upper-Hessenberg form H by similarity transforms over
+    Z/p, then det(xI - H) follows column by column from
+    p_(k+1) = (x - h_kk) p_k - sum_(i<k) h_ik (h_(i+1,i) .. h_(k,k-1)) p_i.
+    """
+    m = len(mat)
+    h = [[x % p for x in row] for row in mat]
+    for k in range(m - 2):
+        k1 = k + 1
+        piv = next((i for i in range(k1, m) if h[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k1:
+            h[piv], h[k1] = h[k1], h[piv]
+            for row in h:
+                row[piv], row[k1] = row[k1], row[piv]
+        inv = pow(h[k1][k], -1, p)
+        tail = h[k1][k1:]
+        # row_i -= u_i row_(k+1) clears column k below the subdiagonal ...
+        us = []
+        for ri in h[k + 2 :]:
+            u = ri[k] * inv % p
+            us.append(u)
+            if u:
+                ri[k] = 0
+                ri[k1:] = [(a - u * b) % p for a, b in zip(ri[k1:], tail)]
+        # ... and column_(k+1) += sum_i u_i column_i completes the similarity
+        if any(us):
+            for row in h:
+                row[k1] = (row[k1] + sum(map(mul, row[k + 2 :], us))) % p
+    polys = [[1]]
+    for k in range(m):
+        nxt = [0] + polys[k]
+        terms = [(h[k][k], polys[k])]
+        lead = 1
+        for i in range(k - 1, -1, -1):
+            lead = lead * h[i + 1][i] % p
+            if not lead:
+                break
+            terms.append((lead * h[i][k], polys[i]))
+        for c, poly in terms:
+            if c:
+                nxt[: len(poly)] = [a - c * b for a, b in zip(nxt, poly)]
+        polys.append([a % p for a in nxt])
+    return polys[m]
+
+
+def char_poly(source: MatrixLike) -> LaurentPoly:
+    """det(M - xI) as an exact integer polynomial in x, in O(m^3).
+
+    Hessenberg reduction and recurrence over Z/p (H. Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2), with p the smallest
+    Mersenne prime above twice the Hadamard bound of `_coefficient_bound`,
+    so the symmetric lift of every coefficient is exact for any integer
+    matrix.  Each call checks p(1) against bareiss_det(M - I).
     """
     mat = _as_matrix(source)
     m = len(mat)
-    # det(xI - M) = x^m + c_1 x^{m-1} + .. + c_m
-    work = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    coeffs = [1]
-    for k in range(1, m + 1):
-        nxt = [
-            [sum(mat[i][t] * work[t][j] for t in range(m)) for j in range(m)]
-            for i in range(m)
-        ]
-        tr = sum(nxt[i][i] for i in range(m))
-        if tr % k:
-            raise PolyError(f"non-integral trace {tr}/{k} in char_poly")
-        c = -(tr // k)
-        coeffs.append(c)
-        for i in range(m):
-            nxt[i][i] += c
-        work = nxt
+    need = 2 * _coefficient_bound(mat)
+    q = next((q for q in _MERSENNE_EXPONENTS if (1 << q) - 1 > need), None)
+    if q is None:
+        raise DiagramError("matrix entries too large: no char_poly modulus covers them")
+    p = (1 << q) - 1
     sign = -1 if m % 2 else 1
-    return LaurentPoly({m - k: sign * c for k, c in enumerate(coeffs) if c})
+    poly = LaurentPoly(
+        {e: sign * (c - p if c > p // 2 else c)
+         for e, c in enumerate(_hessenberg_char_poly(mat, p)) if c}
+    )
+    at_one = bareiss_det([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)])
+    if sum(c for _, c in poly.terms()) != at_one:
+        raise InternalError(f"internal error: char_poly(1) != det(M - I) = {at_one}")
+    return poly
 
 
-def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
-    """Quasi-tree counts s(0..m//2) and the determinant from char_poly.
+def counts_from_char_poly(p: LaurentPoly, m: int) -> Tuple[Tuple[int, ...], int]:
+    """Quasi-tree counts s(0..m//2) and the determinant read off p = char_poly(cd).
 
-    For the antisymmetric interlacement matrix, det(M - xI) equals
-    (-1)^m sum_j s(j) x^(m-2j) with every s(j) >= 0 and s(0) = 1; the
-    determinant is |sum_j (-1)^j s(j)|.
+    For the antisymmetric interlacement matrix of m chords, det(M - xI)
+    equals (-1)^m sum_j s(j) x^(m-2j) with every s(j) >= 0 and s(0) = 1;
+    the determinant is |sum_j (-1)^j s(j)|.
     """
-    p = char_poly(cd)
-    m = cd.m
     sign = -1 if m % 2 else 1
     s: List[int] = []
     for j in range(m // 2 + 1):
         s.append(sign * p.coefficient(m - 2 * j))
     if sum(abs(c) for _, c in p.terms()) != sum(abs(x) for x in s):
-        raise PolyError(f"unexpected odd-degree terms in {p.to_string('x')}")
+        raise InternalError(f"internal error: odd-degree terms in {p.to_string('x')}")
     if s and s[0] != 1:
-        raise PolyError("leading quasi-tree count is not 1")
+        raise InternalError("internal error: leading quasi-tree count is not 1")
     if any(x < 0 for x in s):
-        raise PolyError(f"negative quasi-tree count in {s}")
+        raise InternalError(f"internal error: negative quasi-tree count in {s}")
     det = abs(sum((-1) ** j * sj for j, sj in enumerate(s)))
     return tuple(s), det
+
+
+def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
+    """Quasi-tree counts s(0..m//2) and the determinant from char_poly."""
+    return counts_from_char_poly(char_poly(cd), cd.m)
 
 
 # ============================================================

@@ -236,9 +236,9 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
     from .chord import (
         char_poly,
         chords_to_text,
+        counts_from_char_poly,
         intersection_matrix,
         parse_chords,
-        quasi_counts_and_det,
         to_chord_diagram,
     )
 
@@ -256,7 +256,7 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
         cd = to_chord_diagram(build_dessin(red, 0))
         source = {"pd": pd_to_text(pd), "chords": chords_to_text(cd)}
     poly = char_poly(cd)
-    s, det = quasi_counts_and_det(cd)
+    s, det = counts_from_char_poly(poly, cd.m)
     payload = dict(source)
     payload.update(
         {
@@ -324,7 +324,7 @@ def _cmd_twist(args) -> Dict[str, Any]:
 
 
 def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
-    from .chord import char_poly, quasi_counts_and_det, to_chord_diagram
+    from .chord import char_poly, counts_from_char_poly, to_chord_diagram
     from .dessin import (
         build_dessin,
         contract_parallel,
@@ -384,7 +384,7 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
 
     cd = to_chord_diagram(build_dessin(reduce_to_one_vertex(twist_pd(2, 3)), 0))
     poly = char_poly(cd)
-    s, det = quasi_counts_and_det(cd)
+    s, det = counts_from_char_poly(poly, cd.m)
     add("figure8_charpoly", poly == LaurentPoly({5: -1, 3: -6}))
     add("figure8_det", det == 5)
 
@@ -521,20 +521,22 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # options of every command; commands that read a diagram add `source`
+    # options of every command; each command adds the groups it reads
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, help="scan size cap (default 24)")
-    common.add_argument(
-        "--allow-large", action="store_true", help="acknowledge caps beyond 28"
-    )
-    common.add_argument("--workers", type=int, default=1)
     common.add_argument("--out", help="write the report to a file")
     common.add_argument("--cache", help="JSON-lines results cache path")
     common.add_argument("--plain", action="store_true", help="text output")
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--pd", help="inline PD string, e.g. 'X[1,4,2,5] ...'")
     source.add_argument("--name", help="bundled table entry, e.g. 8_21")
-    reads_diagram = [source, common]
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, help="scan size cap (default 24)")
+    capped.add_argument(
+        "--allow-large", action="store_true", help="acknowledge caps beyond 28"
+    )
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--workers", type=int, default=1)
+    scans_diagram = [source, capped, common]
 
     parser = argparse.ArgumentParser(
         prog="dessinlink",
@@ -543,29 +545,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("bracket", parents=reads_diagram)
+    p = sub.add_parser("bracket", parents=[*scans_diagram, pool])
     p.add_argument("--oracle", action="store_true", help="cross-check by state sum")
-    sub.add_parser("jones", parents=reads_diagram)
-    p = sub.add_parser("det", parents=reads_diagram)
+    sub.add_parser("jones", parents=scans_diagram)
+    p = sub.add_parser("det", parents=scans_diagram)
     p.add_argument(
         "--method",
         choices=sorted(_METHOD_ALIASES) + ["all"],
         default="all",
     )
-    p = sub.add_parser("dessin", parents=reads_diagram)
+    p = sub.add_parser("dessin", parents=[source, common])
     p.add_argument("--state", default="A", help="A, B, or a per-crossing string")
-    sub.add_parser("quasitrees", parents=reads_diagram)
-    sub.add_parser("coeffs", parents=reads_diagram)
-    sub.add_parser("reduce", parents=reads_diagram)
-    p = sub.add_parser("charpoly", parents=reads_diagram)
+    sub.add_parser("quasitrees", parents=scans_diagram)
+    sub.add_parser("coeffs", parents=scans_diagram)
+    sub.add_parser("reduce", parents=scans_diagram)
+    p = sub.add_parser("charpoly", parents=[source, common])
     p.add_argument("--chords", help="endpoint sequence, e.g. '1 2 1 2'")
-    p = sub.add_parser("pretzel", parents=[common])
+    p = sub.add_parser("pretzel", parents=[capped, common])
     p.add_argument("params", type=int, nargs="+")
     p.add_argument("--det", action="store_true")
-    p = sub.add_parser("twist", parents=[common])
+    p = sub.add_parser("twist", parents=[capped, common])
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    sub.add_parser("verify", parents=[common])
+    sub.add_parser("verify", parents=[capped, pool, common])
     return parser
 
 

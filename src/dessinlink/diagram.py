@@ -118,7 +118,8 @@ _S_RE = re.compile(r"S\[([^\]]*)\]\Z")
 def parse_pd(text: str) -> PDCode:
     """Parse whitespace-separated `X[a,b,c,d]` tokens, optionally `S[+,-,..]`.
 
-    Arc labels are normalized to 1..n_arcs preserving their relative order.
+    Arc labels must be positive, as in `PDCode`; they are normalized to
+    1..n_arcs preserving their relative order.
     """
     tokens = text.split()
     if not tokens:
@@ -146,6 +147,8 @@ def parse_pd(text: str) -> PDCode:
     if not crossings:
         raise DiagramError("no crossings in PD input")
     labels = sorted({lab for tup in crossings for lab in tup})
+    if labels[0] < 1:
+        raise DiagramError(f"arc label {labels[0]} is not a positive integer")
     remap = {lab: i + 1 for i, lab in enumerate(labels)}
     crossings = [tuple(remap[lab] for lab in tup) for tup in crossings]
     return PDCode(tuple(crossings), signs)

@@ -224,7 +224,7 @@ def determinant(
     if not values:
         raise DiagramError(f"no determinant method applied: {skipped}")
     if len(set(values.values())) != 1:
-        raise DiagramError(f"determinant methods disagree: {values}")
+        raise InternalError(f"internal error: determinant methods disagree: {values}")
     return DeterminantReport(next(iter(values.values())), values, skipped)
 
 

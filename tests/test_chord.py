@@ -11,11 +11,13 @@ import sympy
 
 import dessinlink
 
+from dessinlink import chord
 from dessinlink.chord import (
     ChordDiagram,
     bareiss_det,
     char_poly,
     chords_to_text,
+    counts_from_char_poly,
     intersection_matrix,
     parse_chords,
     quasi_counts_and_det,
@@ -26,6 +28,7 @@ from dessinlink.chord import (
 )
 from dessinlink.dessin import build_dessin, dessin_counts
 from dessinlink.diagram import reduce_to_one_vertex, twist_pd
+from dessinlink.errors import InternalError
 from dessinlink.poly import LaurentPoly
 
 FIG8_WORD = "1 2 3 4 5 2 1 5 4 3"
@@ -117,6 +120,67 @@ def test_char_poly_matches_sympy():
         got = char_poly(cd)
         coeffs = [got.coefficient(e) for e in range(cd.m, -1, -1)]
         assert [int(c) for c in want] == coeffs
+
+
+def sympy_char_poly(mat):
+    """Coefficients of det(M - xI) = (-1)^m det(xI - M) from x^0 up, by sympy."""
+    sign = (-1) ** len(mat)
+    return [sign * int(c) for c in reversed(sympy.Matrix(mat).charpoly().all_coeffs())]
+
+
+def test_char_poly_matches_sympy_on_general_matrices():
+    rng = random.Random(23)
+    largest = 0
+    for trial in range(30):
+        n = 1 + trial % 10
+        mat = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+        got = char_poly(mat)
+        want = sympy_char_poly(mat)
+        assert [got.coefficient(e) for e in range(n + 1)] == want, mat
+        assert max(map(abs, want)) <= chord._coefficient_bound(mat)
+        largest = max(largest, *map(abs, want))
+    assert largest > 2**127  # needs a modulus beyond 2^127 - 1
+
+
+def test_char_poly_matches_bareiss_on_interlacement_matrices():
+    rng = random.Random(41)
+    for m in (20, 27, 33, 40):
+        mat = intersection_matrix(random_word(rng, m))
+        p = char_poly(mat)
+        for x in range(-(m // 2), m // 2 + 2):  # m + 1 or more points
+            shifted = [[a - x * (i == j) for j, a in enumerate(row)] for i, row in enumerate(mat)]
+            assert sum(c * x**e for e, c in p.terms()) == bareiss_det(shifted), (m, x)
+
+
+def test_char_poly_moduli_are_mersenne_primes():
+    exps = chord._MERSENNE_EXPONENTS
+    assert list(exps) == sorted(set(exps))
+    for q in exps:
+        if q < 3000:
+            assert sympy.isprime(2**q - 1), q
+
+
+def test_char_poly_checks_itself_at_one(monkeypatch):
+    real = chord._hessenberg_char_poly
+
+    def off_by_one(mat, p):
+        coeffs = real(mat, p)
+        coeffs[0] = (coeffs[0] + 1) % p
+        return coeffs
+
+    monkeypatch.setattr(chord, "_hessenberg_char_poly", off_by_one)
+    with pytest.raises(InternalError):
+        char_poly(parse_chords(FIG8_WORD))
+
+
+def test_counts_from_char_poly_rejects_impossible_polys():
+    for poly in (
+        LaurentPoly({2: 2, 0: 1}),  # s(0) = 2
+        LaurentPoly({2: 1, 0: -1}),  # s(1) = -1
+        LaurentPoly({2: 1, 1: 3, 0: 1}),  # odd-degree term
+    ):
+        with pytest.raises(InternalError):
+            counts_from_char_poly(poly, 2)
 
 
 def test_char_poly_basepoint_invariance():

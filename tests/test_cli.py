@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
-from dessinlink import diagram
+from dessinlink import diagram, invariants
 from dessinlink.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -151,6 +151,41 @@ def test_diagram_options_only_where_a_diagram_is_read(capsys):
     capsys.readouterr()
 
 
+def test_scan_options_only_where_a_scan_runs(capsys, tmp_path):
+    for argv in (
+        ("charpoly", "--chords", "1 2 1 2", "--cap", "1"),
+        ("charpoly", "--name", "3_1", "--allow-large"),
+        ("dessin", "--name", "3_1", "--cap", "30"),
+        ("dessin", "--name", "3_1", "--workers", "9"),
+        ("det", "--name", "3_1", "--workers", "2"),
+        ("jones", "--name", "3_1", "--workers", "2"),
+        ("twist", "2", "3", "--workers", "2"),
+        ("pretzel", "2", "3", "-5", "--workers", "2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(list(argv))
+        assert exc.value.code == EXIT_USAGE, argv
+    capsys.readouterr()
+    for argv in (
+        ("bracket", "--name", "3_1", "--oracle", "--workers", "2", "--cap", "10"),
+        ("det", "--name", "3_1", "--cap", "10"),
+        ("twist", "2", "3", "--cap", "30", "--allow-large"),
+        ("pretzel", "2", "3", "-5", "--det", "--cap", "10"),
+    ):
+        assert run_json(capsys, *argv)[0] == EXIT_OK, argv
+    # an option the command cannot take cannot split its cache entries
+    cache = tmp_path / "cache.jsonl"
+    assert run_json(capsys, "charpoly", "--chords", "1 2 1 2", "--cache", str(cache))[0] == EXIT_OK
+    assert run_json(capsys, "charpoly", "--chords", "1 2 1 2", "--cache", str(cache))[0] == EXIT_OK
+    assert len(cache.read_text().splitlines()) == 1
+
+
+def test_arc_label_zero_is_bad_input(capsys):
+    code, _, err = run_json(capsys, "det", "--pd", "X[0,1,1,0]")
+    assert code == EXIT_BAD_INPUT
+    assert "arc label 0" in json.loads(err)["error"]["message"]
+
+
 def test_no_command_is_usage(capsys):
     assert run_cli([]) == EXIT_USAGE
     capsys.readouterr()
@@ -185,6 +220,15 @@ def test_internal_error_exits_1(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["kind"] == "internal"
     assert error["message"].startswith("internal error:")
+
+
+def test_disagreeing_determinants_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "_det_charpoly", lambda pd: 16)
+    code, _, err = run_json(capsys, "det", "--name", "8_21")
+    assert code == EXIT_INTERNAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert "disagree" in error["message"]
 
 
 def test_missing_table_is_a_file_error(tmp_path, capsys, monkeypatch):

@@ -67,6 +67,14 @@ def test_parse_rejects_bad_codes():
         parse_pd("X[1,2,3,4]")
 
 
+def test_parse_rejects_arc_label_zero():
+    # PDCode rejects a non-positive label; parse_pd must not renumber it away
+    with pytest.raises(DiagramError, match="arc label 0"):
+        parse_pd("X[0,1,1,0]")
+    with pytest.raises(DiagramError, match="arc label 0"):
+        PDCode(((0, 1, 1, 0),))
+
+
 def test_rejects_disconnected():
     with pytest.raises(DiagramError):
         state_circle_count(parse_pd("X[1,1,2,2] X[3,3,4,4]"), 0)

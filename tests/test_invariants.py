@@ -1,10 +1,12 @@
 """Bracket, Jones, determinants, and coefficient structure of the bundled
 knots plus seeded random diagrams."""
 
+import random
+
 import pytest
 
 from dessinlink import dessin, invariants
-from dessinlink.chord import quasi_counts_and_det, to_chord_diagram
+from dessinlink.chord import bareiss_det, quasi_counts_and_det, to_chord_diagram
 from dessinlink.dessin import (
     build_dessin,
     contract_parallel,
@@ -18,9 +20,11 @@ from dessinlink.diagram import (
     pretzel_pd,
     reduce_to_one_vertex,
     state_sum_bracket,
+    strand_components,
     table_pd,
     twist_pd,
 )
+from dessinlink.errors import InternalError
 from dessinlink.invariants import (
     DET_METHODS,
     a1_adequate,
@@ -38,7 +42,7 @@ from dessinlink.invariants import (
 )
 from dessinlink.poly import LaurentPoly
 
-from helpers import corpus
+from helpers import braid_pd, corpus, random_braid_word
 
 KINK = parse_pd("X[1,1,2,2]")
 HOPF_PLUS = parse_pd("X[1,3,2,4] X[3,1,4,2] S[+,+]")
@@ -252,6 +256,67 @@ def test_pretzel_determinant():
         pretzel_determinant((2, 3), ())
     with pytest.raises(DiagramError):
         pretzel_determinant((2, 0), (1,))
+
+
+@pytest.mark.parametrize("params", [(50, 49, -3), (41, 37, -23)])
+def test_pretzel_determinant_beyond_100_crossings(params):
+    pd = pretzel_pd(params)
+    assert pd.n > 100
+    rep = determinant(pd)
+    pos = [p for p in params if p > 0]
+    neg = [-p for p in params if p < 0]
+    assert rep.value == pretzel_determinant(pos, neg)
+    assert set(rep.methods) == {"charpoly", "tree_difference"}
+    assert rep.skipped == {
+        name: f"scan over {pd.n} edges exceeds the cap 24"
+        for name in ("quasitree", "jones_eval")
+    }
+
+
+def coloring_determinant(pd):
+    """|first minor| of the Fox coloring matrix of a knot diagram.
+
+    Rows are crossings X[a,b,c,d] (under strand a -> c, over strand b, d),
+    columns are arcs, and each row reads 2 over - under in - under out.
+    """
+    parent = {}
+
+    def arc(lab):
+        while parent.get(lab, lab) != lab:
+            lab = parent[lab]
+        return lab
+
+    for _, b, _, d in pd.crossings:
+        parent[arc(b)] = arc(d)
+    arcs = sorted({arc(lab) for tup in pd.crossings for lab in tup})
+    col = {a: i for i, a in enumerate(arcs)}
+    rows = []
+    for a, b, c, d in pd.crossings:
+        row = [0] * len(arcs)
+        row[col[arc(b)]] += 2
+        row[col[arc(a)]] -= 1
+        row[col[arc(c)]] -= 1
+        rows.append(row)
+    return abs(bareiss_det([row[1:] for row in rows[1:]]))
+
+
+def test_determinant_of_a_120_crossing_braid_knot():
+    for name, want in DETS.items():
+        assert coloring_determinant(table_pd(name)) == want, name
+    rng = random.Random(120)
+    while True:
+        pd = braid_pd(random_braid_word(rng, 5, 120), 5)
+        if len(strand_components(pd)) == 1:
+            break
+    rep = determinant(pd)
+    assert "charpoly" in rep.methods
+    assert rep.value == coloring_determinant(pd)
+
+
+def test_disagreeing_determinant_methods_are_internal_errors(monkeypatch):
+    monkeypatch.setattr(invariants, "_det_charpoly", lambda pd: 16)
+    with pytest.raises(InternalError, match="disagree"):
+        determinant(table_pd("8_21"))
 
 
 def test_spanning_tree_counts():
