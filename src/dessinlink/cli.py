@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage, 3 bad input, 4 cap exceeded,
 5 unmet precondition, 6 file error (a table, cache or output path that
-cannot be read or written), 1 internal error.
+cannot be read or written), 1 internal error or a payload whose own
+checks failed (such a payload is emitted but never cached).
 
 Each command imports the math modules it uses when it runs, so
 `--version` and a cache hit load none of them.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
@@ -501,8 +503,29 @@ def _cache_get(path: str, key: str) -> Optional[Dict[str, Any]]:
 
 
 def _cache_put(path: str, key: str, payload: Dict[str, Any]) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"key": key, "payload": payload}, sort_keys=True) + "\n")
+    """Append one entry with a single O_APPEND write, so entries from
+    concurrent writers never interleave within a line."""
+    line = json.dumps({"key": key, "payload": payload}, sort_keys=True) + "\n"
+    data = line.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+    finally:
+        os.close(fd)
+    if written != len(data):
+        raise OSError(f"short write to cache {path}: {written} of {len(data)} bytes")
+
+
+def _checks_pass(payload: Dict[str, Any]) -> bool:
+    """False when a payload reports one of its own checks as failed."""
+    for flag in ("all_pass", "oracle_equal", "agree", "bracket_preserved"):
+        if payload.get(flag) is False:
+            return False
+    return all(
+        all(payload[group].values())
+        for group in ("checks", "bookkeeping")
+        if isinstance(payload.get(group), dict)
+    )
 
 
 _COMMANDS = {
@@ -585,15 +608,14 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             hit = _cache_get(cache, key)
             if hit is not None:
                 _emit(hit, args)
-                return EXIT_OK
+                return EXIT_OK if _checks_pass(hit) else EXIT_INTERNAL
         payload = _COMMANDS[args.command](args)
         payload = {"schema": SCHEMA, "command": args.command, **payload}
-        if cache and key:
+        passed = _checks_pass(payload)
+        if cache and key and passed:
             _cache_put(cache, key, payload)
         _emit(payload, args)
-        if args.command == "verify" and not payload["all_pass"]:
-            return EXIT_INTERNAL
-        return EXIT_OK
+        return EXIT_OK if passed else EXIT_INTERNAL
     except _UsageError as exc:
         _error(args, "usage", str(exc))
         return EXIT_USAGE

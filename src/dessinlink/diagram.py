@@ -409,35 +409,81 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircle
 # State-sum Kauffman bracket (the brute-force oracle)
 # ============================================================
 
+# Fewest states for which `state_sum_bracket` forks its worker pool: with
+# the Gray-code kernel, 2 workers beat 1 from 16 crossings on, and lose at 15.
+_POOL_MIN_STATES = 1 << 16
+
 
 def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
-    """Tally (A-minus-B exponent, circles-1) over states start <= mask < stop."""
+    """Tally (A-minus-B exponent, circles-1) over the states gray(i), start <= i < stop.
+
+    The states are visited in Gray order, gray(i) = i ^ (i >> 1), so state
+    gray(i) differs from gray(i-1) only at crossing c = ctz(i).  On a planar
+    diagram that flip changes the circle count by exactly +-1 (Kauffman,
+    "State models and the Jones polynomial", Topology 26, 1987): it splits
+    the circle through c when both of c's channels lie on it, and merges the
+    two circles through c otherwise.  So only the first state is traced from
+    scratch; each later one walks the circle through dart 4c until it comes
+    back to 4c (merge) or meets c's other channel first (split).  The rule
+    needs a planar map, which `_planar_map` guarantees; as a check, the last
+    state of the range is traced again from scratch and a mismatch raises
+    `InternalError`.  Ranges that split [0, 2^n) visit every state once
+    between them.
+    """
+    if start >= stop:
+        return {}
+    # rows[bit][c][p]: the dart reached from dart 4c+p by crossing its
+    # smoothing channel under `bit`, then following the arc; step[d] holds
+    # that for the current state
+    rows = [[[alpha[4 * c + q] for q in _PARTNER[bit]] for c in range(n)] for bit in (0, 1)]
+    mask = start ^ (start >> 1)
+    step = [d for c in range(n) for d in rows[(mask >> c) & 1][c]]
+    width = 4 * n + 2
+    tally = [0] * ((n + 1) * width)
+
+    def traced(mask: int) -> int:
+        """Flat tally index (#B smoothings, circles) of a state traced from scratch."""
+        return mask.bit_count() * width + len(_trace_circles(alpha, n, mask))
+
+    at = traced(mask)
+    tally[at] += 1
+    for i in range(start + 1, stop):
+        c = (i & -i).bit_length() - 1
+        d0 = 4 * c
+        d = step[d0]
+        while d >> 2 != c:
+            d = step[d]
+        at += -1 if d == d0 else 1
+        bit = 1 << c
+        mask ^= bit
+        if mask & bit:
+            at += width
+            step[d0:d0 + 4] = rows[1][c]
+        else:
+            at -= width
+            step[d0:d0 + 4] = rows[0][c]
+        tally[at] += 1
+    if mask != (stop - 1) ^ ((stop - 1) >> 1) or at != traced(mask):
+        raise InternalError(
+            f"internal error: incremental circle count drifted over states {start}..{stop - 1}"
+        )
     counts: Dict[Tuple[int, int], int] = {}
-    nd = 4 * n
-    visited = [-1] * nd
-    p0 = _PARTNER[0]
-    p1 = _PARTNER[1]
-    for mask in range(start, stop):
-        k = 0
-        for d0 in range(nd):
-            if visited[d0] == mask:
-                continue
-            k += 1
-            d = d0
-            while visited[d] != mask:
-                visited[d] = mask
-                d2 = (d & ~3) | (p1[d & 3] if (mask >> (d >> 2)) & 1 else p0[d & 3])
-                visited[d2] = mask
-                d = alpha[d2]
-        key = (n - 2 * mask.bit_count(), k - 1)
-        counts[key] = counts.get(key, 0) + 1
+    for index, mult in enumerate(tally):
+        if mult:
+            b, k = divmod(index, width)
+            counts[(n - 2 * b, k - 1)] = mult
     return counts
 
 
 def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPoly:
     """Kauffman bracket by direct summation over all 2^n states.
 
-    <P> = sum over states of A^(#A - #B) * delta^(#circles - 1).
+    <P> = sum over states of A^(#A - #B) * delta^(#circles - 1).  The states
+    are walked in Gray order by `_bracket_counts`, one crossing flip and one
+    partial circle walk per state, with a from-scratch recount at the end of
+    each range.  With workers > 1 and at least 2^16 states, contiguous
+    ranges of the Gray sequence run in forked processes; below that, forking
+    costs more than it saves.
     """
     n = len(pd.crossings)
     if n > cap:
@@ -445,7 +491,7 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPol
     pm = _planar_map(pd.crossings)
     total = 1 << n
     workers = max(1, min(workers, os.cpu_count() or 1))
-    if workers == 1 or total < (1 << 14):
+    if workers == 1 or total < _POOL_MIN_STATES:
         counts = _bracket_counts(pm.alpha, n, 0, total)
     else:
         import multiprocessing

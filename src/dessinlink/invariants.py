@@ -31,7 +31,6 @@ from .errors import CapExceededError, DiagramError, InternalError
 from .poly import (
     MINUS_I,
     LaurentPoly,
-    PolyError,
     delta_power_sum,
     factor_and_eval_A2,
 )
@@ -164,7 +163,7 @@ def _det_jones_eval(pd: PDCode, cap: int) -> int:
     norm = val.norm()
     root = isqrt(norm)
     if root * root != norm:
-        raise PolyError(f"bracket value norm {norm} is not a perfect square")
+        raise InternalError(f"internal error: bracket value norm {norm} is not a perfect square")
     return root
 
 
@@ -288,8 +287,9 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     if check:
         closed = top_coefficient_closed_form(d, cap=cap)
         if closed != table.coefficient(0):
-            raise DiagramError(
-                f"top coefficient {table.coefficient(0)} != closed form {closed}"
+            raise InternalError(
+                f"internal error: top coefficient {table.coefficient(0)} "
+                f"!= closed form {closed}"
             )
         if table.as_poly() != bracket_via_dessin(pd, cap):
             raise InternalError("internal error: coefficient table != bracket")
@@ -416,7 +416,7 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[Fraction, int]:
     point = Fraction(-2)
     for exp, c in br.shift(-e).terms():
         if exp > 0 or exp % 4:
-            raise PolyError(f"normalized bracket exponent {exp} not in -4N")
+            raise InternalError(f"internal error: normalized bracket exponent {exp} not in -4N")
         lhs += c * point ** (-exp // 4)
     v = d.n_vertices
     rhs = sum(

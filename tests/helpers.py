@@ -64,6 +64,72 @@ def random_diagram(rng: random.Random, max_crossings: int = 10) -> PDCode:
         return pd
 
 
+def _cut_arc(crossings: List[List[int]], arc: int, new: int) -> None:
+    """Relabel the second end of `arc` as `new`, leaving two loose ends."""
+    c, p = [(c, p) for c, t in enumerate(crossings) for p, x in enumerate(t) if x == arc][1]
+    crossings[c][p] = new
+
+
+def add_curl(pd: PDCode, arc: int, positive: bool = True) -> PDCode:
+    """Insert a Reidemeister-I curl into arc `arc`.
+
+    The new crossing takes the arc's two ends at positions 0 and 3 and a
+    small loop at two adjacent positions: (1, 2) or, for the other curl,
+    (2, 3).  Either way the curl is a nugatory crossing.
+    """
+    top = max(max(t) for t in pd.crossings)
+    cut, loop = top + 1, top + 2
+    crossings = [list(t) for t in pd.crossings]
+    _cut_arc(crossings, arc, cut)
+    crossings.append([arc, loop, loop, cut] if positive else [arc, cut, loop, loop])
+    return PDCode(tuple(tuple(t) for t in crossings))
+
+
+def nugatory_join(p: PDCode, q: PDCode) -> PDCode:
+    """P and Q joined through one crossing that a circle in the plane meets
+    alone: the lowest arc of P is cut into the ends at positions 0, 1 of the
+    new crossing, the lowest arc of Q into the ends at positions 2, 3."""
+    shift = max(max(t) for t in p.crossings)
+    crossings = [list(t) for t in p.crossings]
+    crossings += [[x + shift for x in t] for t in q.crossings]
+    top = max(max(t) for t in crossings)
+    ends = []
+    cuts = (min(min(t) for t in p.crossings), min(min(t) for t in q.crossings) + shift)
+    for arc, new in zip(cuts, (top + 1, top + 2)):
+        _cut_arc(crossings, arc, new)
+        ends += [arc, new]
+    crossings.append(ends)
+    return PDCode(tuple(tuple(t) for t in crossings))
+
+
+def random_decorated_diagram(rng: random.Random, max_crossings: int = 10) -> PDCode:
+    """A random connected diagram of at most `max_crossings` + 2 crossings:
+    a braid closure as from `random_diagram`, one with Reidemeister-I curls,
+    two joined through a nugatory crossing, or a braid closure of at least
+    3 components."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_diagram(rng, max_crossings)
+    if kind == 1:
+        pd = random_diagram(rng, max_crossings)
+        for _ in range(rng.randint(1, 2)):
+            arcs = sorted({x for t in pd.crossings for x in t})
+            pd = add_curl(pd, rng.choice(arcs), rng.random() < 0.5)
+        return pd
+    if kind == 2:
+        half = max(3, max_crossings // 2)
+        return nugatory_join(random_diagram(rng, half), random_diagram(rng, half))
+    while True:
+        n_strands = rng.randint(3, 4)
+        word = random_braid_word(rng, n_strands, rng.randint(2 * (n_strands - 1), max_crossings))
+        try:
+            pd = braid_pd(word, n_strands)
+        except ValueError:
+            continue
+        if len(strand_components(pd)) >= 3:
+            return pd
+
+
 def corpus(seed: int, count: int, max_crossings: int = 10) -> List[PDCode]:
     """Deterministic corpus of distinct random diagrams."""
     rng = random.Random(seed)

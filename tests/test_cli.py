@@ -10,6 +10,8 @@ import pytest
 
 import dessinlink
 from dessinlink import diagram, invariants
+from dessinlink.errors import InternalError
+from dessinlink.poly import LaurentPoly
 from dessinlink.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -231,6 +233,74 @@ def test_disagreeing_determinants_exit_1(capsys, monkeypatch):
     assert "disagree" in error["message"]
 
 
+def test_failed_checks_exit_1_and_are_never_cached(tmp_path, capsys, monkeypatch):
+    true_sum = diagram.state_sum_bracket
+    monkeypatch.setattr(
+        diagram, "state_sum_bracket", lambda pd, **kw: true_sum(pd, **kw) * 2
+    )
+    cache = tmp_path / "cache.jsonl"
+    for _ in range(2):  # the second run recomputes: nothing was cached
+        code, payload, _ = run_json(capsys, "verify", "--cache", str(cache))
+        assert code == EXIT_INTERNAL
+        assert payload["all_pass"] is False
+        assert not cache.exists()
+    # a failing payload already in a cache still exits 1 when served
+    args = _build_parser().parse_args(["verify"])
+    entry = {"key": _cache_key("verify", args), "payload": payload}
+    cache.write_text(json.dumps(entry) + "\n")
+    monkeypatch.setattr(diagram, "state_sum_bracket", true_sum)
+    code, served, _ = run_json(capsys, "verify", "--cache", str(cache))
+    assert code == EXIT_INTERNAL
+    assert served == payload
+
+
+def test_failed_coefficient_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "top_coefficient_closed_form", lambda d, cap=24: 99)
+    code, payload, _ = run_json(capsys, "coeffs", "--name", "4_1")
+    assert code == EXIT_INTERNAL
+    assert payload["checks"] == {"top_closed_form": False, "matches_bracket": True}
+
+
+def test_failed_closed_form_agreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "pretzel_determinant", lambda pos, neg: 20)
+    code, payload, _ = run_json(capsys, "pretzel", "2", "3", "-5", "--det")
+    assert code == EXIT_INTERNAL
+    assert payload["agree"] is False
+
+
+def test_failed_bracket_oracle_exits_1(capsys, monkeypatch):
+    true_sum = diagram.state_sum_bracket
+    monkeypatch.setattr(
+        diagram, "state_sum_bracket", lambda pd, **kw: true_sum(pd, **kw) * 2
+    )
+    code, payload, _ = run_json(capsys, "bracket", "--name", "5_2", "--oracle")
+    assert code == EXIT_INTERNAL
+    assert payload["oracle_equal"] is False
+
+
+def test_coefficient_closed_form_mismatch_is_internal(monkeypatch):
+    monkeypatch.setattr(invariants, "top_coefficient_closed_form", lambda d, cap=24: 99)
+    with pytest.raises(InternalError, match="^internal error: top coefficient"):
+        invariants.coefficient_table(diagram.table_pd("4_1"), check=True)
+
+
+def test_non_square_bracket_norm_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "isqrt", lambda norm: 0)
+    code, _, err = run_json(capsys, "det", "--name", "3_1", "--method", "jones")
+    assert code == EXIT_INTERNAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert "not a perfect square" in error["message"]
+
+
+def test_jones_at_minus_two_exponent_check_is_internal(monkeypatch):
+    monkeypatch.setattr(
+        invariants, "bracket_via_dessin", lambda pd, cap=24: LaurentPoly({1001: 1})
+    )
+    with pytest.raises(InternalError, match="not in -4N"):
+        invariants.jones_at_minus_two(diagram.table_pd("3_1"))
+
+
 def test_missing_table_is_a_file_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DESSINLINK_TABLE", str(tmp_path / "missing.txt"))
     code, _, err = run_json(capsys, "det", "--name", "3_1")
@@ -329,6 +399,35 @@ def test_undecodable_cache_lines_are_misses(tmp_path, capsys):
     again = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
     assert again[1] == payload
     assert len(cache.read_bytes().splitlines()) == 4  # served from the cache
+
+
+# Appends 200 entries of about 20 KB under one tag to a cache file.
+_APPENDER = """
+import sys
+from dessinlink.cli import _cache_put
+path, tag = sys.argv[1], sys.argv[2]
+for i in range(200):
+    _cache_put(path, f"{tag}-{i}", {"blob": tag * 20000})
+"""
+
+
+def test_concurrent_cache_appends_never_interleave(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    env = dict(os.environ)
+    src = str(Path(dessinlink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _APPENDER, str(cache), tag], env=env)
+        for tag in ("a", "b")
+    ]
+    for proc in procs:
+        assert proc.wait(timeout=60) == 0
+    keys = set()
+    for line in cache.read_bytes().splitlines():
+        entry = json.loads(line)
+        assert entry["payload"]["blob"] == entry["key"][0] * 20000
+        keys.add(entry["key"])
+    assert keys == {f"{tag}-{i}" for tag in ("a", "b") for i in range(200)}
 
 
 # ==========================================================================

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dessinlink import diagram
 from dessinlink.diagram import (
     CapExceededError,
     DiagramError,
@@ -22,9 +23,10 @@ from dessinlink.diagram import (
     twist_pd,
     writhe,
 )
-from dessinlink.poly import LaurentPoly
+from dessinlink.errors import InternalError
+from dessinlink.poly import LaurentPoly, delta_power_sum
 
-from helpers import braid_pd, corpus
+from helpers import add_curl, braid_pd, corpus, nugatory_join
 
 KINK = "X[1,1,2,2]"
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
@@ -146,11 +148,69 @@ def test_bracket_mirror_inverts_exponents():
 
 
 def test_bracket_workers_deterministic():
-    word = [1, -2, 1, 1, 2, 2, -1, 2, 1, 1, -2, 1, 2, 2]
+    word = [1, -2, 1, 1, 2, 2, -1, 2, 1, 1, -2, 1, 2, 2, -1, 2]
     pd = braid_pd(word, 3)
+    assert 1 << pd.n >= diagram._POOL_MIN_STATES  # large enough to fork the pool
     seq = state_sum_bracket(pd, workers=1)
     par = state_sum_bracket(pd, workers=2)
     assert seq == par
+
+
+def per_state_bracket(pd):
+    """The bracket from every state traced from scratch."""
+    return delta_power_sum(
+        ((pd.n - 2 * bin(mask).count("1"), state_circle_count(pd, mask) - 1), 1)
+        for mask in range(1 << pd.n)
+    )
+
+
+def test_state_sum_matches_per_state_circle_counts():
+    trefoil = parse_pd(TREFOIL)
+    figure8 = twist_pd(2, 3)
+    cases = {
+        "kink": parse_pd(KINK),
+        "curled trefoil": add_curl(add_curl(trefoil, 2), 5, positive=False),
+        "nugatory crossing": nugatory_join(trefoil, figure8),
+        "3-component link": braid_pd([1, 1, -2, -2, 1, 2, 2, -1], 3),
+        "4-component link": braid_pd([1, 1, 2, 2, 3, 3, -2, -2], 4),
+    }
+    assert len(strand_components(cases["3-component link"])) == 3
+    assert len(strand_components(cases["4-component link"])) == 4
+    for name, pd in cases.items():
+        assert pd.n <= 10, name
+        assert state_sum_bracket(pd) == per_state_bracket(pd), name
+    for pd in corpus(seed=31, count=20, max_crossings=9):
+        assert state_sum_bracket(pd) == per_state_bracket(pd)
+
+
+def test_bracket_counts_uneven_ranges_cover_every_state():
+    pd = nugatory_join(parse_pd(TREFOIL), twist_pd(3, 3))
+    assert pd.n == 10
+    alpha = diagram._planar_map(pd.crossings).alpha
+    total = 1 << pd.n
+    full = diagram._bracket_counts(alpha, pd.n, 0, total)
+    assert sum(full.values()) == total
+    for a, b in ((37, 700), (1, 2), (255, 256), (0, total - 1)):
+        summed = {}
+        for start, stop in ((0, a), (a, b), (b, total)):
+            for key, mult in diagram._bracket_counts(alpha, pd.n, start, stop).items():
+                summed[key] = summed.get(key, 0) + mult
+        assert summed == full, (a, b)
+
+
+def test_bracket_counts_recount_catches_a_drift():
+    # Arc 1 joins opposite positions of crossing 0, so this map is not
+    # planar and a flip there need not change the circle count by +-1; the
+    # end-of-range recount must notice instead of returning a wrong tally.
+    crossings = ((1, 2, 1, 3), (2, 4, 3, 4))
+    with pytest.raises(DiagramError, match="not planar"):
+        diagram._planar_map(crossings)
+    alpha = [0] * 8
+    for label in (1, 2, 3, 4):
+        a, b = [4 * c + p for c, t in enumerate(crossings) for p, x in enumerate(t) if x == label]
+        alpha[a], alpha[b] = b, a
+    with pytest.raises(InternalError, match="drifted"):
+        diagram._bracket_counts(tuple(alpha), 2, 0, 4)
 
 
 def test_bracket_cap():

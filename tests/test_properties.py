@@ -1,23 +1,25 @@
-"""Property tests over seeded random diagrams with at most 10 crossings.
+"""Property tests over seeded random diagrams with at most 12 crossings.
 
-Hypothesis draws the seed; `helpers.random_diagram` turns it into a
-connected braid-closure diagram.  Runs are derandomized so the suite
-stays reproducible, and example counts are small so it stays fast.
+Hypothesis draws the seed; `helpers.random_decorated_diagram` turns it into
+a connected diagram: a braid closure, one with Reidemeister-I curls, two
+joined through a nugatory crossing, or a link of 3 or more components.
+Runs are derandomized so the suite stays reproducible, and example counts
+are small so it stays fast.
 """
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dessinlink.dessin import build_dessin, quasi_tree_counts
-from dessinlink.diagram import PDCode, mirror, state_sum_bracket
-from dessinlink.invariants import bracket_via_dessin, determinant
+from dessinlink.diagram import PDCode, mirror, state_sum_bracket, strand_components
+from dessinlink.invariants import bracket_via_dessin, determinant, jones_polynomial
 from dessinlink.poly import LaurentPoly
 
-from helpers import random_diagram
+from helpers import random_decorated_diagram
 
 diagrams = st.integers(min_value=0, max_value=2**32 - 1).map(
-    lambda seed: random_diagram(random.Random(seed), max_crossings=10)
+    lambda seed: random_decorated_diagram(random.Random(seed), max_crossings=10)
 )
 
 checked = settings(max_examples=25, deadline=None, derandomize=True)
@@ -60,3 +62,21 @@ def test_quasi_tree_alternating_sum_is_the_bracket_at_a4_minus_one(pd: PDCode):
     s = quasi_tree_counts(build_dessin(pd, 0))
     alternating = abs(sum((-1) ** j * sj for j, sj in enumerate(s)))
     assert alternating == abs_at_a4_minus_one(bracket_via_dessin(pd))
+
+
+@checked
+@given(diagrams)
+def test_bracket_at_one_counts_components(pd: PDCode):
+    # delta = -2 at A = 1, so |<P>(1)| = 2^(c-1); for a knot V(1) = 1
+    c = len(strand_components(pd))
+    assert abs(sum(coeff for _, coeff in bracket_via_dessin(pd).terms())) == 2 ** (c - 1)
+    if c == 1:
+        assert sum(coeff for _, coeff in jones_polynomial(pd).poly.terms()) == 1
+
+
+@checked
+@given(diagrams)
+def test_knot_determinant_is_jones_at_minus_one(pd: PDCode):
+    assume(len(strand_components(pd)) == 1)
+    jones = jones_polynomial(pd).poly
+    assert determinant(pd).value == abs(sum(coeff * (-1) ** e for e, coeff in jones.terms()))
