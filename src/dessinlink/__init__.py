@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "poly": (
         "DELTA",
-        "GaussianInt",
         "LaurentPoly",
         "PolyError",
     ),

@@ -444,39 +444,27 @@ def _emit(payload: Dict[str, Any], args) -> None:
         sys.stdout.write(text)
 
 
+# options that choose where and how a payload is written, or how fast it
+# is computed, but never what it contains
+_UNKEYED = frozenset({"out", "cache", "plain", "workers", "allow_large"})
+
+
 def _cache_key(command: str, args) -> str:
-    """Hash of everything the payload depends on.
+    """Hash of every option except the `_UNKEYED` ones.
 
     A `--name` is keyed on the PD text it names in the active table, and
     `verify` on the whole table, so pointing DESSINLINK_TABLE elsewhere
     never serves a result computed from another table.  A name missing
     from the table stays in the key; the command itself reports it.
     """
-    pd_text = getattr(args, "pd", None)
-    name = getattr(args, "name", None)
-    table = None
+    relevant = {k: v for k, v in vars(args).items() if k not in _UNKEYED}
+    relevant.update(command=command, engine=__version__)
     if command == "verify":
-        table = knot_table()
-    elif name and not pd_text:
+        relevant["table"] = knot_table()
+    elif relevant.get("name") and not relevant.get("pd"):
         entries = knot_table()
-        if name in entries:
-            pd_text, name = entries[name], None
-    relevant = {
-        "command": command,
-        "pd": pd_text,
-        "name": name,
-        "table": table,
-        "chords": getattr(args, "chords", None),
-        "params": list(getattr(args, "params", []) or []),
-        "p": getattr(args, "p", None),
-        "q": getattr(args, "q", None),
-        "method": getattr(args, "method", None),
-        "state": getattr(args, "state", None),
-        "cap": getattr(args, "cap", None),
-        "oracle": getattr(args, "oracle", False),
-        "det": getattr(args, "det", False),
-        "engine": __version__,
-    }
+        if relevant["name"] in entries:
+            relevant["pd"], relevant["name"] = entries[relevant["name"]], None
     blob = json.dumps(relevant, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -251,12 +251,17 @@ def _subset_profile(
     return profile
 
 
-def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
-    v = d.n_vertices
+def _genus_of(v: int, eh: int, k: int, f: int) -> int:
+    """Genus g from Euler's relation v - e + f = 2k - 2g."""
     g2 = 2 * k - v + eh - f
     if g2 < 0 or g2 % 2:
         raise DiagramError(f"bad Euler data v={v} e={eh} f={f} k={k}")
-    return Counts(v, eh, f, k, g2 // 2, eh - v + k)
+    return g2 // 2
+
+
+def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
+    v = d.n_vertices
+    return Counts(v, eh, f, k, _genus_of(v, eh, k, f), eh - v + k)
 
 
 def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
@@ -298,10 +303,13 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
             continue
         if k != 1:
             raise InternalError("internal error: one-face sub-dessin not connected")
-        g2 = 1 + eh - v
-        if g2 % 2 or g2 // 2 > full.g:
+        try:
+            g = _genus_of(v, eh, k, f)
+        except DiagramError:
+            g = -1
+        if not 0 <= g <= full.g:
             raise InternalError("internal error: quasi-tree genus out of range")
-        s[g2 // 2] += cnt
+        s[g] += cnt
     return tuple(s)
 
 

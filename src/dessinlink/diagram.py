@@ -649,20 +649,17 @@ def pretzel_pd(params: Sequence[int]) -> PDCode:
     return pd
 
 
-# Frozen orientation of the two twist regions and the closure; calibrated
-# so twist(2,3) is the figure-8 knot with the one-vertex all-A dessin.
-_TWIST_VARIANT = (1, 0, 1)
-
-
-def _double_twist(p: int, q: int, h: int, v: int, closure: int) -> PDCode:
-    """Numerator/denominator closure of p horizontal then q vertical twists.
+def twist_pd(p: int, q: int) -> PDCode:
+    """The (p,q) double-twist knot diagram with a one-vertex all-A dessin.
 
     Builds the rational tangle from the 0-tangle (two horizontal strands):
     p twists of the two east endpoints, then q twists of the two south
-    endpoints; h and v pick the crossing sign inside each region.
+    endpoints, closed by joining the two west ends and the two east ends.
     """
     if p < 1 or q < 1:
         raise DiagramError("twist parameters must be >= 1")
+    # Frozen orientation of the two twist regions and the closure; calibrated
+    # so twist(2,3) is the figure-8 knot with the one-vertex all-A dessin.
     nw = ne = 1
     sw = se = 2
     nxt = 3
@@ -670,34 +667,18 @@ def _double_twist(p: int, q: int, h: int, v: int, closure: int) -> PDCode:
     for _ in range(p):
         et, eb = nxt, nxt + 1
         nxt += 2
-        if h == 0:
-            crossings.append((ne, se, eb, et))
-        else:
-            crossings.append((se, eb, et, ne))
+        crossings.append((se, eb, et, ne))
         ne, se = et, eb
     for _ in range(q):
         sl, sr = nxt, nxt + 1
         nxt += 2
-        if v == 0:
-            crossings.append((sw, sl, sr, se))
-        else:
-            crossings.append((se, sw, sl, sr))
+        crossings.append((sw, sl, sr, se))
         sw, se = sl, sr
-    pairs = ((nw, ne), (sw, se)) if closure == 0 else ((nw, sw), (ne, se))
-    relabel = {}
-    for keep, drop in pairs:
-        if keep == drop:
-            raise DiagramError("degenerate closure: free circle")
-        relabel[drop] = keep
+    relabel = {sw: nw, se: ne}
     merged = tuple(
         tuple(relabel.get(lab, lab) for lab in tup) for tup in crossings
     )
-    return parse_pd(" ".join("X[%d,%d,%d,%d]" % tup for tup in merged))
-
-
-def twist_pd(p: int, q: int) -> PDCode:
-    """The (p,q) double-twist knot diagram with a one-vertex all-A dessin."""
-    pd = _double_twist(p, q, *_TWIST_VARIANT)
+    pd = parse_pd(" ".join("X[%d,%d,%d,%d]" % tup for tup in merged))
     if state_circle_count(pd, 0) != 1:
         raise InternalError("internal error: twist diagram all-A state is not one circle")
     return pd

@@ -13,12 +13,13 @@ per-subset (edges, components, faces) profile of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .dessin import (
     Dessin,
     WeightedDessin,
+    _genus_of,
     _scan,
     _subset_profile,
     build_dessin,
@@ -28,15 +29,7 @@ from .dessin import (
 )
 from .diagram import PDCode, reduce_to_one_vertex, strand_components, writhe
 from .errors import CapExceededError, DiagramError, InternalError
-from .poly import (
-    MINUS_I,
-    LaurentPoly,
-    delta_power_sum,
-    factor_and_eval_A2,
-)
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .poly import LaurentPoly, delta_power_sum
 
 __all__ = [
     "JonesResult",
@@ -57,13 +50,6 @@ __all__ = [
 ]
 
 DET_METHODS = ("quasitree", "jones_eval", "charpoly", "tree_difference")
-
-
-def _genus_of(v: int, eh: int, k: int, f: int) -> int:
-    g2 = 2 * k - v + eh - f
-    if g2 < 0 or g2 % 2:
-        raise DiagramError(f"bad Euler data v={v} e={eh} f={f} k={k}")
-    return g2 // 2
 
 
 # ============================================================
@@ -158,13 +144,18 @@ def _det_quasitree(pd: PDCode, cap: int) -> int:
 
 
 def _det_jones_eval(pd: PDCode, cap: int) -> int:
+    """|<P>| at A^4 = -1: every exponent is e0 - 4l, so the value is the
+    alternating coefficient sum |sum_l (-1)^l a[l]|."""
     br = bracket_via_dessin(pd, cap)
-    _, val = factor_and_eval_A2(br, MINUS_I)
-    norm = val.norm()
-    root = isqrt(norm)
-    if root * root != norm:
-        raise InternalError(f"internal error: bracket value norm {norm} is not a perfect square")
-    return root
+    if not br:
+        raise InternalError("internal error: zero bracket")
+    e0 = br.max_exp
+    total = 0
+    for e, c in br.terms():
+        if (e0 - e) % 4:
+            raise InternalError(f"internal error: bracket exponent {e} is not {e0} mod 4")
+        total += -c if (e0 - e) % 8 else c
+    return abs(total)
 
 
 def _det_charpoly(pd: PDCode) -> int:
@@ -397,27 +388,24 @@ def weighted_bracket(wd: WeightedDessin, cap: int = 24) -> LaurentPoly:
     return acc.divide_exact(upow[2 * g_max])
 
 
-def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[Fraction, int]:
+def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
     """Evaluate A^(-e) <P> at A^-4 = -2 against the genus generating sum.
 
     The diagram is first reduced to a one-vertex all-A dessin; the left
-    side is the exact rational value of the normalized bracket, the right
+    side is the exact integer value of the normalized bracket, the right
     side is sum over subsets H of (-2)^g(H).  The two agree.
     """
-    from fractions import Fraction
-
     d = build_dessin(pd, 0)
     if d.n_vertices != 1:
         pd = reduce_to_one_vertex(pd)
         d = build_dessin(pd, 0)
     e = d.n_edges
     br = bracket_via_dessin(pd, cap)
-    lhs = Fraction(0)
-    point = Fraction(-2)
+    lhs = 0
     for exp, c in br.shift(-e).terms():
         if exp > 0 or exp % 4:
             raise InternalError(f"internal error: normalized bracket exponent {exp} not in -4N")
-        lhs += c * point ** (-exp // 4)
+        lhs += c * (-2) ** (-exp // 4)
     v = d.n_vertices
     rhs = sum(
         cnt * (-2) ** _genus_of(v, eh, k, f)
@@ -433,8 +421,6 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[Fraction, int]:
 
 def pretzel_determinant(p_seq: Sequence[int], q_seq: Sequence[int]) -> int:
     """det K(p_1..p_n, -q_1..-q_m) = |prod p prod q (sum 1/p - sum 1/q)|."""
-    from fractions import Fraction
-
     ps = [int(p) for p in p_seq]
     qs = [int(q) for q in q_seq]
     if not ps or not qs:
@@ -444,8 +430,4 @@ def pretzel_determinant(p_seq: Sequence[int], q_seq: Sequence[int]) -> int:
     product = 1
     for x in ps + qs:
         product *= x
-    total = sum(Fraction(1, p) for p in ps) - sum(Fraction(1, q) for q in qs)
-    value = product * total
-    if value.denominator != 1:
-        raise DiagramError(f"pretzel determinant {value} is not integral")
-    return abs(int(value))
+    return abs(sum(product // p for p in ps) - sum(product // q for q in qs))

@@ -1,4 +1,4 @@
-"""Exact Laurent polynomials in one variable and Gaussian integers.
+"""Exact Laurent polynomials in one variable.
 
 Everything here is integer arithmetic: coefficients are Python ints, so
 state sums with thousands of terms stay exact.  The variable is called A
@@ -9,15 +9,12 @@ on that; renderers accept any variable name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 __all__ = [
     "LaurentPoly",
-    "GaussianInt",
     "DELTA",
     "delta_power_sum",
-    "factor_and_eval_A2",
     "PolyError",
 ]
 
@@ -327,97 +324,3 @@ def delta_power_sum(counts: Iterable[Tuple[Tuple[int, int], int]]) -> LaurentPol
         for e, c in dpow[j]._terms.items():
             acc[e + shift] = acc.get(e + shift, 0) + cnt * c
     return LaurentPoly(acc)
-
-
-# ============================================================
-# Gaussian integers
-# ============================================================
-
-
-@dataclass(frozen=True)
-class GaussianInt:
-    """Element of Z[i] with exact integer parts."""
-
-    re: int
-    im: int = 0
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
-    def inverse(self) -> "GaussianInt":
-        if not self.is_unit():
-            raise PolyError("only Gaussian units are invertible")
-        return self.conj()
-
-    def __pow__(self, n: int) -> "GaussianInt":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianInt(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        op = "+" if self.im >= 0 else "-"
-        return f"{self.re}{op}{abs(self.im)}i"
-
-
-I = GaussianInt(0, 1)
-MINUS_I = GaussianInt(0, -1)
-
-
-def factor_and_eval_A2(p: LaurentPoly, z: GaussianInt) -> Tuple[int, GaussianInt]:
-    """Write p = A^parity * q(A^2) and evaluate q at z exactly.
-
-    Requires all exponents of p to share one parity.  Negative exponents
-    of A^2 need z to be a Gaussian unit (so that z^-1 lies in Z[i]).
-    Returns (parity, q(z)).
-    """
-    if not p:
-        return 0, GaussianInt(0, 0)
-    parity = p.exponent_parity()
-    value = GaussianInt(0, 0)
-    zinv = None
-    for exp, coeff in p.terms():
-        half = (exp - parity) // 2
-        if half >= 0:
-            term = z ** half
-        else:
-            if zinv is None:
-                if not z.is_unit():
-                    raise PolyError(
-                        "negative A^2 exponent: evaluation point must be a Gaussian unit"
-                    )
-                zinv = z.inverse()
-            term = zinv ** (-half)
-        value = value + GaussianInt(coeff, 0) * term
-    return parity, value

@@ -1,5 +1,7 @@
 """CLI dispatch: payload shapes, exit codes, cache behavior, verify."""
 
+import argparse
+import copy
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
-from dessinlink import diagram, invariants
+from dessinlink import cli, diagram, invariants
 from dessinlink.errors import InternalError
 from dessinlink.poly import LaurentPoly
 from dessinlink.cli import (
@@ -20,6 +22,7 @@ from dessinlink.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    _UNKEYED,
     _build_parser,
     _cache_key,
     run_cli,
@@ -284,13 +287,15 @@ def test_coefficient_closed_form_mismatch_is_internal(monkeypatch):
         invariants.coefficient_table(diagram.table_pd("4_1"), check=True)
 
 
-def test_non_square_bracket_norm_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(invariants, "isqrt", lambda norm: 0)
+def test_mixed_bracket_exponents_mod_4_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        invariants, "bracket_via_dessin", lambda pd, cap=24: LaurentPoly({0: 1, 2: 1})
+    )
     code, _, err = run_json(capsys, "det", "--name", "3_1", "--method", "jones")
     assert code == EXIT_INTERNAL
     error = json.loads(err)["error"]
     assert error["kind"] == "internal"
-    assert "not a perfect square" in error["message"]
+    assert "mod 4" in error["message"]
 
 
 def test_jones_at_minus_two_exponent_check_is_internal(monkeypatch):
@@ -387,6 +392,52 @@ def test_cache_keys_name_on_active_table(tmp_path, capsys, monkeypatch):
     mirror_key = _cache_key("verify", args)
     monkeypatch.delenv("DESSINLINK_TABLE")
     assert _cache_key("verify", args) != mirror_key
+
+
+# positional arguments a command cannot parse without
+_POSITIONALS = {"pretzel": ["2", "3", "-5"], "twist": ["2", "3"]}
+
+
+def _other_value(action, value):
+    """A value of the option `action` other than `value`."""
+    if action.choices:
+        return next(c for c in action.choices if c != value)
+    if action.nargs == 0:  # a flag
+        return not value
+    if action.nargs == "+":
+        return [*value, 7]
+    if action.type is int:
+        return (value or 0) + 7
+    return f"{value}-changed"
+
+
+def test_cache_key_covers_every_option_but_the_unkeyed():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    seen = set()
+    for command, command_parser in sub.choices.items():
+        base = parser.parse_args([command, *_POSITIONALS.get(command, [])])
+        for action in command_parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            seen.add(action.dest)
+            changed = copy.copy(base)
+            setattr(changed, action.dest, _other_value(action, getattr(base, action.dest)))
+            moved = _cache_key(command, changed) != _cache_key(command, base)
+            assert moved != (action.dest in _UNKEYED), (command, action.dest)
+    # only options that cannot change a payload stay out of the key
+    assert _UNKEYED == {"out", "cache", "plain", "workers", "allow_large"} <= seen
+    # a table name is keyed on its PD text
+    by_name = parser.parse_args(["det", "--name", "3_1"])
+    by_pd = parser.parse_args(["det", "--pd", TREFOIL])
+    assert _cache_key("det", by_name) == _cache_key("det", by_pd)
+
+
+def test_cache_key_includes_the_version(monkeypatch):
+    args = _build_parser().parse_args(["det", "--name", "3_1"])
+    before = _cache_key("det", args)
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    assert _cache_key("det", args) != before
 
 
 def test_undecodable_cache_lines_are_misses(tmp_path, capsys):

@@ -1,10 +1,15 @@
 """Bracket, Jones, determinants, and coefficient structure of the bundled
 knots plus seeded random diagrams."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dessinlink
 from dessinlink import dessin, invariants
 from dessinlink.chord import bareiss_det, quasi_counts_and_det, to_chord_diagram
 from dessinlink.dessin import (
@@ -238,6 +243,7 @@ def test_jones_at_minus_two():
     for name in BRACKETS:
         lhs, rhs = jones_at_minus_two(table_pd(name))
         assert lhs == rhs, name
+        assert type(lhs) is int and type(rhs) is int
     for p, q in [(2, 3), (3, 4)]:
         lhs, rhs = jones_at_minus_two(twist_pd(p, q))
         assert lhs == rhs
@@ -256,6 +262,35 @@ def test_pretzel_determinant():
         pretzel_determinant((2, 3), ())
     with pytest.raises(DiagramError):
         pretzel_determinant((2, 0), (1,))
+
+
+def test_zero_bracket_is_internal(monkeypatch):
+    monkeypatch.setattr(invariants, "bracket_via_dessin", lambda pd, cap=24: LaurentPoly())
+    with pytest.raises(InternalError, match="zero bracket"):
+        invariants._det_jones_eval(table_pd("3_1"), 24)
+
+
+_INTEGER_ONLY = """
+import json, sys
+sys.modules["fractions"] = None  # any fractions import now raises ImportError
+from dessinlink.diagram import table_pd, twist_pd
+from dessinlink.invariants import determinant, jones_at_minus_two, pretzel_determinant
+print(json.dumps({
+    "det": determinant(table_pd("8_21")).value,
+    "minus_two": list(jones_at_minus_two(twist_pd(2, 3))),
+    "pretzel": pretzel_determinant((2, 3), (5,)),
+}))
+"""
+
+
+def test_invariants_need_no_fractions():
+    src = str(Path(dessinlink.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _INTEGER_ONLY],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(proc.stdout) == {"det": 15, "minus_two": [-31, -31], "pretzel": 19}
 
 
 @pytest.mark.parametrize("params", [(50, 49, -3), (41, 37, -23)])

@@ -1,4 +1,4 @@
-"""Integer Laurent polynomial arithmetic and Gaussian-integer evaluation."""
+"""Integer Laurent polynomial arithmetic."""
 
 import random
 from fractions import Fraction
@@ -7,13 +7,9 @@ import pytest
 
 from dessinlink.poly import (
     DELTA,
-    GaussianInt,
-    I,
     LaurentPoly,
-    MINUS_I,
     PolyError,
     delta_power_sum,
-    factor_and_eval_A2,
 )
 
 
@@ -170,42 +166,3 @@ def test_parse_rejects_garbage():
         LaurentPoly.parse("A^^2")
     with pytest.raises(PolyError):
         LaurentPoly.parse("B^2")
-
-
-# ==========================================================================
-# Gaussian integers at A^2 = -i
-# ==========================================================================
-
-
-def test_gaussian_arithmetic():
-    z = GaussianInt(2, -1)
-    assert z * z.conj() == GaussianInt(z.norm(), 0)
-    assert z.norm() == 5
-    assert I * I == GaussianInt(-1, 0)
-    assert MINUS_I == I.conj()
-    assert (I**3) == MINUS_I
-    assert GaussianInt(0, 1).is_unit() and not z.is_unit()
-
-
-def test_factor_and_eval_frozen():
-    # trefoil bracket, exponents all odd: parity 1, and the A^2 value
-    # carries |<P>(A)|^2 = det^2 at A^2 = -i.
-    p = LaurentPoly({-7: 1, -3: -1, 5: -1})
-    parity, z = factor_and_eval_A2(p, MINUS_I)
-    assert parity == 1
-    assert z.norm() == 9
-
-
-def test_factor_and_eval_random_norm_multiplicative():
-    rng = random.Random(5)
-    for _ in range(100):
-        p, q = random_poly(rng), random_poly(rng)
-        if not p or not q:
-            continue
-        try:
-            _, zp = factor_and_eval_A2(p, MINUS_I)
-            _, zq = factor_and_eval_A2(q, MINUS_I)
-            _, zpq = factor_and_eval_A2(p * q, MINUS_I)
-        except PolyError:
-            continue
-        assert zpq.norm() == zp.norm() * zq.norm()

@@ -13,7 +13,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dessinlink.dessin import build_dessin, quasi_tree_counts
 from dessinlink.diagram import PDCode, mirror, state_sum_bracket, strand_components
-from dessinlink.invariants import bracket_via_dessin, determinant, jones_polynomial
+from dessinlink.invariants import (
+    bracket_via_dessin,
+    coefficient_table,
+    determinant,
+    jones_polynomial,
+)
 from dessinlink.poly import LaurentPoly
 
 from helpers import random_decorated_diagram
@@ -62,6 +67,17 @@ def test_quasi_tree_alternating_sum_is_the_bracket_at_a4_minus_one(pd: PDCode):
     s = quasi_tree_counts(build_dessin(pd, 0))
     alternating = abs(sum((-1) ** j * sj for j, sj in enumerate(s)))
     assert alternating == abs_at_a4_minus_one(bracket_via_dessin(pd))
+
+
+@checked
+@given(diagrams)
+def test_two_alternating_sums_give_the_determinant(pd: PDCode):
+    # |sum_l (-1)^l a[l]| = |sum_j (-1)^j s(j)| = det
+    a = coefficient_table(pd).coeffs
+    s = quasi_tree_counts(build_dessin(pd, 0))
+    by_coefficients = abs(sum((-1) ** l * al for l, al in enumerate(a)))
+    by_quasi_trees = abs(sum((-1) ** j * sj for j, sj in enumerate(s)))
+    assert by_coefficients == by_quasi_trees == determinant(pd).value
 
 
 @checked
