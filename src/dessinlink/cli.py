@@ -194,8 +194,7 @@ def _cmd_coeffs(args) -> Dict[str, Any]:
     pd = _load_pd(args)
     cap = _cap(args)
     tab = coefficient_table(pd, cap=cap, check=False)
-    d = build_dessin(pd, 0)
-    top_closed = top_coefficient_closed_form(d, cap=cap)
+    top_closed = top_coefficient_closed_form(build_dessin(pd, 0))
     return {
         "pd": pd_to_text(pd),
         "top_exponent": tab.top_exponent,

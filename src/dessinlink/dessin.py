@@ -239,13 +239,11 @@ def _scan(
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 @lru_cache(maxsize=16)
-def _subset_profile(
-    d: Dessin, cap: int, universe: Optional[int] = None
-) -> Mapping[Tuple[int, int, int], int]:
-    """Multiplicity of each (edges, components, faces) triple over the
-    subsets of `universe` (default: all edges)."""
+def _subset_profile(d: Dessin, cap: int) -> Mapping[Tuple[int, int, int], int]:
+    """Multiplicity of each (edges, components, faces) triple over all
+    edge subsets."""
     profile: Dict[Tuple[int, int, int], int] = {}
-    for _, eh, k, f in _scan(d, universe, cap):
+    for _, eh, k, f in _scan(d, cap=cap):
         key = (eh, k, f)
         profile[key] = profile.get(key, 0) + 1
     return profile

@@ -262,7 +262,7 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     A subset H first contributes at level l0(H) = (v - k(H)) + g(H), and
     its delta-power spreads it binomially across f(H) consecutive levels:
     a[l] = sum over H of (-1)^(f-1) C(f-1, l - l0).  With check=True the
-    top coefficient is verified against its loop-subset closed form.
+    top coefficient is verified against its scan-free closed form.
     """
     d = build_dessin(pd, 0)
     counts = dessin_counts(d)
@@ -276,7 +276,7 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     coeffs = tuple(acc.get(l, 0) for l in range(top + 1))
     table = CoefficientTable(m_top, coeffs)
     if check:
-        closed = top_coefficient_closed_form(d, cap=cap)
+        closed = top_coefficient_closed_form(d)
         if closed != table.coefficient(0):
             raise InternalError(
                 f"internal error: top coefficient {table.coefficient(0)} "
@@ -303,21 +303,28 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
     return total
 
 
-def _loop_mask(d: Dessin) -> int:
+def top_coefficient_closed_form(d: Dessin) -> int:
+    """a[0] = sum over genus-0 sets H of loops of (-1)^(v + e(H) - 1).
+
+    Loops join no two vertices, so H has genus 0 exactly when no two of its
+    chords interlace at any vertex, and a[0] = (-1)^(v-1) prod_v N(0, L).
+    With the L loop ends of a vertex in rotation order, N(i, j) is the
+    signed count of non-interlaced chord sets within ends i..j-1:
+    N(i, i) = 1, N(i, j) = N(i+1, j) - [i < p < j] N(i+1, p) N(p+1, j) for
+    p the partner of end i (its chord left out, or taken with sign -1 and
+    every other chord wholly inside or after it).  O(sum L^2), no cap.
+    """
     vert_of = d.vertex_of
-    return sum(1 << i for i in range(d.n_edges) if vert_of[2 * i] == vert_of[2 * i + 1])
-
-
-def top_coefficient_closed_form(d: Dessin, cap: int = 24) -> int:
-    """a[0] = sum over genus-0 subsets of loops of (-1)^(v + e(H) - 1)."""
-    v = d.n_vertices
-    loops = _loop_mask(d)
-    # an all-loop dessin shares the full profile with the other invariants
-    universe = None if loops == (1 << d.n_edges) - 1 else loops
-    total = 0
-    for (eh, k, f), cnt in _subset_profile(d, cap, universe).items():
-        if _genus_of(v, eh, k, f) == 0:
-            total += (-1) ** (v + eh - 1) * cnt
+    total = (-1) ** (d.n_vertices - 1)
+    for rot in d.rotations:
+        ends = [h for h in rot if vert_of[h ^ 1] == vert_of[h]]
+        size = len(ends)
+        n = [[1] * (size + 1) for _ in range(size + 1)]
+        for i in range(size - 1, -1, -1):
+            p = ends.index(ends[i] ^ 1)
+            for j in range(i + 1, size + 1):
+                n[i][j] = n[i + 1][j] - (n[i + 1][p] * n[p + 1][j] if i < p < j else 0)
+        total *= n[0][size]
     return total
 
 

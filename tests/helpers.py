@@ -3,6 +3,7 @@
 import random
 from typing import List, Sequence
 
+from dessinlink.dessin import Dessin, scan_subdessins
 from dessinlink.diagram import PDCode, mirror, state_circle_count, strand_components
 
 # One line per acceptance criterion, echoed after the pytest run summary.
@@ -37,6 +38,19 @@ def braid_pd(word: Sequence[int], n_strands: int) -> PDCode:
     return PDCode(
         crossings=[tuple(subs.get(x, x) for x in t) for t in tuples]
     )
+
+
+def genus_0_loop_sum(d: Dessin) -> int:
+    """a[0] by the subset scan: sum of (-1)^(v + e(H) - 1) over the
+    genus-0 sets H of loops."""
+    vert_of = d.vertex_of
+    loops = sum(1 << i for i in range(d.n_edges) if vert_of[2 * i] == vert_of[2 * i + 1])
+    terms: List[int] = []
+    scan_subdessins(
+        d, lambda mask, c: terms.append((-1) ** (c.v + c.e - 1) if c.g == 0 else 0),
+        universe=loops,
+    )
+    return sum(terms)
 
 
 def random_braid_word(rng: random.Random, n_strands: int, length: int) -> List[int]:

@@ -236,7 +236,8 @@ def test_unit_principal_minors_need_no_numpy():
     src = str(Path(dessinlink.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", _MINORS_WITHOUT_NUMPY, FIG8_WORD],
-        env={"PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=True, timeout=60,
     )
     assert json.loads(proc.stdout) == {"equal": True, "subsets": 32}
 

@@ -258,7 +258,7 @@ def test_failed_checks_exit_1_and_are_never_cached(tmp_path, capsys, monkeypatch
 
 
 def test_failed_coefficient_check_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(invariants, "top_coefficient_closed_form", lambda d, cap=24: 99)
+    monkeypatch.setattr(invariants, "top_coefficient_closed_form", lambda d: 99)
     code, payload, _ = run_json(capsys, "coeffs", "--name", "4_1")
     assert code == EXIT_INTERNAL
     assert payload["checks"] == {"top_closed_form": False, "matches_bracket": True}
@@ -282,7 +282,7 @@ def test_failed_bracket_oracle_exits_1(capsys, monkeypatch):
 
 
 def test_coefficient_closed_form_mismatch_is_internal(monkeypatch):
-    monkeypatch.setattr(invariants, "top_coefficient_closed_form", lambda d, cap=24: 99)
+    monkeypatch.setattr(invariants, "top_coefficient_closed_form", lambda d: 99)
     with pytest.raises(InternalError, match="^internal error: top coefficient"):
         invariants.coefficient_table(diagram.table_pd("4_1"), check=True)
 

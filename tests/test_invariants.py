@@ -29,7 +29,7 @@ from dessinlink.diagram import (
     table_pd,
     twist_pd,
 )
-from dessinlink.errors import InternalError
+from dessinlink.errors import CapExceededError, InternalError
 from dessinlink.invariants import (
     DET_METHODS,
     a1_adequate,
@@ -46,8 +46,9 @@ from dessinlink.invariants import (
     weighted_bracket,
 )
 from dessinlink.poly import LaurentPoly
+from dessinlink.table import knot_table
 
-from helpers import braid_pd, corpus, random_braid_word
+from helpers import braid_pd, corpus, genus_0_loop_sum, random_braid_word
 
 KINK = parse_pd("X[1,1,2,2]")
 HOPF_PLUS = parse_pd("X[1,3,2,4] X[3,1,4,2] S[+,+]")
@@ -202,6 +203,26 @@ def test_top_coefficient_forms():
         assert a1_adequate(d) == table.coefficient(1), name
     with pytest.raises(DiagramError):
         a1_adequate(build_dessin(table_pd("4_1"), 0))  # one vertex, all loops
+
+
+def test_top_coefficient_closed_form_is_the_genus_0_loop_sum():
+    pds = [table_pd(name) for name in knot_table()]
+    pds += [twist_pd(p, q) for p in range(1, 9) for q in range(1, 9)]
+    for pd in pds:
+        d = build_dessin(pd, 0)
+        closed = top_coefficient_closed_form(d)
+        assert closed == genus_0_loop_sum(d) == coefficient_table(pd).coefficient(0), pd
+
+
+@pytest.mark.parametrize("p, q", [(20, 9), (16, 15), (30, 3)])
+def test_top_coefficient_closed_form_past_the_cap(p, q):
+    pd = twist_pd(p, q)
+    d = build_dessin(pd, 0)
+    assert 24 < d.n_edges <= 33
+    with pytest.raises(CapExceededError):
+        coefficient_table(pd)
+    top = weighted_bracket(contract_parallel(d)).coefficient(d.n_edges + 2 * d.n_vertices - 2)
+    assert top_coefficient_closed_form(d) == top
 
 
 def test_one_vertex_coefficients():
@@ -381,14 +402,13 @@ def test_quasi_counts_agree_with_charpoly():
 
 
 @pytest.fixture
-def full_scans(monkeypatch):
-    """Dessins of every full-universe subset scan made from now on."""
+def scans(monkeypatch):
+    """Dessins of every subset scan made from now on, whatever its universe."""
     real = dessin._scan
     calls = []
 
     def counting(d, universe=None, cap=24):
-        if universe is None or universe == (1 << d.n_edges) - 1:
-            calls.append(d)
+        calls.append(d)
         return real(d, universe, cap)
 
     for module in (dessin, invariants):
@@ -397,15 +417,34 @@ def full_scans(monkeypatch):
     return calls
 
 
-def test_determinant_scans_once(full_scans):
+def test_determinant_scans_once(scans):
     rep = determinant(table_pd("8_21"))
     assert {"quasitree", "jones_eval"} <= set(rep.methods)
-    assert len(full_scans) == 1
+    assert len(scans) == 1
 
 
-def test_quasi_tree_counts_reuse_the_bracket_profile(full_scans):
+def test_quasi_tree_counts_reuse_the_bracket_profile(scans):
     pd = table_pd("6_2")
     bracket_via_dessin(pd)
-    assert len(full_scans) == 1
+    assert len(scans) == 1
     quasi_tree_counts(build_dessin(pd, 0))
-    assert len(full_scans) == 1
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize(
+    "pd",
+    [
+        twist_pd(12, 4),
+        braid_pd([-1, 1, -2, 1, -2, -1, -1, 1, -2, 2], 3),
+        pretzel_pd([2, 3, -5]),
+    ],
+    ids=["twist-all-loops", "braid-loops-and-non-loops", "pretzel"],
+)
+def test_one_scan_per_diagram(scans, pd):
+    # the benchmark's op order: every invariant after the first reuses its profile
+    bracket_via_dessin(pd)
+    jones_polynomial(pd)
+    determinant(pd)
+    coefficient_table(pd, check=True)
+    quasi_tree_counts(build_dessin(pd, 0))
+    assert len(scans) == 1

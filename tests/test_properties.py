@@ -3,6 +3,7 @@
 Hypothesis draws the seed; `helpers.random_decorated_diagram` turns it into
 a connected diagram: a braid closure, one with Reidemeister-I curls, two
 joined through a nugatory crossing, or a link of 3 or more components.
+The connected-sum law draws two knots of at most 5 crossings instead.
 Runs are derandomized so the suite stays reproducible, and example counts
 are small so it stays fast.
 """
@@ -18,14 +19,26 @@ from dessinlink.invariants import (
     coefficient_table,
     determinant,
     jones_polynomial,
+    top_coefficient_closed_form,
 )
 from dessinlink.poly import LaurentPoly
 
-from helpers import random_decorated_diagram
+from helpers import genus_0_loop_sum, nugatory_join, random_decorated_diagram, random_diagram
 
-diagrams = st.integers(min_value=0, max_value=2**32 - 1).map(
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+diagrams = seeds.map(
     lambda seed: random_decorated_diagram(random.Random(seed), max_crossings=10)
 )
+
+
+def random_knot(seed: int) -> PDCode:
+    """A braid-closure knot of at most 5 crossings from `random_diagram`."""
+    rng = random.Random(seed)
+    while True:
+        pd = random_diagram(rng, max_crossings=5)
+        if len(strand_components(pd)) == 1:
+            return pd
+
 
 checked = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -96,3 +109,19 @@ def test_knot_determinant_is_jones_at_minus_one(pd: PDCode):
     assume(len(strand_components(pd)) == 1)
     jones = jones_polynomial(pd).poly
     assert determinant(pd).value == abs(sum(coeff * (-1) ** e for e, coeff in jones.terms()))
+
+
+@checked
+@given(diagrams)
+def test_top_coefficient_closed_form_is_the_genus_0_loop_sum(pd: PDCode):
+    d = build_dessin(pd, 0)
+    closed = top_coefficient_closed_form(d)
+    assert closed == genus_0_loop_sum(d) == coefficient_table(pd).coefficient(0)
+
+
+@checked
+@given(seeds.map(random_knot), seeds.map(random_knot))
+def test_jones_is_multiplicative_under_connected_sum(p: PDCode, q: PDCode):
+    # the nugatory join of two knot diagrams is a diagram of their connected sum
+    joined = jones_polynomial(nugatory_join(p, q)).poly
+    assert joined == jones_polynomial(p).poly * jones_polynomial(q).poly
