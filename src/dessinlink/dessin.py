@@ -237,13 +237,20 @@ def _scan(
         sub = (sub - universe) & universe
 
 
-# Reuse is between the invariants of one diagram, so a few entries suffice.
-@lru_cache(maxsize=16)
 def _subset_profile(d: Dessin, cap: int) -> Mapping[Tuple[int, int, int], int]:
     """Multiplicity of each (edges, components, faces) triple over all
-    edge subsets."""
+    edge subsets; the cap is checked outside the cache, so calls with any
+    cap share one scan."""
+    if d.n_edges > cap:
+        raise CapExceededError(f"scan over {d.n_edges} edges exceeds the cap {cap}")
+    return _profile_scan(d)
+
+
+# Reuse is between the invariants of one diagram, so a few entries suffice.
+@lru_cache(maxsize=16)
+def _profile_scan(d: Dessin) -> Mapping[Tuple[int, int, int], int]:
     profile: Dict[Tuple[int, int, int], int] = {}
-    for _, eh, k, f in _scan(d, cap=cap):
+    for _, eh, k, f in _scan(d, cap=d.n_edges):
         key = (eh, k, f)
         profile[key] = profile.get(key, 0) + 1
     return profile

@@ -9,8 +9,10 @@ Internally the diagram is a 4-valent planar map on "darts": dart 4c+p is
 the arc-end at position p of crossing c, pointing away from the crossing.
 alpha swaps the two darts of an arc; the counterclockwise successor at a
 crossing is position p+1.  Faces are the orbits of sigma^-1 o alpha (the
-face to the left of outward travel along a dart), and face_id[d] names
-the face occupying the corner counterclockwise of dart d.
+face to the left of outward travel along a dart).  The faces are
+checkerboard coloured, and a smoothing only ever joins two opposite
+corners of a crossing, which share a colour; so in every state each region
+is one colour and the two sides of every circle differ.
 """
 
 from __future__ import annotations
@@ -175,12 +177,16 @@ def mirror(pd: PDCode) -> PDCode:
 
 @dataclass(frozen=True)
 class _PlanarMap:
+    """A connected planar diagram's darts and corner colours.
+
+    The corner counterclockwise of dart d has checkerboard colour
+    (flip[d >> 2] + d) mod 2.  Faces are only counted, as the planarity
+    check: orienting state circles needs a corner's colour, not its face.
+    """
+
     n: int
     alpha: Tuple[int, ...]
-    face_id: Tuple[int, ...]
-    n_faces: int
-    # arc label -> its two darts, in tuple-scan order
-    darts_of: Mapping[int, Tuple[int, int]]
+    flip: Tuple[int, ...]
 
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
@@ -200,31 +206,36 @@ def _planar_map(crossings: Tuple[Crossing, ...]) -> _PlanarMap:
         alpha[a] = b
         alpha[b] = a
 
-    # connectivity of the underlying 4-valent graph
-    seen = [False] * n
+    # connectivity of the underlying 4-valent graph, colouring a spanning
+    # tree on the way (the corner ccw of 4c+p is the corner ccw of 4c'+p'-1
+    # for alpha = 4c'+p').  No conflict check: a connected map that passes
+    # the face count below is planar, and a planar 4-valent map's faces are
+    # always 2-colourable.
+    flip = [-1] * n
+    flip[0] = 0
     stack = [0]
-    seen[0] = True
     reached = 1
     while stack:
         c = stack.pop()
         for p in range(4):
-            c2 = alpha[4 * c + p] >> 2
-            if not seen[c2]:
-                seen[c2] = True
+            d2 = alpha[4 * c + p]
+            c2 = d2 >> 2
+            if flip[c2] < 0:
+                flip[c2] = (flip[c] + p - d2 + 1) & 1
                 reached += 1
                 stack.append(c2)
     if reached != n:
         raise DiagramError(f"diagram is not connected ({reached} of {n} crossings reachable)")
 
     # left faces: orbits of d -> sigma^-1(alpha(d))
-    face_id = [-1] * nd
+    seen = [False] * nd
     nf = 0
     for d0 in range(nd):
-        if face_id[d0] >= 0:
+        if seen[d0]:
             continue
         d = d0
-        while face_id[d] < 0:
-            face_id[d] = nf
+        while not seen[d]:
+            seen[d] = True
             a = alpha[d]
             d = (a & ~3) | ((a + 3) & 3)
         nf += 1
@@ -232,8 +243,7 @@ def _planar_map(crossings: Tuple[Crossing, ...]) -> _PlanarMap:
         raise DiagramError(
             f"PD code is not planar: {nf} faces for {n} crossings (expected {n + 2})"
         )
-    darts_of = {lab: (ds[0], ds[1]) for lab, ds in occ.items()}
-    return _PlanarMap(n, tuple(alpha), tuple(face_id), nf, darts_of)
+    return _PlanarMap(n, tuple(alpha), tuple(flip))
 
 
 def _state_mask(pd: PDCode, s: StateLike) -> int:
@@ -322,83 +332,22 @@ def state_circle_count(pd: PDCode, s: StateLike) -> int:
 def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircles:
     """Smooth every crossing per the state and orient the resulting circles.
 
-    Circle orientations follow the nesting-parity rule, computed
-    combinatorially: smoothing merges the two channel corners at each
-    crossing into regions, the regions of the circle arrangement form a
-    tree, and breadth-first depth from the outer region (the region at the
-    corner of dart `outer_corner`) gives each circle's nesting depth.
+    Depth-even circles run counterclockwise, depth counted from the region
+    at the corner of dart `outer_corner`: the ribbon-graph convention of
+    Dasbach-Futer-Kalfagianni-Lin-Stoltzfus (arXiv math/0605571).  Each
+    region of a state is one checkerboard colour and the two sides of a
+    circle differ, so a region's depth is odd exactly when its colour is
+    not the outer corner's; and a traced circle keeps its direction exactly
+    when the region on its left (ccw of its partner start dart b) is odd.
     """
     pm = _planar_map(pd.crossings)
     mask = _state_mask(pd, s)
-    n = pm.n
-    alpha = pm.alpha
-    face_id = pm.face_id
-    traced = _trace_circles(alpha, n, mask)
-
-    # Regions: smoothing at crossing c merges the two corners its channels
-    # do not cover (the corner after each pair's second position).
-    parent = list(range(pm.n_faces))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in range(n):
-        (p0, p1), (p2, p3) = A_PAIRS if not (mask >> c) & 1 else B_PAIRS
-        ra, rb = find(face_id[4 * c + p1]), find(face_id[4 * c + p3])
-        if ra != rb:
-            parent[ra] = rb
-
-    # Each circle separates two regions: the faces left and right of its
-    # outward travel just after crossing a channel.
-    sides: List[Tuple[int, int]] = []
-    for spots, d0 in traced:
-        c = d0 >> 2
-        p = d0 & 3
-        b = (d0 & ~3) | _PARTNER[(mask >> c) & 1][p]
-        left = find(face_id[b])
-        right = find(face_id[(b & ~3) | ((b + 3) & 3)])
-        if left == right:
-            raise InternalError("internal error: circle bounds a single region")
-        sides.append((left, right))
-
-    regions = {find(f) for f in range(pm.n_faces)}
-    if len(regions) != len(traced) + 1:
-        raise InternalError("internal error: region count is not circles+1")
-
-    # Breadth-first nesting depth over the region tree (edges = circles).
-    adj: Dict[int, List[int]] = {r: [] for r in regions}
-    for left, right in sides:
-        adj[left].append(right)
-        adj[right].append(left)
-    outer = find(face_id[outer_corner])
-    depth = {outer: 0}
-    frontier = [outer]
-    while frontier:
-        nxt: List[int] = []
-        for r in frontier:
-            for r2 in adj[r]:
-                if r2 not in depth:
-                    depth[r2] = depth[r] + 1
-                    nxt.append(r2)
-        frontier = nxt
-    if len(depth) != len(regions):
-        raise InternalError("internal error: region tree not connected")
-
-    # Orient: a circle at even nesting depth runs counterclockwise; the
-    # traversal is counterclockwise exactly when its left side is the
-    # deeper (inner) region.
+    flip = pm.flip
+    outer = (flip[outer_corner >> 2] + outer_corner) & 1
     oriented: List[Tuple[Tuple[int, int], ...]] = []
-    for (spots, _), (left, right) in zip(traced, sides):
-        dl, dr = depth[left], depth[right]
-        if abs(dl - dr) != 1:
-            raise InternalError("internal error: circle sides differ by != 1 in depth")
-        want_ccw = min(dl, dr) % 2 == 0
-        is_ccw = dl > dr
-        oriented.append(tuple(spots if want_ccw == is_ccw else spots[::-1]))
-
+    for spots, d0 in _trace_circles(pm.alpha, pm.n, mask):
+        b = (d0 & ~3) | _PARTNER[(mask >> (d0 >> 2)) & 1][d0 & 3]
+        oriented.append(tuple(spots if (flip[b >> 2] + b) & 1 != outer else spots[::-1]))
     membership = {
         spot: ci for ci, spots in enumerate(oriented) for spot in spots
     }
@@ -703,23 +652,35 @@ def generate_family(kind: str, params: Sequence[int]) -> PDCode:
 def reduce_to_one_vertex(pd: PDCode) -> PDCode:
     """Clasp-insert RII pairs until the all-A state has a single circle.
 
-    Each step picks the lowest-index crossing whose two smoothing channels
-    lie on distinct all-A circles and slides one strand over the other
-    next to it (two new crossings, both A-smoothing across the old gap),
-    merging those circles.  The link type, hence the bracket, is
-    unchanged; each step adds 2 crossings and removes 1 circle.
+    At each crossing, in index order, whose two smoothing channels lie on
+    distinct all-A circles, one strand slides over the other next to it
+    (two new crossings, both A-smoothing across the old gap), merging those
+    circles.  The link type, hence the bracket, is unchanged; each clasp
+    adds 2 crossings and removes 1 circle.
+
+    One smoothing and a union-find over its circles pick the crossings
+    that re-smoothing after every clasp would (the lowest-index crossing
+    joining two circles): merges only coarsen the circles, so a skipped
+    crossing stays skippable, and the clasp crossings, later in index
+    order, are never needed while an original one joins two circles.  One
+    circle count of the result checks the whole reduction.
     """
+    circles = smooth_state(pd, 0)
+    member = circles.membership
+    parent = list(range(circles.count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     crossings = [list(tup) for tup in pd.crossings]
-    circles = smooth_state(PDCode(tuple(tuple(t) for t in crossings)), 0)
-    while circles.count > 1:
-        member = circles.membership
-        target = -1
-        for c in range(len(crossings)):
-            if member[(c, 0)] != member[(c, 1)]:
-                target = c
-                break
-        if target < 0:
-            raise InternalError("internal error: no circle-joining crossing found")
+    for target in range(pd.n):
+        ra, rb = find(member[(target, 0)]), find(member[(target, 1)])
+        if ra == rb:
+            continue
+        parent[ra] = rb
         x = crossings[target][1]
         y = crossings[target][2]
         if x == y:
@@ -742,12 +703,9 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
         crossings[cy][py] = y_far
         crossings.append([y, x, y_mid, x_mid])
         crossings.append([y_mid, x_far, y_far, x_mid])
-        reduced = PDCode(tuple(tuple(t) for t in crossings))
-        next_circles = smooth_state(reduced, 0)
-        if next_circles.count != circles.count - 1:
-            raise InternalError("internal error: clasp insertion did not merge circles")
-        circles = next_circles
     out = PDCode(tuple(tuple(t) for t in crossings))
+    if out.n != pd.n + 2 * (circles.count - 1) or state_circle_count(out, 0) != 1:
+        raise InternalError("internal error: clasp insertion did not reduce to one circle")
     return out
 
 

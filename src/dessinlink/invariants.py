@@ -161,10 +161,7 @@ def _det_jones_eval(pd: PDCode, cap: int) -> int:
 def _det_charpoly(pd: PDCode) -> int:
     from .chord import quasi_counts_and_det, to_chord_diagram
 
-    d = build_dessin(pd, 0)
-    if d.n_vertices != 1:
-        pd = reduce_to_one_vertex(pd)
-        d = build_dessin(pd, 0)
+    d = build_dessin(reduce_to_one_vertex(pd), 0)
     _, det = quasi_counts_and_det(to_chord_diagram(d))
     return det
 
@@ -402,10 +399,8 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
     side is the exact integer value of the normalized bracket, the right
     side is sum over subsets H of (-2)^g(H).  The two agree.
     """
+    pd = reduce_to_one_vertex(pd)
     d = build_dessin(pd, 0)
-    if d.n_vertices != 1:
-        pd = reduce_to_one_vertex(pd)
-        d = build_dessin(pd, 0)
     e = d.n_edges
     br = bracket_via_dessin(pd, cap)
     lhs = 0

@@ -4,7 +4,13 @@ import random
 from typing import List, Sequence
 
 from dessinlink.dessin import Dessin, scan_subdessins
-from dessinlink.diagram import PDCode, mirror, state_circle_count, strand_components
+from dessinlink.diagram import (
+    PDCode,
+    mirror,
+    smooth_state,
+    state_circle_count,
+    strand_components,
+)
 
 # One line per acceptance criterion, echoed after the pytest run summary.
 ACCEPTANCE_LINES: List[str] = []
@@ -51,6 +57,41 @@ def genus_0_loop_sum(d: Dessin) -> int:
         universe=loops,
     )
     return sum(terms)
+
+
+def reduce_by_resmoothing(pd: PDCode) -> PDCode:
+    """Reference for `reduce_to_one_vertex`: clasp at the lowest-index
+    crossing whose channels lie on distinct all-A circles, smooth the whole
+    diagram again, and repeat until one circle is left."""
+    crossings = [list(tup) for tup in pd.crossings]
+    circles = smooth_state(PDCode(tuple(tuple(t) for t in crossings)), 0)
+    while circles.count > 1:
+        member = circles.membership
+        target = next(c for c in range(len(crossings)) if member[(c, 0)] != member[(c, 1)])
+        x, y = crossings[target][1], crossings[target][2]
+        assert x != y
+        cx, px = next(
+            (c, p)
+            for c in range(len(crossings))
+            for p in range(4)
+            if crossings[c][p] == x and (c, p) != (target, 1)
+        )
+        cy, py = next(
+            (c, p)
+            for c in range(len(crossings))
+            for p in range(4)
+            if crossings[c][p] == y and (c, p) != (target, 2)
+        )
+        top = max(max(t) for t in crossings)
+        x_mid, x_far, y_mid, y_far = top + 1, top + 2, top + 3, top + 4
+        crossings[cx][px] = x_far
+        crossings[cy][py] = y_far
+        crossings.append([y, x, y_mid, x_mid])
+        crossings.append([y_mid, x_far, y_far, x_mid])
+        next_circles = smooth_state(PDCode(tuple(tuple(t) for t in crossings)), 0)
+        assert next_circles.count == circles.count - 1
+        circles = next_circles
+    return PDCode(tuple(tuple(t) for t in crossings))
 
 
 def random_braid_word(rng: random.Random, n_strands: int, length: int) -> List[int]:

@@ -3,7 +3,10 @@
 `bench/*.py` reaches into dessinlink through module attributes
 (`diagram.state_sum_bracket`, `invariants._det_quasitree`, ...).  A rename
 there would fail every benchmark op at run time; here it fails a test.
-The bench sources are only parsed, never imported or run.
+The per-layer metrics also read spans by name as strings
+("diagram.smooth_state"); a rename there would silently zero a metric, so
+those strings are checked too.  The bench sources are only parsed, never
+imported or run.
 """
 
 import ast
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import dessinlink
 from dessinlink import diagram
+from dessinlink.poly import LaurentPoly
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 MODULES = ("diagram", "dessin", "invariants", "chord", "poly")
@@ -88,6 +92,53 @@ def test_bench_call_keywords_are_accepted():
             continue
         rejected += [f"{where} {'.'.join(names)}({kw}=)" for kw in keywords if kw not in params]
     assert rejected == []
+
+
+def span_names():
+    """Span names the benchmark reads as strings: the string arguments of
+    `ms`, `count` and `_time_per_input` in run.py, `DIRECT_SCAN[0]`, and
+    the keys of the tracer's COUNTERS."""
+    names = []
+    for node in ast.walk(ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in (
+            "ms", "count", "_time_per_input"
+        ):
+            names += [a.value for a in node.args if isinstance(a, ast.Constant)]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "DIRECT_SCAN" for t in node.targets
+        ):
+            names.append(node.value.elts[0].value)
+    for node in ast.walk(ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.AnnAssign)
+            and isinstance(node.target, ast.Name)
+            and node.target.id == "COUNTERS"
+        ):
+            names += [key.value for key in node.value.keys]
+    return names
+
+
+def test_bench_span_names_are_public_functions():
+    names = span_names()
+    assert {"diagram.smooth_state", "diagram.reduce_to_one_vertex"} <= set(names)
+    unknown = []
+    for name in names:
+        layer, _, func = name.partition(".")
+        if layer not in MODULES:
+            unknown.append(name)
+            continue
+        if not func:  # "chord." is a layer prefix
+            continue
+        module = importlib.import_module("dessinlink." + layer)
+        obj = LaurentPoly.to_string if name == "poly.to_string" else getattr(module, func, None)
+        if (
+            func.startswith("_")
+            or not inspect.isfunction(obj)
+            or obj.__module__ != module.__name__
+            or obj.__name__ != func
+        ):
+            unknown.append(name)
+    assert unknown == []
 
 
 def test_state_sum_bracket_takes_workers():

@@ -1,5 +1,7 @@
 """PD parsing, state smoothing, writhe, families, and the state-sum oracle."""
 
+import random
+
 import pytest
 
 from dessinlink import diagram
@@ -26,7 +28,14 @@ from dessinlink.diagram import (
 from dessinlink.errors import InternalError
 from dessinlink.poly import LaurentPoly, delta_power_sum
 
-from helpers import add_curl, braid_pd, corpus, nugatory_join
+from helpers import (
+    add_curl,
+    braid_pd,
+    corpus,
+    nugatory_join,
+    random_braid_word,
+    reduce_by_resmoothing,
+)
 
 KINK = "X[1,1,2,2]"
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
@@ -305,6 +314,45 @@ def test_reduce_bookkeeping_random():
         red = reduce_to_one_vertex(pd)
         assert red.n == pd.n + 2 * (v0 - 1)
         assert state_circle_count(red, 0) == 1
+
+
+def large_reduction_inputs():
+    """Seeded 4-6 strand braid closures of 40, 80 and 120 crossings, and
+    two pretzels of about 100 crossings."""
+    rng = random.Random(8080)
+    out = []
+    for strands in (4, 5, 6):
+        for length in (40, 80, 120):
+            while True:
+                try:
+                    out.append(braid_pd(random_braid_word(rng, strands, length), strands))
+                    break
+                except ValueError:
+                    pass
+    return out + [pretzel_pd([50, 49, -3]), pretzel_pd([41, 37, -23])]
+
+
+def test_reduce_matches_resmoothing_reference(corpus200):
+    inputs = [table_pd(name) for name in sorted(knot_table())]
+    inputs += corpus200 + large_reduction_inputs()
+    for pd in inputs:
+        assert pd_to_text(reduce_to_one_vertex(pd)) == pd_to_text(reduce_by_resmoothing(pd))
+
+
+def test_reduce_smooths_once(monkeypatch):
+    pd = pretzel_pd([2, 3, -6])
+    assert state_circle_count(pd, 0) == 7
+    calls = []
+    real = diagram.smooth_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagram, "smooth_state", counting)
+    red = reduce_to_one_vertex(pd)
+    assert red.n == pd.n + 12
+    assert len(calls) == 1
 
 
 # ==========================================================================

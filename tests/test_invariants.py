@@ -413,7 +413,7 @@ def scans(monkeypatch):
 
     for module in (dessin, invariants):
         monkeypatch.setattr(module, "_scan", counting)
-    dessin._subset_profile.cache_clear()
+    dessin._profile_scan.cache_clear()
     return calls
 
 
@@ -441,10 +441,13 @@ def test_quasi_tree_counts_reuse_the_bracket_profile(scans):
     ids=["twist-all-loops", "braid-loops-and-non-loops", "pretzel"],
 )
 def test_one_scan_per_diagram(scans, pd):
-    # the benchmark's op order: every invariant after the first reuses its profile
+    # the benchmark's op order: every invariant after the first reuses its
+    # profile, and so do calls with other caps
     bracket_via_dessin(pd)
     jones_polynomial(pd)
     determinant(pd)
+    determinant(pd, cap=30)
     coefficient_table(pd, check=True)
     quasi_tree_counts(build_dessin(pd, 0))
+    quasi_tree_counts(build_dessin(pd, 0), cap=20)
     assert len(scans) == 1

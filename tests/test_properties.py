@@ -12,8 +12,14 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from dessinlink.dessin import build_dessin, quasi_tree_counts
-from dessinlink.diagram import PDCode, mirror, state_sum_bracket, strand_components
+from dessinlink.dessin import build_dessin, dessin_counts, quasi_tree_counts
+from dessinlink.diagram import (
+    PDCode,
+    mirror,
+    state_circle_count,
+    state_sum_bracket,
+    strand_components,
+)
 from dessinlink.invariants import (
     bracket_via_dessin,
     coefficient_table,
@@ -117,6 +123,17 @@ def test_top_coefficient_closed_form_is_the_genus_0_loop_sum(pd: PDCode):
     d = build_dessin(pd, 0)
     closed = top_coefficient_closed_form(d)
     assert closed == genus_0_loop_sum(d) == coefficient_table(pd).coefficient(0)
+
+
+@checked
+@given(diagrams, st.data())
+def test_dessin_faces_are_the_complementary_state_circles(pd: PDCode, data):
+    # the rotations of any state's dessin, oriented by nesting parity from
+    # any outer corner, trace the circles of the complementary state
+    full = (1 << pd.n) - 1
+    s = data.draw(st.integers(min_value=0, max_value=full), label="state")
+    corner = data.draw(st.integers(min_value=0, max_value=4 * pd.n - 1), label="outer_corner")
+    assert dessin_counts(build_dessin(pd, s, corner)).f == state_circle_count(pd, s ^ full)
 
 
 @checked
