@@ -249,6 +249,8 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
         cd = parse_chords(args.chords)
         source: Dict[str, Any] = {"chords": chords_to_text(cd)}
     else:
+        if not (args.pd or args.name):
+            raise _UsageError("an input is required (--chords, --pd or --name)")
         from .dessin import build_dessin
         from .diagram import pd_to_text, reduce_to_one_vertex
 

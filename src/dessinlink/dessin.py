@@ -21,7 +21,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -31,6 +30,7 @@ from .errors import CapExceededError, DiagramError, InternalError
 
 if TYPE_CHECKING:
     from .diagram import PDCode, StateLike
+    from .poly import LaurentPoly
 
 __all__ = [
     "Dessin",
@@ -237,10 +237,25 @@ def _scan(
         sub = (sub - universe) & universe
 
 
-def _subset_profile(d: Dessin, cap: int) -> Mapping[Tuple[int, int, int], int]:
-    """Multiplicity of each (edges, components, faces) triple over all
-    edge subsets; the cap is checked outside the cache, so calls with any
-    cap share one scan."""
+class _Profile:
+    """One dessin's sub-dessin profile and what is aggregated from it.
+
+    `tally` maps each (edges, components, faces) triple to its multiplicity
+    over all edge subsets.  `bracket` is the Kauffman bracket summed from
+    the tally, stored by its first reader, `invariants.bracket_via_dessin`,
+    and shared by every later one.
+    """
+
+    __slots__ = ("tally", "bracket")
+
+    def __init__(self, tally: Dict[Tuple[int, int, int], int]):
+        self.tally = tally
+        self.bracket: Optional[LaurentPoly] = None
+
+
+def _subset_profile(d: Dessin, cap: int) -> _Profile:
+    """The cached profile of `d`; the cap is checked outside the cache, so
+    calls with any cap share one scan and one bracket."""
     if d.n_edges > cap:
         raise CapExceededError(f"scan over {d.n_edges} edges exceeds the cap {cap}")
     return _profile_scan(d)
@@ -248,12 +263,12 @@ def _subset_profile(d: Dessin, cap: int) -> Mapping[Tuple[int, int, int], int]:
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 @lru_cache(maxsize=16)
-def _profile_scan(d: Dessin) -> Mapping[Tuple[int, int, int], int]:
-    profile: Dict[Tuple[int, int, int], int] = {}
+def _profile_scan(d: Dessin) -> _Profile:
+    tally: Dict[Tuple[int, int, int], int] = {}
     for _, eh, k, f in _scan(d, cap=d.n_edges):
         key = (eh, k, f)
-        profile[key] = profile.get(key, 0) + 1
-    return profile
+        tally[key] = tally.get(key, 0) + 1
+    return _Profile(tally)
 
 
 def _genus_of(v: int, eh: int, k: int, f: int) -> int:
@@ -300,10 +315,16 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
     Returns (s(0), .., s(g)) for g the genus of d; a one-face sub-dessin is
     checked to be connected with the genus Euler's relation forces.
     """
-    full = dessin_counts(d)
-    v = full.v
-    s = [0] * (full.g + 1)
-    for (eh, k, f), cnt in _subset_profile(d, cap).items():
+    tally = _subset_profile(d, cap).tally
+    v = d.n_vertices
+    # subsets are scanned in increasing bitmask order, so the full edge
+    # set's triple, the only one with e(H) = e, is the tally's last key
+    e, k_full, f_full = next(reversed(tally))
+    if e != d.n_edges:
+        raise InternalError("internal error: last profile key is not the full edge set")
+    g_full = _genus_of(v, e, k_full, f_full)
+    s = [0] * (g_full + 1)
+    for (eh, k, f), cnt in tally.items():
         if f != 1:
             continue
         if k != 1:
@@ -312,7 +333,7 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
             g = _genus_of(v, eh, k, f)
         except DiagramError:
             g = -1
-        if not 0 <= g <= full.g:
+        if not 0 <= g <= g_full:
             raise InternalError("internal error: quasi-tree genus out of range")
         s[g] += cnt
     return tuple(s)

@@ -340,6 +340,8 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircle
     not the outer corner's; and a traced circle keeps its direction exactly
     when the region on its left (ccw of its partner start dart b) is odd.
     """
+    if not 0 <= outer_corner < 4 * pd.n:
+        raise DiagramError(f"outer corner {outer_corner} is not a dart 0..{4 * pd.n - 1}")
     pm = _planar_map(pd.crossings)
     mask = _state_mask(pd, s)
     flip = pm.flip

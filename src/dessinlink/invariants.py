@@ -58,12 +58,19 @@ DET_METHODS = ("quasitree", "jones_eval", "charpoly", "tree_difference")
 
 
 def bracket_via_dessin(pd: PDCode, cap: int = 24) -> LaurentPoly:
-    """Kauffman bracket from the sub-dessin expansion of the all-A dessin."""
+    """Kauffman bracket from the sub-dessin expansion of the all-A dessin.
+
+    The sum is aggregated once per dessin and kept with its cached profile,
+    so every later call returns that same (immutable) polynomial.
+    """
     d = build_dessin(pd, 0)
-    e = d.n_edges
-    return delta_power_sum(
-        ((e - 2 * eh, f - 1), cnt) for (eh, _, f), cnt in _subset_profile(d, cap).items()
-    )
+    profile = _subset_profile(d, cap)
+    if profile.bracket is None:
+        e = d.n_edges
+        profile.bracket = delta_power_sum(
+            ((e - 2 * eh, f - 1), cnt) for (eh, _, f), cnt in profile.tally.items()
+        )
+    return profile.bracket
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,7 @@ def _level_groups(d: Dessin, cap: int) -> Dict[Tuple[int, int, int], int]:
     """Subset multiplicities grouped by (genus, level l0 = v-k+g, faces)."""
     v = d.n_vertices
     groups: Dict[Tuple[int, int, int], int] = {}
-    for (eh, k, f), cnt in _subset_profile(d, cap).items():
+    for (eh, k, f), cnt in _subset_profile(d, cap).tally.items():
         g = _genus_of(v, eh, k, f)
         key = (g, v - k + g, f)
         groups[key] = groups.get(key, 0) + cnt
@@ -262,8 +269,7 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     top coefficient is verified against its scan-free closed form.
     """
     d = build_dessin(pd, 0)
-    counts = dessin_counts(d)
-    m_top = counts.e + 2 * counts.v - 2
+    m_top = d.n_edges + 2 * d.n_vertices - 2
     acc: Dict[int, int] = {}
     for (g, l0, f), cnt in sorted(_level_groups(d, cap).items()):
         sign = -1 if (f - 1) % 2 else 1
@@ -344,7 +350,7 @@ def one_vertex_coefficients(d: Dessin, l: int, cap: int = 24) -> int:
     if d.n_vertices != 1:
         raise DiagramError("one_vertex_coefficients needs a one-vertex dessin")
     total = 0
-    for (eh, _, f), cnt in _subset_profile(d, cap).items():
+    for (eh, _, f), cnt in _subset_profile(d, cap).tally.items():
         g = _genus_of(1, eh, 1, f)
         if g > l:
             continue
@@ -411,7 +417,7 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
     v = d.n_vertices
     rhs = sum(
         cnt * (-2) ** _genus_of(v, eh, k, f)
-        for (eh, k, f), cnt in _subset_profile(d, cap).items()
+        for (eh, k, f), cnt in _subset_profile(d, cap).tally.items()
     )
     return lhs, rhs
 

@@ -143,6 +143,15 @@ def test_usage_errors(capsys):
     assert "--allow-large" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [("charpoly",), ("charpoly", "--chords", "")])
+def test_charpoly_without_input_names_chords(capsys, argv):
+    code, _, err = run_json(capsys, *argv)
+    assert code == EXIT_USAGE
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    assert "--chords" in error["message"]
+
+
 def test_diagram_options_only_where_a_diagram_is_read(capsys):
     for argv in (
         ("twist", "2", "3", "--name", "3_1"),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dessinlink import diagram
+from dessinlink.dessin import build_dessin
 from dessinlink.diagram import (
     CapExceededError,
     DiagramError,
@@ -127,6 +128,17 @@ def test_smooth_state_outer_corner_invariance():
         st = smooth_state(pd, 0, outer_corner=corner)
         assert st.count == base.count
         assert st.membership == base.membership
+
+
+def test_smooth_state_rejects_an_outer_corner_off_the_darts():
+    # darts are 0..4n-1; -1 must not wrap round to the last one
+    pd = table_pd("3_1")
+    for corner in (4 * pd.n, -1):
+        with pytest.raises(DiagramError, match="outer corner"):
+            smooth_state(pd, 0, corner)
+        with pytest.raises(DiagramError, match="outer corner"):
+            build_dessin(pd, 0, corner)
+    assert smooth_state(pd, 0, 4 * pd.n - 1).count == smooth_state(pd, 0).count
 
 
 # ==========================================================================

@@ -431,7 +431,7 @@ def test_quasi_tree_counts_reuse_the_bracket_profile(scans):
     assert len(scans) == 1
 
 
-@pytest.mark.parametrize(
+one_profile_diagrams = pytest.mark.parametrize(
     "pd",
     [
         twist_pd(12, 4),
@@ -440,6 +440,9 @@ def test_quasi_tree_counts_reuse_the_bracket_profile(scans):
     ],
     ids=["twist-all-loops", "braid-loops-and-non-loops", "pretzel"],
 )
+
+
+@one_profile_diagrams
 def test_one_scan_per_diagram(scans, pd):
     # the benchmark's op order: every invariant after the first reuses its
     # profile, and so do calls with other caps
@@ -451,3 +454,47 @@ def test_one_scan_per_diagram(scans, pd):
     quasi_tree_counts(build_dessin(pd, 0))
     quasi_tree_counts(build_dessin(pd, 0), cap=20)
     assert len(scans) == 1
+
+
+@pytest.fixture
+def aggregations(monkeypatch):
+    """Every bracket aggregation made from now on."""
+    real = invariants.delta_power_sum
+    calls = []
+
+    def counting(counts):
+        calls.append(counts)
+        return real(counts)
+
+    monkeypatch.setattr(invariants, "delta_power_sum", counting)
+    dessin._profile_scan.cache_clear()
+    return calls
+
+
+@one_profile_diagrams
+def test_one_bracket_aggregation_per_dessin(aggregations, pd):
+    # the bracket is kept with its profile, so clearing the profile cache
+    # drops it too
+    bracket_via_dessin(pd)
+    jones_polynomial(pd)
+    determinant(pd)
+    determinant(pd, cap=30)
+    coefficient_table(pd, check=True)
+    assert len(aggregations) == 1
+    dessin._profile_scan.cache_clear()
+    bracket_via_dessin(pd)
+    assert len(aggregations) == 2
+
+
+def test_bracket_readers_call_the_module_attribute(monkeypatch):
+    # a patched `invariants.bracket_via_dessin` reaches every reader, so the
+    # benchmark's spans and the CLI's internal-error paths still see it
+    pd = table_pd("4_1")
+    jones = jones_polynomial(pd).poly
+    det = invariants._det_jones_eval(pd, 24)
+    tripled = bracket_via_dessin(pd) * 3
+    monkeypatch.setattr(invariants, "bracket_via_dessin", lambda pd, cap=24: tripled)
+    assert jones_polynomial(pd).poly == jones * 3
+    assert invariants._det_jones_eval(pd, 24) == 3 * det
+    with pytest.raises(InternalError, match="coefficient table != bracket"):
+        coefficient_table(pd, check=True)

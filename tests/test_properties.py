@@ -126,6 +126,22 @@ def test_top_coefficient_closed_form_is_the_genus_0_loop_sum(pd: PDCode):
 
 
 @checked
+@given(diagrams)
+def test_profile_readers_agree_with_the_full_dessin(pd: PDCode):
+    d = build_dessin(pd, 0)
+    full = dessin_counts(d)
+    assert len(quasi_tree_counts(d)) - 1 == full.g
+    assert coefficient_table(pd).top_exponent == full.e + 2 * full.v - 2
+    # the bracket is shared between calls: using it must not change it
+    br = bracket_via_dessin(pd)
+    -br
+    br.shift(3)
+    if len(strand_components(pd)) == 1:  # links need S[...] signs for a writhe
+        jones_polynomial(pd)
+    assert bracket_via_dessin(pd) == state_sum_bracket(pd)
+
+
+@checked
 @given(diagrams, st.data())
 def test_dessin_faces_are_the_complementary_state_circles(pd: PDCode, data):
     # the rotations of any state's dessin, oriented by nesting parity from
