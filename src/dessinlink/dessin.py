@@ -122,11 +122,33 @@ def build_dessin(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Dessin:
 
     Crossing c becomes the chord with half-edges 2c and 2c+1, attached at
     its two smoothing channels; each circle's rotation lists the chord
-    ends in the circle's oriented cyclic order.
+    ends in the circle's oriented cyclic order.  The dessin is memoized
+    per (crossings, state mask, outer corner), so every invariant of a
+    diagram reads the same `Dessin` object and smooths the state once.
     """
+    from .diagram import _state_mask
+
+    key = _StateKey((pd.crossings, _state_mask(pd, s), outer_corner))
+    key.pd = pd
+    return _dessin_of(key)
+
+
+class _StateKey(tuple):
+    """Memo key (crossings, state mask, outer corner).  It carries the PD
+    code it was made from, which is not part of its hash or equality, so a
+    miss smooths that code without parsing the crossings again."""
+
+    pd: PDCode
+
+
+# Reuse is between the invariants of one diagram, so a few entries suffice.
+# A bad outer corner raises in `smooth_state`, and errors are not cached.
+@lru_cache(maxsize=16)
+def _dessin_of(key: _StateKey) -> Dessin:
     from .diagram import smooth_state
 
-    circles = smooth_state(pd, s, outer_corner)
+    _, mask, outer_corner = key
+    circles = smooth_state(key.pd, mask, outer_corner)
     rotations = [
         tuple(2 * c + ch for (c, ch) in spots) for spots in circles.cyclic_orders
     ]

@@ -296,6 +296,8 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
     Locality of the coefficient: subsets of higher starting level cannot
     reach down to level l, so the restricted sum must match the table.
     """
+    if l < 0:
+        raise DiagramError("coefficient level must be >= 0")
     d = build_dessin(pd, 0)
     total = 0
     for (g, l0, f), cnt in _level_groups(d, cap).items():
@@ -349,6 +351,8 @@ def one_vertex_coefficients(d: Dessin, l: int, cap: int = 24) -> int:
     (-1)^e(H) C(e(H) - 2 g(H), l - g(H))."""
     if d.n_vertices != 1:
         raise DiagramError("one_vertex_coefficients needs a one-vertex dessin")
+    if l < 0:
+        raise DiagramError("coefficient level must be >= 0")
     total = 0
     for (eh, _, f), cnt in _subset_profile(d, cap).tally.items():
         g = _genus_of(1, eh, 1, f)

@@ -3,7 +3,17 @@
 import pytest
 
 import helpers
+from dessinlink import dessin, diagram
 from helpers import corpus
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Empty the program's memo caches before each test, so a test that
+    patches a smoothing or a route never reads another test's entry."""
+    diagram._planar_map.cache_clear()
+    dessin._dessin_of.cache_clear()
+    dessin._profile_scan.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from dessinlink.diagram import CapExceededError, parse_pd, table_pd, twist_pd
+from dessinlink import dessin
+from dessinlink.diagram import (
+    CapExceededError,
+    DiagramError,
+    PDCode,
+    parse_pd,
+    smooth_state,
+    table_pd,
+    twist_pd,
+)
 from dessinlink.dessin import (
     Counts,
     Dessin,
@@ -61,6 +70,51 @@ def test_counts_outer_corner_invariance():
     base = dessin_counts(build_dessin(pd, "AAB"))
     for corner in range(1, 4 * pd.n):
         assert dessin_counts(build_dessin(pd, "AAB", outer_corner=corner)) == base
+
+
+# ==========================================================================
+# the build_dessin memo
+# ==========================================================================
+
+
+def test_build_dessin_memo_returns_one_object_per_diagram():
+    assert build_dessin(parse_pd(TREFOIL), 0) is build_dessin(parse_pd(TREFOIL), 0)
+
+
+def test_build_dessin_memo_matches_a_direct_smoothing():
+    # corner 5 flips every circle of 8_21 against corner 0, so a key that
+    # dropped the corner or the state would return a stale dessin here
+    pd = table_pd("8_21")
+    for forms in ([0, "A" * pd.n, [0] * pd.n], [0b10110101, "BABABBAB"]):
+        for corner in (0, 5, 13, 31):
+            circles = smooth_state(pd, forms[0], corner)
+            direct = Dessin(
+                tuple(tuple(2 * c + ch for c, ch in spots) for spots in circles.cyclic_orders)
+            )
+            built = [build_dessin(pd, state, corner) for state in forms]
+            assert built[0] == direct
+            assert all(d is built[0] for d in built)
+    assert dessin._dessin_of.cache_info().currsize == 8
+
+
+def test_build_dessin_memo_does_not_cache_errors():
+    pd = parse_pd(TREFOIL)
+    bad = [("AAC", 0), ("AA", 0), (8, 0), (-1, 0), (0, 12), (0, -1)]
+    for _ in range(2):
+        for state, corner in bad:
+            with pytest.raises(DiagramError):
+                build_dessin(pd, state, corner)
+    assert dessin._dessin_of.cache_info().currsize == 0
+
+
+def test_reordered_crossings_get_their_own_memo_entry():
+    pd = table_pd("8_21")
+    reordered = PDCode(pd.crossings[::-1])
+    d = build_dessin(pd, 0)
+    assert build_dessin(reordered, 0) is not d
+    assert build_dessin(pd, 0) is d
+    info = dessin._dessin_of.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 def test_counts_validation():

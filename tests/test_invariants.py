@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
-from dessinlink import dessin, invariants
+from dessinlink import dessin, diagram, invariants
 from dessinlink.chord import bareiss_det, quasi_counts_and_det, to_chord_diagram
 from dessinlink.dessin import (
     build_dessin,
@@ -188,6 +188,11 @@ def test_coefficient_restricted_locality():
             assert coefficient_restricted(pd, l) == table.coefficient(l), (name, l)
 
 
+def test_coefficient_restricted_rejects_a_negative_level():
+    with pytest.raises(DiagramError, match="coefficient level must be >= 0"):
+        coefficient_restricted(table_pd("8_21"), -1)
+
+
 def test_top_coefficient_forms():
     for name in BRACKETS:
         pd = table_pd(name)
@@ -234,6 +239,12 @@ def test_one_vertex_coefficients():
             assert one_vertex_coefficients(d, l) == table.coefficient(l), (name, l)
     with pytest.raises(DiagramError):
         one_vertex_coefficients(build_dessin(table_pd("3_1"), 0), 0)
+
+
+def test_one_vertex_coefficients_reject_a_negative_level():
+    d = build_dessin(reduce_to_one_vertex(table_pd("8_21")), 0)
+    with pytest.raises(DiagramError, match="coefficient level must be >= 0"):
+        one_vertex_coefficients(d, -1)
 
 
 def test_one_vertex_coefficients_after_reduction():
@@ -484,6 +495,30 @@ def test_one_bracket_aggregation_per_dessin(aggregations, pd):
     dessin._profile_scan.cache_clear()
     bracket_via_dessin(pd)
     assert len(aggregations) == 2
+
+
+@one_profile_diagrams
+def test_bench_ops_smooth_the_input_twice(monkeypatch, pd):
+    # the all-A dessin is memoized: `build_dessin` smooths the input once,
+    # `reduce_to_one_vertex` once more, and `build_dessin` the reduced
+    # diagram once, unless it is the input (all-A state already one circle)
+    reduced = reduce_to_one_vertex(pd).crossings
+    real = diagram.smooth_state
+    smoothed = []
+
+    def counting(p, *args, **kwargs):
+        smoothed.append(p.crossings)
+        return real(p, *args, **kwargs)
+
+    monkeypatch.setattr(diagram, "smooth_state", counting)
+    dessin._dessin_of.cache_clear()
+    bracket_via_dessin(pd)
+    jones_polynomial(pd)
+    determinant(pd)
+    coefficient_table(pd)
+    quasi_tree_counts(build_dessin(pd, 0))
+    once_reduced = [reduced] if reduced != pd.crossings else []
+    assert smoothed == [pd.crossings, pd.crossings] + once_reduced
 
 
 def test_bracket_readers_call_the_module_attribute(monkeypatch):
