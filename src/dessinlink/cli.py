@@ -185,24 +185,16 @@ def _cmd_quasitrees(args) -> Dict[str, Any]:
 def _cmd_coeffs(args) -> Dict[str, Any]:
     from .dessin import build_dessin
     from .diagram import pd_to_text
-    from .invariants import (
-        bracket_via_dessin,
-        coefficient_table,
-        top_coefficient_closed_form,
-    )
+    from .invariants import _coefficient_checks, coefficient_table
 
     pd = _load_pd(args)
     cap = _cap(args)
     tab = coefficient_table(pd, cap=cap, check=False)
-    top_closed = top_coefficient_closed_form(build_dessin(pd, 0))
     return {
         "pd": pd_to_text(pd),
         "top_exponent": tab.top_exponent,
         "coeffs": list(tab.coeffs),
-        "checks": {
-            "top_closed_form": top_closed == tab.coefficient(0),
-            "matches_bracket": tab.as_poly() == bracket_via_dessin(pd, cap=cap),
-        },
+        "checks": _coefficient_checks(build_dessin(pd, 0), tab, cap),
     }
 
 
@@ -344,6 +336,7 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
         twist_pd,
     )
     from .invariants import (
+        _coefficient_checks,
         bracket_via_dessin,
         coefficient_table,
         determinant,
@@ -377,7 +370,7 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
                 break
         add(f"face_crosscheck_{name}", ok)
         tab = coefficient_table(pd, cap=cap, check=False)
-        add(f"coeff_table_{name}", tab.as_poly() == br)
+        add(f"coeff_table_{name}", _coefficient_checks(d, tab, cap)["matches_bracket"])
 
     dets = {"3_1": 3, "4_1": 5, "5_2": 7, "6_2": 11, "8_21": 15}
     for name, want in sorted(dets.items()):
@@ -590,6 +583,8 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise _UsageError("--workers must be >= 1")
         key = None
         cache = getattr(args, "cache", None)
         if cache:

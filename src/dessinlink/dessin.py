@@ -508,10 +508,11 @@ def dessin_from_text(text: str) -> Dessin:
     if rest:
         raise DiagramError(f"stray text {rest!r} in edge list")
     for grp in _VERT_RE.findall(epart):
-        toks = grp.replace(",", " ").split()
-        if len(toks) != 2:
-            raise DiagramError(f"edge ({grp}) is not a pair")
-        pairs.append((int(toks[0]), int(toks[1])))
+        try:
+            a, b = map(int, grp.replace(",", " ").split())
+        except ValueError:
+            raise DiagramError(f"edge ({grp}) is not a pair of integers") from None
+        pairs.append((a, b))
     ids = sorted(h for rot in verts for h in rot)
     n = len(ids)
     if len(set(ids)) != n:

@@ -151,18 +151,12 @@ def _det_quasitree(pd: PDCode, cap: int) -> int:
 
 
 def _det_jones_eval(pd: PDCode, cap: int) -> int:
-    """|<P>| at A^4 = -1: every exponent is e0 - 4l, so the value is the
+    """|<P>| at A^4 = -1: every exponent is M - 4l, so the value is the
     alternating coefficient sum |sum_l (-1)^l a[l]|."""
-    br = bracket_via_dessin(pd, cap)
-    if not br:
+    coeffs = coefficient_table(pd, cap, check=False).coeffs
+    if not any(coeffs):
         raise InternalError("internal error: zero bracket")
-    e0 = br.max_exp
-    total = 0
-    for e, c in br.terms():
-        if (e0 - e) % 4:
-            raise InternalError(f"internal error: bracket exponent {e} is not {e0} mod 4")
-        total += -c if (e0 - e) % 8 else c
-    return abs(total)
+    return abs(sum(-c if l % 2 else c for l, c in enumerate(coeffs)))
 
 
 def _det_charpoly(pd: PDCode) -> int:
@@ -249,45 +243,69 @@ class CoefficientTable:
         )
 
 
-def _level_groups(d: Dessin, cap: int) -> Dict[Tuple[int, int, int], int]:
-    """Subset multiplicities grouped by (genus, level l0 = v-k+g, faces)."""
-    v = d.n_vertices
-    groups: Dict[Tuple[int, int, int], int] = {}
-    for (eh, k, f), cnt in _subset_profile(d, cap).tally.items():
-        g = _genus_of(v, eh, k, f)
-        key = (g, v - k + g, f)
-        groups[key] = groups.get(key, 0) + cnt
-    return groups
-
-
 def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> CoefficientTable:
-    """All bracket coefficients from one sub-dessin scan.
+    """The bracket read by level: a[l] is its coefficient of A^(M - 4l).
 
-    A subset H first contributes at level l0(H) = (v - k(H)) + g(H), and
-    its delta-power spreads it binomially across f(H) consecutive levels:
-    a[l] = sum over H of (-1)^(f-1) C(f-1, l - l0).  With check=True the
-    top coefficient is verified against its scan-free closed form.
+    This is the one place where bracket exponents become levels.  With
+    check=True the table must match the binomial spread, which never reads
+    the bracket, and a[0] its scan-free closed form.
     """
     d = build_dessin(pd, 0)
     m_top = d.n_edges + 2 * d.n_vertices - 2
-    acc: Dict[int, int] = {}
-    for (g, l0, f), cnt in sorted(_level_groups(d, cap).items()):
-        sign = -1 if (f - 1) % 2 else 1
-        for t in range(f):
-            acc[l0 + t] = acc.get(l0 + t, 0) + sign * cnt * comb(f - 1, t)
-    top = max((l for l, c in acc.items() if c), default=0)
-    coeffs = tuple(acc.get(l, 0) for l in range(top + 1))
-    table = CoefficientTable(m_top, coeffs)
-    if check:
-        closed = top_coefficient_closed_form(d)
-        if closed != table.coefficient(0):
+    levels: Dict[int, int] = {}
+    for x, c in bracket_via_dessin(pd, cap).terms():
+        l, r = divmod(m_top - x, 4)
+        if l < 0 or r:
             raise InternalError(
-                f"internal error: top coefficient {table.coefficient(0)} "
-                f"!= closed form {closed}"
+                f"internal error: bracket exponent {x} is not {m_top} mod 4 "
+                f"and at most {m_top}: {x - m_top} not in -4N"
             )
-        if table.as_poly() != bracket_via_dessin(pd, cap):
-            raise InternalError("internal error: coefficient table != bracket")
+        levels[l] = c
+    top = max(levels, default=0)
+    table = CoefficientTable(m_top, tuple(levels.get(l, 0) for l in range(top + 1)))
+    if check:
+        _coefficient_checks(d, table, cap, strict=True)
     return table
+
+
+def _spread(d: Dessin, bound: int, cap: int) -> Tuple[int, ...]:
+    """a[0..bound] without the bracket: a subset H first contributes at
+    level l0(H) = (v - k(H)) + g(H), and its delta-power spreads it
+    binomially across f(H) consecutive levels, a[l] = sum over H of
+    (-1)^(f-1) C(f-1, l - l0)."""
+    v = d.n_vertices
+    groups: Dict[Tuple[int, int], int] = {}
+    for (eh, k, f), cnt in _subset_profile(d, cap).tally.items():
+        l0 = v - k + _genus_of(v, eh, k, f)
+        if l0 <= bound:
+            groups[l0, f] = groups.get((l0, f), 0) + cnt
+    acc = [0] * (bound + 1)
+    for (l0, f), cnt in groups.items():
+        signed = -cnt if (f - 1) % 2 else cnt
+        for l in range(l0, min(l0 + f, bound + 1)):
+            acc[l] += signed * comb(f - 1, l - l0)
+    return tuple(acc)
+
+
+def _coefficient_checks(
+    d: Dessin, table: CoefficientTable, cap: int, strict: bool = False
+) -> Dict[str, bool]:
+    """The two checks of the table of d: a[0] against its closed form, and
+    every level against the spread.  With strict=True a failure raises."""
+    closed = top_coefficient_closed_form(d)
+    # f(H) <= e(H) + v, so no subset spreads past level e + v - 1
+    spread = _spread(d, d.n_edges + d.n_vertices - 1, cap)
+    ok = {
+        "top_closed_form": closed == table.coefficient(0),
+        "matches_bracket": spread == table.coeffs + (0,) * (len(spread) - len(table.coeffs)),
+    }
+    if strict and not ok["matches_bracket"]:
+        raise InternalError("internal error: coefficient table != bracket")
+    if strict and not ok["top_closed_form"]:
+        raise InternalError(
+            f"internal error: top coefficient {table.coefficient(0)} != closed form {closed}"
+        )
+    return ok
 
 
 def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
@@ -298,14 +316,7 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
     """
     if l < 0:
         raise DiagramError("coefficient level must be >= 0")
-    d = build_dessin(pd, 0)
-    total = 0
-    for (g, l0, f), cnt in _level_groups(d, cap).items():
-        if l0 > l or l - l0 >= f:
-            continue
-        sign = -1 if (f - 1) % 2 else 1
-        total += sign * cnt * comb(f - 1, l - l0)
-    return total
+    return _spread(build_dessin(pd, 0), l, cap)[l]
 
 
 def top_coefficient_closed_form(d: Dessin) -> int:
@@ -348,18 +359,12 @@ def a1_adequate(d: Dessin) -> int:
 
 def one_vertex_coefficients(d: Dessin, l: int, cap: int = 24) -> int:
     """a[l] of a one-vertex dessin: sum over subsets with g(H) <= l of
-    (-1)^e(H) C(e(H) - 2 g(H), l - g(H))."""
+    (-1)^e(H) C(e(H) - 2 g(H), l - g(H)), the spread term at v = 1."""
     if d.n_vertices != 1:
         raise DiagramError("one_vertex_coefficients needs a one-vertex dessin")
     if l < 0:
         raise DiagramError("coefficient level must be >= 0")
-    total = 0
-    for (eh, _, f), cnt in _subset_profile(d, cap).tally.items():
-        g = _genus_of(1, eh, 1, f)
-        if g > l:
-            continue
-        total += (-1) ** eh * cnt * comb(eh - 2 * g, l - g)
-    return total
+    return _spread(d, l, cap)[l]
 
 
 # ============================================================
@@ -411,16 +416,13 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
     """
     pd = reduce_to_one_vertex(pd)
     d = build_dessin(pd, 0)
-    e = d.n_edges
-    br = bracket_via_dessin(pd, cap)
-    lhs = 0
-    for exp, c in br.shift(-e).terms():
-        if exp > 0 or exp % 4:
-            raise InternalError(f"internal error: normalized bracket exponent {exp} not in -4N")
-        lhs += c * (-2) ** (-exp // 4)
-    v = d.n_vertices
+    if d.n_vertices != 1:
+        raise InternalError(f"internal error: reduced dessin has {d.n_vertices} vertices")
+    # at v = 1, M = e: A^(-e) <P> = sum_l a[l] A^(-4l)
+    table = coefficient_table(pd, cap, check=False)
+    lhs = sum(c * (-2) ** l for l, c in enumerate(table.coeffs))
     rhs = sum(
-        cnt * (-2) ** _genus_of(v, eh, k, f)
+        cnt * (-2) ** _genus_of(1, eh, k, f)
         for (eh, k, f), cnt in _subset_profile(d, cap).tally.items()
     )
     return lhs, rhs

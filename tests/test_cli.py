@@ -13,7 +13,9 @@ import pytest
 import dessinlink
 from dessinlink import cli, diagram, invariants
 from dessinlink.errors import InternalError
+from dessinlink.dessin import build_dessin, dessin_counts
 from dessinlink.poly import LaurentPoly
+from dessinlink.table import knot_table
 from dessinlink.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAP,
@@ -113,6 +115,20 @@ def test_dessin_states_and_quasitrees(capsys):
     assert payload["genus"] == 1
 
 
+@pytest.mark.parametrize("name", sorted(knot_table()))
+def test_coeffs_are_the_bracket_read_by_level(capsys, name):
+    pd = diagram.table_pd(name)
+    c = dessin_counts(build_dessin(pd, 0))
+    top = c.e + 2 * c.v - 2
+    code, payload, _ = run_json(capsys, "coeffs", "--name", name)
+    assert code == EXIT_OK
+    assert payload["top_exponent"] == top
+    levels = {top - 4 * l: a for l, a in enumerate(payload["coeffs"])}
+    assert LaurentPoly(levels) == invariants.bracket_via_dessin(pd)
+    assert payload["coeffs"][-1] != 0
+    assert payload["checks"] == {"top_closed_form": True, "matches_bracket": True}
+
+
 def test_reduce_and_twist(capsys):
     code, payload, _ = run_json(capsys, "reduce", "--name", "3_1")
     assert code == EXIT_OK
@@ -141,6 +157,33 @@ def test_usage_errors(capsys):
     code, _, err = run_json(capsys, "bracket", "--name", "3_1", "--cap", "30")
     assert code == EXIT_USAGE
     assert "--allow-large" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bracket", "--name", "3_1", "--cap", "0"),
+        ("bracket", "--name", "3_1", "--oracle", "--workers", "-5"),
+        ("bracket", "--name", "3_1", "--workers", "0"),
+        ("verify", "--workers", "0"),
+    ],
+)
+def test_counts_below_1_are_usage_errors(capsys, argv):
+    code, payload, err = run_json(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert payload is None
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    assert "must be >= 1" in error["message"]
+
+
+def test_workers_below_1_is_a_usage_error_on_a_cache_hit(tmp_path, capsys):
+    # --workers is not in the cache key, so it is checked before the lookup
+    cache = str(tmp_path / "cache.jsonl")
+    assert run_json(capsys, "bracket", "--name", "3_1", "--cache", cache)[0] == EXIT_OK
+    code, _, err = run_json(capsys, "bracket", "--name", "3_1", "--workers", "0", "--cache", cache)
+    assert code == EXIT_USAGE
+    assert "--workers must be >= 1" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [("charpoly",), ("charpoly", "--chords", "")])
@@ -271,6 +314,21 @@ def test_failed_coefficient_check_exits_1(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "coeffs", "--name", "4_1")
     assert code == EXIT_INTERNAL
     assert payload["checks"] == {"top_closed_form": False, "matches_bracket": True}
+
+
+def test_failed_spread_check_exits_1(capsys, monkeypatch):
+    # the binomial spread is the route that never reads the bracket
+    real = invariants._spread
+    monkeypatch.setattr(
+        invariants, "_spread", lambda d, bound, cap: tuple(a + 1 for a in real(d, bound, cap))
+    )
+    code, payload, _ = run_json(capsys, "coeffs", "--name", "4_1")
+    assert code == EXIT_INTERNAL
+    assert payload["checks"] == {"top_closed_form": True, "matches_bracket": False}
+    code, payload, _ = run_json(capsys, "verify")
+    assert code == EXIT_INTERNAL
+    failed = {c["name"] for c in payload["checks"] if not c["pass"]}
+    assert failed == {f"coeff_table_{name}" for name in knot_table()}
 
 
 def test_failed_closed_form_agreement_exits_1(capsys, monkeypatch):

@@ -255,3 +255,6 @@ def test_from_text_rejects_bad():
         dessin_from_text("V: (1 2 3) E: (1,2)")
     with pytest.raises(ValueError):
         dessin_from_text("V: (1 2) (3 4) E: (1,2)")
+    for edges in ("(1,x)", "(1 2 3)"):
+        with pytest.raises(DiagramError, match="not a pair of integers"):
+            dessin_from_text(f"V: (1 2) E: {edges}")

@@ -527,9 +527,12 @@ def test_bracket_readers_call_the_module_attribute(monkeypatch):
     pd = table_pd("4_1")
     jones = jones_polynomial(pd).poly
     det = invariants._det_jones_eval(pd, 24)
+    lhs, rhs = jones_at_minus_two(pd)
     tripled = bracket_via_dessin(pd) * 3
     monkeypatch.setattr(invariants, "bracket_via_dessin", lambda pd, cap=24: tripled)
     assert jones_polynomial(pd).poly == jones * 3
     assert invariants._det_jones_eval(pd, 24) == 3 * det
+    assert coefficient_table(pd, check=False).as_poly() == tripled
+    assert jones_at_minus_two(pd) == (3 * lhs, rhs)
     with pytest.raises(InternalError, match="coefficient table != bracket"):
         coefficient_table(pd, check=True)
