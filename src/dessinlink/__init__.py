@@ -26,6 +26,7 @@ _EXPORTS = {
     "errors": (
         "CapExceededError",
         "DiagramError",
+        "PreconditionError",
         "OrientationError",
         "InternalError",
     ),

@@ -11,11 +11,11 @@ its coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 from typing import Dict, List, Sequence, Tuple, Union
 
+from ._record import Record
 from .errors import DiagramError, InternalError
 from .dessin import Dessin
 from .poly import LaurentPoly
@@ -51,14 +51,13 @@ def _canonical_word(word: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
+class ChordDiagram(Record):
     """Circular double-occurrence word, labels 0..m-1 by first appearance."""
 
-    word: Tuple[int, ...]
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", _canonical_word(self.word))
+    def __init__(self, word: Sequence[int]):
+        self._set(_canonical_word(word))
 
     @property
     def m(self) -> int:

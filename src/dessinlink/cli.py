@@ -19,7 +19,7 @@ import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from . import __version__
-from .errors import CapExceededError, DiagramError, InternalError, OrientationError
+from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
 from .table import knot_table
 
 if TYPE_CHECKING:
@@ -609,7 +609,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         _error(args, "cap-exceeded", str(exc))
         return EXIT_CAP
-    except OrientationError as exc:
+    except PreconditionError as exc:
         _error(args, "precondition", str(exc))
         return EXIT_PRECONDITION
     except (DiagramError, ValueError) as exc:

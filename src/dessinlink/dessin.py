@@ -12,8 +12,7 @@ the package route through the single scanning engine in this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -26,6 +25,7 @@ from typing import (
     Tuple,
 )
 
+from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError
 
 if TYPE_CHECKING:
@@ -61,18 +61,18 @@ def _canonical(rotations: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...
     return tuple(verts)
 
 
-@dataclass(frozen=True)
-class Dessin:
+class Dessin(Record):
     """A connected-or-not ribbon graph, rotations in canonical form."""
 
-    rotations: Tuple[Tuple[int, ...], ...]
+    __slots__ = ("rotations", "_vertex_of")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rotations", _canonical(self.rotations))
-        ids = sorted(h for rot in self.rotations for h in rot)
+    def __init__(self, rotations: Iterable[Sequence[int]]):
+        rotations = _canonical(rotations)
+        ids = sorted(h for rot in rotations for h in rot)
         n = len(ids)
         if n % 2 != 0 or ids != list(range(n)):
             raise DiagramError("half-edges must be exactly 0..2e-1, each once")
+        self._set(rotations)
 
     @property
     def n_edges(self) -> int:
@@ -82,28 +82,27 @@ class Dessin:
     def n_vertices(self) -> int:
         return len(self.rotations)
 
-    @cached_property
+    @property
     def vertex_of(self) -> Tuple[int, ...]:
         """Index of the vertex each half-edge is attached to."""
-        out = [0] * (2 * self.n_edges)
-        for vi, rot in enumerate(self.rotations):
-            for h in rot:
-                out[h] = vi
-        return tuple(out)
+        try:
+            return self._vertex_of
+        except AttributeError:
+            out = [0] * (2 * self.n_edges)
+            for vi, rot in enumerate(self.rotations):
+                for h in rot:
+                    out[h] = vi
+            object.__setattr__(self, "_vertex_of", tuple(out))
+            return self._vertex_of
 
 
-@dataclass(frozen=True)
-class Counts:
+class Counts(Record):
     """Vertex/edge/face/component/genus/nullity bookkeeping of a dessin."""
 
-    v: int
-    e: int
-    f: int
-    k: int
-    g: int
-    n: int
+    __slots__ = ("v", "e", "f", "k", "g", "n")
 
-    def __post_init__(self):
+    def __init__(self, v: int, e: int, f: int, k: int, g: int, n: int):
+        self._set(v, e, f, k, g, n)
         if min(self.v, self.e, self.f, self.g, self.n) < 0 or self.k < 1:
             raise DiagramError(f"impossible counts {self}")
         if self.v - self.e + self.f != 2 * self.k - 2 * self.g:
@@ -418,19 +417,18 @@ def dual(d: Dessin) -> Dessin:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class WeightedDessin:
+class WeightedDessin(Record):
     """One-vertex dessin whose chords carry positive multiplicities."""
 
-    dessin: Dessin
-    weights: Tuple[int, ...]
+    __slots__ = ("dessin", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.weights) != self.dessin.n_edges:
+    def __init__(self, dessin: Dessin, weights: Sequence[int]):
+        weights = tuple(int(w) for w in weights)
+        if len(weights) != dessin.n_edges:
             raise DiagramError("one weight per edge required")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise DiagramError("weights must be positive")
+        self._set(dessin, weights)
 
 
 def contract_parallel(d: Dessin) -> WeightedDessin:

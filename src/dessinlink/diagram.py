@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError, OrientationError
 from .poly import LaurentPoly, delta_power_sum
 from .table import knot_table
@@ -70,16 +70,13 @@ _CHANNEL = ((0, 0, 1, 1), (1, 0, 0, 1))
 # ============================================================
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(Record):
     """A connected link diagram in planar-diagram notation."""
 
-    crossings: Tuple[Crossing, ...]
-    signs: Optional[Tuple[int, ...]] = None
+    __slots__ = ("crossings", "signs")
 
-    def __post_init__(self):
-        crossings = tuple(tuple(int(x) for x in tup) for tup in self.crossings)
-        object.__setattr__(self, "crossings", crossings)
+    def __init__(self, crossings: Sequence[Sequence[int]], signs: Optional[Sequence[int]] = None):
+        crossings = tuple(tuple(int(x) for x in tup) for tup in crossings)
         if not crossings:
             raise DiagramError("a PD code needs at least one crossing")
         seen: Dict[int, int] = {}
@@ -93,13 +90,13 @@ class PDCode:
         bad = {lab: cnt for lab, cnt in seen.items() if cnt != 2}
         if bad:
             raise DiagramError(f"arc labels must occur exactly twice, got {bad}")
-        if self.signs is not None:
-            signs = tuple(int(s) for s in self.signs)
-            object.__setattr__(self, "signs", signs)
+        if signs is not None:
+            signs = tuple(int(s) for s in signs)
             if len(signs) != len(crossings):
                 raise DiagramError("sign list length differs from crossing count")
             if any(s not in (-1, 1) for s in signs):
                 raise DiagramError("crossing signs must be +1 or -1")
+        self._set(crossings, signs)
 
     @property
     def n(self) -> int:
@@ -175,8 +172,7 @@ def mirror(pd: PDCode) -> PDCode:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class _PlanarMap:
+class _PlanarMap(Record):
     """A connected planar diagram's darts and corner colours.
 
     The corner counterclockwise of dart d has checkerboard colour
@@ -184,9 +180,10 @@ class _PlanarMap:
     check: orienting state circles needs a corner's colour, not its face.
     """
 
-    n: int
-    alpha: Tuple[int, ...]
-    flip: Tuple[int, ...]
+    __slots__ = ("n", "alpha", "flip")
+
+    def __init__(self, n: int, alpha: Tuple[int, ...], flip: Tuple[int, ...]):
+        self._set(n, alpha, flip)
 
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
@@ -273,8 +270,7 @@ def _state_mask(pd: PDCode, s: StateLike) -> int:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class StateCircles:
+class StateCircles(Record):
     """Circles of a fully smoothed diagram, with oriented endpoint orders.
 
     Each crossing contributes two chord endpoints (crossing, channel); a
@@ -283,16 +279,20 @@ class StateCircles:
     counterclockwise).
     """
 
-    count: int
-    membership: Mapping[Tuple[int, int], int]
-    cyclic_orders: Tuple[Tuple[Tuple[int, int], ...], ...]
+    __slots__ = ("count", "membership", "cyclic_orders")
 
-    def __post_init__(self):
-        if self.count != len(self.cyclic_orders):
+    def __init__(
+        self,
+        count: int,
+        membership: Mapping[Tuple[int, int], int],
+        cyclic_orders: Tuple[Tuple[Tuple[int, int], ...], ...],
+    ):
+        if count != len(cyclic_orders):
             raise DiagramError("circle count mismatch")
-        total = sum(len(c) for c in self.cyclic_orders)
-        if total != len(self.membership):
+        total = sum(len(c) for c in cyclic_orders)
+        if total != len(membership):
             raise DiagramError("endpoint bookkeeping mismatch")
+        self._set(count, membership, cyclic_orders)
 
 
 def _trace_circles(alpha, n, mask):

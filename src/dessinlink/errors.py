@@ -4,14 +4,24 @@ Kept free of any math import so the CLI can name them in its `except`
 clauses without loading a computation module.
 """
 
-__all__ = ["DiagramError", "OrientationError", "CapExceededError", "InternalError"]
+__all__ = [
+    "DiagramError",
+    "PreconditionError",
+    "OrientationError",
+    "CapExceededError",
+    "InternalError",
+]
 
 
 class DiagramError(ValueError):
     """Malformed, disconnected, or non-planar diagram input."""
 
 
-class OrientationError(DiagramError):
+class PreconditionError(DiagramError):
+    """Valid input that a requested method does not apply to."""
+
+
+class OrientationError(PreconditionError):
     """Crossing signs are required but cannot be inferred."""
 
 

@@ -12,10 +12,10 @@ per-subset (edges, components, faces) profile of D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
+from ._record import Record
 from .dessin import (
     Dessin,
     WeightedDessin,
@@ -28,7 +28,7 @@ from .dessin import (
     quasi_tree_counts,
 )
 from .diagram import PDCode, reduce_to_one_vertex, strand_components, writhe
-from .errors import CapExceededError, DiagramError, InternalError
+from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
 from .poly import LaurentPoly, delta_power_sum
 
 __all__ = [
@@ -73,18 +73,19 @@ def bracket_via_dessin(pd: PDCode, cap: int = 24) -> LaurentPoly:
     return profile.bracket
 
 
-@dataclass(frozen=True)
-class JonesResult:
+class JonesResult(Record):
     """Jones polynomial with its natural variable.
 
     q_poly is V in q = A^-2; for knots every q-exponent is even and
     t_poly is V in t = q^2, with variable naming the preferred form.
     """
 
-    variable: str
-    q_poly: LaurentPoly
-    t_poly: Optional[LaurentPoly]
-    writhe: int
+    __slots__ = ("variable", "q_poly", "t_poly", "writhe")
+
+    def __init__(
+        self, variable: str, q_poly: LaurentPoly, t_poly: Optional[LaurentPoly], writhe: int
+    ):
+        self._set(variable, q_poly, t_poly, writhe)
 
     @property
     def poly(self) -> LaurentPoly:
@@ -118,13 +119,13 @@ def jones_polynomial(pd: PDCode, cap: int = 24) -> JonesResult:
 # ============================================================
 
 
-@dataclass(frozen=True)
-class DeterminantReport:
+class DeterminantReport(Record):
     """Agreeing per-method determinant values, with skip reasons."""
 
-    value: int
-    methods: Mapping[str, int]
-    skipped: Mapping[str, str]
+    __slots__ = ("value", "methods", "skipped")
+
+    def __init__(self, value: int, methods: Mapping[str, int], skipped: Mapping[str, str]):
+        self._set(value, methods, skipped)
 
 
 def spanning_tree_count(d: Dessin) -> int:
@@ -170,7 +171,7 @@ def _det_charpoly(pd: PDCode) -> int:
 def _det_tree_difference(pd: PDCode) -> int:
     d = build_dessin(pd, 0)
     if dessin_counts(d).g != 1:
-        raise DiagramError("tree_difference needs an all-A dessin of genus 1")
+        raise PreconditionError("tree_difference needs an all-A dessin of genus 1")
     return abs(spanning_tree_count(d) - spanning_tree_count(dual(d)))
 
 
@@ -221,16 +222,17 @@ def determinant(
 # ============================================================
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     """Bracket coefficients a[l] of A^(M - 4l), M = e + 2v - 2.
 
     Every exponent in the bracket is congruent to M mod 4; coeffs[l]
     covers l = 0 .. (M - min exponent)/4.
     """
 
-    top_exponent: int
-    coeffs: Tuple[int, ...]
+    __slots__ = ("top_exponent", "coeffs")
+
+    def __init__(self, top_exponent: int, coeffs: Tuple[int, ...]):
+        self._set(top_exponent, coeffs)
 
     def coefficient(self, l: int) -> int:
         if l < 0:

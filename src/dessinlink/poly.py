@@ -84,18 +84,6 @@ class LaurentPoly:
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self.terms())
 
-    @property
-    def min_exp(self) -> int:
-        if not self._terms:
-            raise PolyError("zero polynomial has no degree")
-        return min(self._terms)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._terms:
-            raise PolyError("zero polynomial has no degree")
-        return max(self._terms)
-
     def exponent_parity(self) -> int:
         """Common parity of all exponents (0 or 1); error if mixed or zero."""
         if not self._terms:

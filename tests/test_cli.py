@@ -268,6 +268,16 @@ def test_orientation_precondition(capsys):
     assert json.loads(err)["error"]["kind"] == "precondition"
 
 
+def test_tree_difference_precondition(capsys):
+    # the trefoil is valid input; its all-A dessin has genus 0, not 1
+    code, _, err = run_json(capsys, "det", "--name", "3_1", "--method", "treediff")
+    assert code == EXIT_PRECONDITION
+    assert json.loads(err)["error"] == {
+        "kind": "precondition",
+        "message": "tree_difference needs an all-A dessin of genus 1",
+    }
+
+
 def test_internal_error_exits_1(capsys, monkeypatch):
     # a twist diagram whose all-A state is not one circle trips a
     # consistency check: that is a bug, not bad input
@@ -652,6 +662,15 @@ def test_cache_hit_loads_no_math(tmp_path, capsys):
         assert code == EXIT_OK
         assert cache.stat().st_size == size, argv  # answered from the cache
         assert not modules & MATH_MODULES, argv
+
+
+def test_cache_miss_loads_no_dataclass_machinery(tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    for argv in (("det", "--name", "3_1"), ("twist", "2", "3"), ("charpoly", "--chords", "1 2 1 2")):
+        code, modules = probe_cli(*argv, "--cache", cache)
+        assert code == EXIT_OK
+        assert "dessinlink.dessin" in modules, argv  # a miss: the math ran
+        assert not modules & {"dataclasses", "inspect", "ast"}, argv
 
 
 def test_charpoly_from_chords_loads_no_diagram_layer():

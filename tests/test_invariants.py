@@ -29,7 +29,7 @@ from dessinlink.diagram import (
     table_pd,
     twist_pd,
 )
-from dessinlink.errors import CapExceededError, InternalError
+from dessinlink.errors import CapExceededError, InternalError, PreconditionError
 from dessinlink.invariants import (
     DET_METHODS,
     a1_adequate,
@@ -140,9 +140,10 @@ def test_determinant_table():
 def test_determinant_method_selection():
     trefoil = table_pd("3_1")
     rep = determinant(trefoil)
-    assert "tree_difference" in rep.skipped  # genus-0 all-A dessin
+    genus_1 = "tree_difference needs an all-A dessin of genus 1"
+    assert rep.skipped == {"tree_difference": genus_1}  # genus-0 all-A dessin
     assert determinant(trefoil, methods=["quasitree"]).value == 3
-    with pytest.raises(DiagramError):
+    with pytest.raises(PreconditionError, match=genus_1):
         determinant(trefoil, methods=["tree_difference"])
     with pytest.raises(DiagramError):
         determinant(trefoil, methods=["resultant"])

@@ -47,14 +47,6 @@ def test_monomial_and_one():
     assert LaurentPoly.monomial(0, 4) == LaurentPoly.zero()
 
 
-def test_min_max_exp_empty_raises():
-    p = LaurentPoly({2: 1, -4: 3})
-    assert p.min_exp == -4
-    assert p.max_exp == 2
-    with pytest.raises(PolyError):
-        _ = LaurentPoly.zero().min_exp
-
-
 def test_exponent_parity():
     assert LaurentPoly({4: 1, -2: 1}).exponent_parity() == 0
     assert LaurentPoly({3: 1, -5: 1}).exponent_parity() == 1

@@ -1,0 +1,70 @@
+"""The value types' contract: construction, equality, hash, immutability, repr."""
+
+import copy
+import pickle
+
+import pytest
+
+from dessinlink import chord, dessin, diagram, invariants
+
+TREFOIL = diagram.table_pd("3_1")
+
+
+def _examples():
+    """(value, field names, hashable) for one instance of each value type."""
+    d = dessin.build_dessin(TREFOIL, 0)
+    one_vertex = chord.to_dessin(chord.ChordDiagram((0, 1, 0, 1)))
+    return [
+        (TREFOIL, ("crossings", "signs"), True),
+        (diagram._planar_map(TREFOIL.crossings), ("n", "alpha", "flip"), True),
+        (diagram.smooth_state(TREFOIL, 0), ("count", "membership", "cyclic_orders"), False),
+        (d, ("rotations",), True),
+        (dessin.dessin_counts(d), ("v", "e", "f", "k", "g", "n"), True),
+        (dessin.WeightedDessin(one_vertex, (2, 1)), ("dessin", "weights"), True),
+        (chord.ChordDiagram((0, 1, 0, 1)), ("word",), True),
+        (invariants.jones_polynomial(TREFOIL), ("variable", "q_poly", "t_poly", "writhe"), True),
+        (invariants.determinant(TREFOIL), ("value", "methods", "skipped"), False),
+        (invariants.coefficient_table(TREFOIL), ("top_exponent", "coeffs"), True),
+    ]
+
+
+EXAMPLES = _examples()
+
+
+@pytest.mark.parametrize(
+    "value, names, hashable", EXAMPLES, ids=[type(v).__name__ for v, _, _ in EXAMPLES]
+)
+def test_value_type_contract(value, names, hashable):
+    cls = type(value)
+    fields = [getattr(value, name) for name in names]
+    by_position = cls(*fields)
+    by_keyword = cls(**dict(zip(names, fields)))
+    assert by_position == by_keyword == value
+    assert by_position != fields and not by_position == tuple(fields)
+    if hashable:
+        assert hash(by_position) == hash(by_keyword) == hash(value)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    for name in (*names, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, fields[0])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in names] == fields
+    assert repr(value).startswith(f"{cls.__name__}({names[0]}=")
+    assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+
+
+def test_signs_default_to_none():
+    assert diagram.PDCode(TREFOIL.crossings).signs is None
+    assert diagram.PDCode(TREFOIL.crossings) == diagram.PDCode(TREFOIL.crossings, None)
+
+
+def test_vertex_of_is_computed_once_and_stays_out_of_equality():
+    d = dessin.Dessin(dessin.build_dessin(TREFOIL, 0).rotations)
+    fresh = dessin.Dessin(d.rotations)
+    assert d.vertex_of is d.vertex_of
+    assert d == fresh and hash(d) == hash(fresh)  # fresh has no vertex map yet
+    assert repr(d) == repr(fresh) == f"Dessin(rotations={d.rotations!r})"
+    assert fresh.vertex_of == d.vertex_of
