@@ -32,7 +32,6 @@ _EXPORTS = {
     ),
     "diagram": (
         "PDCode",
-        "generate_family",
         "mirror",
         "parse_pd",
         "pd_to_text",

@@ -121,9 +121,10 @@ def build_dessin(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Dessin:
 
     Crossing c becomes the chord with half-edges 2c and 2c+1, attached at
     its two smoothing channels; each circle's rotation lists the chord
-    ends in the circle's oriented cyclic order.  The dessin is memoized
-    per (crossings, state mask, outer corner), so every invariant of a
-    diagram reads the same `Dessin` object and smooths the state once.
+    ends in the circle's oriented cyclic order, as `smooth_state` returns
+    them.  The dessin is memoized per (crossings, state mask, outer
+    corner), so every invariant of a diagram, and `reduce_to_one_vertex`,
+    reads the same `Dessin` object and smooths the state once.
     """
     from .diagram import _state_mask
 
@@ -147,11 +148,7 @@ def _dessin_of(key: _StateKey) -> Dessin:
     from .diagram import smooth_state
 
     _, mask, outer_corner = key
-    circles = smooth_state(key.pd, mask, outer_corner)
-    rotations = [
-        tuple(2 * c + ch for (c, ch) in spots) for spots in circles.cyclic_orders
-    ]
-    return Dessin(tuple(rotations))
+    return Dessin(smooth_state(key.pd, mask, outer_corner))
 
 
 # ============================================================

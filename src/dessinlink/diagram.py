@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import re
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError, OrientationError
@@ -29,7 +29,6 @@ from .table import knot_table
 
 __all__ = [
     "PDCode",
-    "StateCircles",
     "DiagramError",
     "OrientationError",
     "CapExceededError",
@@ -45,7 +44,6 @@ __all__ = [
     "strand_components",
     "pretzel_pd",
     "twist_pd",
-    "generate_family",
     "reduce_to_one_vertex",
     "knot_table",
     "table_pd",
@@ -270,34 +268,10 @@ def _state_mask(pd: PDCode, s: StateLike) -> int:
 # ============================================================
 
 
-class StateCircles(Record):
-    """Circles of a fully smoothed diagram, with oriented endpoint orders.
-
-    Each crossing contributes two chord endpoints (crossing, channel); a
-    circle's cyclic_order lists the endpoints met along its traversal,
-    directed by the nesting-parity rule (depth-even circles run
-    counterclockwise).
-    """
-
-    __slots__ = ("count", "membership", "cyclic_orders")
-
-    def __init__(
-        self,
-        count: int,
-        membership: Mapping[Tuple[int, int], int],
-        cyclic_orders: Tuple[Tuple[Tuple[int, int], ...], ...],
-    ):
-        if count != len(cyclic_orders):
-            raise DiagramError("circle count mismatch")
-        total = sum(len(c) for c in cyclic_orders)
-        if total != len(membership):
-            raise DiagramError("endpoint bookkeeping mismatch")
-        self._set(count, membership, cyclic_orders)
-
-
 def _trace_circles(alpha, n, mask):
-    """Traverse the smoothed diagram; yields (spots, start_dart) per circle.
+    """Traverse the smoothed diagram; yields (chord ends, start_dart) per circle.
 
+    Crossing c's two smoothing channels are the chord ends 2c and 2c+1.
     The traversal at dart d crosses its smoothing channel to the partner
     dart, then follows the arc onward; marking both darts of each channel
     visits every circle exactly once, in one direction.
@@ -307,14 +281,14 @@ def _trace_circles(alpha, n, mask):
     for d0 in range(4 * n):
         if visited[d0]:
             continue
-        spots: List[Tuple[int, int]] = []
+        spots: List[int] = []
         d = d0
         while not visited[d]:
             visited[d] = True
             c = d >> 2
             p = d & 3
             bit = (mask >> c) & 1
-            spots.append((c, _CHANNEL[bit][p]))
+            spots.append(2 * c + _CHANNEL[bit][p])
             d2 = (d & ~3) | _PARTNER[bit][p]
             visited[d2] = True
             d = alpha[d2]
@@ -329,11 +303,14 @@ def state_circle_count(pd: PDCode, s: StateLike) -> int:
     return len(_trace_circles(pm.alpha, pm.n, mask))
 
 
-def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircles:
-    """Smooth every crossing per the state and orient the resulting circles.
+def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Tuple[Tuple[int, ...], ...]:
+    """Smooth every crossing per the state; the oriented circles' rotations.
 
-    Depth-even circles run counterclockwise, depth counted from the region
-    at the corner of dart `outer_corner`: the ribbon-graph convention of
+    Each circle lists the chord ends it meets along its traversal, crossing
+    c's two smoothing channels being 2c and 2c+1: the rotations of the
+    state's dessin (`dessin.build_dessin`).  Depth-even circles run
+    counterclockwise, depth counted from the region at the corner of dart
+    `outer_corner`: the ribbon-graph convention of
     Dasbach-Futer-Kalfagianni-Lin-Stoltzfus (arXiv math/0605571).  Each
     region of a state is one checkerboard colour and the two sides of a
     circle differ, so a region's depth is odd exactly when its colour is
@@ -346,14 +323,11 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> StateCircle
     mask = _state_mask(pd, s)
     flip = pm.flip
     outer = (flip[outer_corner >> 2] + outer_corner) & 1
-    oriented: List[Tuple[Tuple[int, int], ...]] = []
+    oriented: List[Tuple[int, ...]] = []
     for spots, d0 in _trace_circles(pm.alpha, pm.n, mask):
         b = (d0 & ~3) | _PARTNER[(mask >> (d0 >> 2)) & 1][d0 & 3]
         oriented.append(tuple(spots if (flip[b >> 2] + b) & 1 != outer else spots[::-1]))
-    membership = {
-        spot: ci for ci, spots in enumerate(oriented) for spot in spots
-    }
-    return StateCircles(len(oriented), membership, tuple(oriented))
+    return tuple(oriented)
 
 
 # ============================================================
@@ -635,17 +609,6 @@ def twist_pd(p: int, q: int) -> PDCode:
     return pd
 
 
-def generate_family(kind: str, params: Sequence[int]) -> PDCode:
-    """Dispatch to a named diagram family: pretzel(q1,..) or twist(p,q)."""
-    if kind == "pretzel":
-        return pretzel_pd(params)
-    if kind == "twist":
-        if len(params) != 2:
-            raise DiagramError("twist takes exactly two parameters")
-        return twist_pd(params[0], params[1])
-    raise DiagramError(f"unknown family {kind!r}")
-
-
 # ============================================================
 # Reidemeister-II reduction to a one-vertex all-A dessin
 # ============================================================
@@ -660,16 +623,19 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
     circles.  The link type, hence the bracket, is unchanged; each clasp
     adds 2 crossings and removes 1 circle.
 
-    One smoothing and a union-find over its circles pick the crossings
-    that re-smoothing after every clasp would (the lowest-index crossing
+    A union-find over the vertices of the all-A dessin, the one
+    `build_dessin` memoizes for every invariant, picks the crossings that
+    re-smoothing after every clasp would (the lowest-index crossing
     joining two circles): merges only coarsen the circles, so a skipped
     crossing stays skippable, and the clasp crossings, later in index
     order, are never needed while an original one joins two circles.  One
     circle count of the result checks the whole reduction.
     """
-    circles = smooth_state(pd, 0)
-    member = circles.membership
-    parent = list(range(circles.count))
+    from .dessin import build_dessin
+
+    d = build_dessin(pd, 0)
+    vertex_of = d.vertex_of
+    parent = list(range(d.n_vertices))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -679,7 +645,7 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
 
     crossings = [list(tup) for tup in pd.crossings]
     for target in range(pd.n):
-        ra, rb = find(member[(target, 0)]), find(member[(target, 1)])
+        ra, rb = find(vertex_of[2 * target]), find(vertex_of[2 * target + 1])
         if ra == rb:
             continue
         parent[ra] = rb
@@ -706,7 +672,7 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
         crossings.append([y, x, y_mid, x_mid])
         crossings.append([y_mid, x_far, y_far, x_mid])
     out = PDCode(tuple(tuple(t) for t in crossings))
-    if out.n != pd.n + 2 * (circles.count - 1) or state_circle_count(out, 0) != 1:
+    if out.n != pd.n + 2 * (d.n_vertices - 1) or state_circle_count(out, 0) != 1:
         raise InternalError("internal error: clasp insertion did not reduce to one circle")
     return out
 

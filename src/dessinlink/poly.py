@@ -93,9 +93,6 @@ class LaurentPoly:
             raise PolyError("mixed exponent parity")
         return parities.pop()
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     # ---- arithmetic ----
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -153,16 +150,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
-            raise PolyError("polynomial powers must be integers")
-        if n < 0:
-            # Only monomials with unit coefficient are invertible over Z.
-            if not self.is_monomial():
-                raise PolyError("negative power of a non-monomial")
-            ((e, c),) = self._terms.items()
-            if c not in (1, -1):
-                raise PolyError("negative power needs a unit coefficient")
-            return LaurentPoly({e * n: c if n % 2 else 1})
+        if not isinstance(n, int) or n < 0:
+            raise PolyError("polynomial powers must be nonnegative integers")
         result = LaurentPoly.one()
         base = self
         k = n
@@ -178,15 +167,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         object.__setattr__(out, "_terms", {e + k: c for e, c in self._terms.items()})
         return out
-
-    def inverse_monomial(self) -> "LaurentPoly":
-        """Inverse of a +-A^k monomial."""
-        if not self.is_monomial():
-            raise PolyError("only monomials are invertible")
-        ((e, c),) = self._terms.items()
-        if c not in (1, -1):
-            raise PolyError("only unit-coefficient monomials are invertible")
-        return LaurentPoly({-e: c})
 
     def reciprocal_variable(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (negate every exponent)."""

@@ -65,9 +65,9 @@ def reduce_by_resmoothing(pd: PDCode) -> PDCode:
     diagram again, and repeat until one circle is left."""
     crossings = [list(tup) for tup in pd.crossings]
     circles = smooth_state(PDCode(tuple(tuple(t) for t in crossings)), 0)
-    while circles.count > 1:
-        member = circles.membership
-        target = next(c for c in range(len(crossings)) if member[(c, 0)] != member[(c, 1)])
+    while len(circles) > 1:
+        member = {h: ci for ci, rot in enumerate(circles) for h in rot}
+        target = next(c for c in range(len(crossings)) if member[2 * c] != member[2 * c + 1])
         x, y = crossings[target][1], crossings[target][2]
         assert x != y
         cx, px = next(
@@ -89,7 +89,7 @@ def reduce_by_resmoothing(pd: PDCode) -> PDCode:
         crossings.append([y, x, y_mid, x_mid])
         crossings.append([y_mid, x_far, y_far, x_mid])
         next_circles = smooth_state(PDCode(tuple(tuple(t) for t in crossings)), 0)
-        assert next_circles.count == circles.count - 1
+        assert len(next_circles) == len(circles) - 1
         circles = next_circles
     return PDCode(tuple(tuple(t) for t in crossings))
 

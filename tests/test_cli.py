@@ -694,6 +694,29 @@ def test_principal_minors_load_no_numpy():
     assert "numpy" not in report["modules"]
 
 
+_STATE_SUM = """
+import json, sys
+from dessinlink.diagram import smooth_state, state_circle_count, state_sum_bracket, table_pd
+pd = table_pd("3_1")
+report = {
+    "circles": len(smooth_state(pd, 0)),
+    "count": state_circle_count(pd, 0),
+    "bracket": str(state_sum_bracket(pd)),
+    "modules": sorted(sys.modules),
+}
+sys.stderr.write(json.dumps(report))
+"""
+
+
+def test_state_sum_loads_no_dessin_layer():
+    # the state sum is the dessin expansion's independent oracle, so the
+    # smoothing and the state sum must not reach into `dessin`
+    report = run_python(_STATE_SUM)
+    assert report["circles"] == report["count"] == 2
+    assert report["bracket"] == str(diagram.state_sum_bracket(diagram.table_pd("3_1")))
+    assert "dessinlink.dessin" not in report["modules"]
+
+
 def test_public_names_resolve_lazily():
     report = run_python(_NAMES)
     assert report == {"loaded": [], "wrong": []}

@@ -88,9 +88,7 @@ def test_build_dessin_memo_matches_a_direct_smoothing():
     for forms in ([0, "A" * pd.n, [0] * pd.n], [0b10110101, "BABABBAB"]):
         for corner in (0, 5, 13, 31):
             circles = smooth_state(pd, forms[0], corner)
-            direct = Dessin(
-                tuple(tuple(2 * c + ch for c, ch in spots) for spots in circles.cyclic_orders)
-            )
+            direct = Dessin(circles)
             built = [build_dessin(pd, state, corner) for state in forms]
             assert built[0] == direct
             assert all(d is built[0] for d in built)

@@ -499,10 +499,11 @@ def test_one_bracket_aggregation_per_dessin(aggregations, pd):
 
 
 @one_profile_diagrams
-def test_bench_ops_smooth_the_input_twice(monkeypatch, pd):
+def test_bench_ops_smooth_the_input_once(monkeypatch, pd):
     # the all-A dessin is memoized: `build_dessin` smooths the input once,
-    # `reduce_to_one_vertex` once more, and `build_dessin` the reduced
-    # diagram once, unless it is the input (all-A state already one circle)
+    # `reduce_to_one_vertex` reads that memo, and `build_dessin` smooths the
+    # reduced diagram once, unless it is the input (all-A state already one
+    # circle)
     reduced = reduce_to_one_vertex(pd).crossings
     real = diagram.smooth_state
     smoothed = []
@@ -519,7 +520,7 @@ def test_bench_ops_smooth_the_input_twice(monkeypatch, pd):
     coefficient_table(pd)
     quasi_tree_counts(build_dessin(pd, 0))
     once_reduced = [reduced] if reduced != pd.crossings else []
-    assert smoothed == [pd.crossings, pd.crossings] + once_reduced
+    assert smoothed == [pd.crossings] + once_reduced
 
 
 def test_bracket_readers_call_the_module_attribute(monkeypatch):

@@ -17,7 +17,6 @@ def _examples():
     return [
         (TREFOIL, ("crossings", "signs"), True),
         (diagram._planar_map(TREFOIL.crossings), ("n", "alpha", "flip"), True),
-        (diagram.smooth_state(TREFOIL, 0), ("count", "membership", "cyclic_orders"), False),
         (d, ("rotations",), True),
         (dessin.dessin_counts(d), ("v", "e", "f", "k", "g", "n"), True),
         (dessin.WeightedDessin(one_vertex, (2, 1)), ("dessin", "weights"), True),
