@@ -320,18 +320,12 @@ def _cmd_twist(args) -> Dict[str, Any]:
 
 def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
     from .chord import char_poly, counts_from_char_poly, to_chord_diagram
-    from .dessin import (
-        build_dessin,
-        contract_parallel,
-        dessin_counts,
-        dual,
-        mixed_state_face_count,
-        quasi_tree_counts,
-    )
+    from .dessin import _scan, build_dessin, contract_parallel, dual, quasi_tree_counts
     from .diagram import (
         parse_pd,
         pretzel_pd,
         reduce_to_one_vertex,
+        state_circle_count,
         state_sum_bracket,
         twist_pd,
     )
@@ -362,13 +356,11 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
         s = quasi_tree_counts(d, cap=cap)
         sd = quasi_tree_counts(dual(d), cap=cap)
         add(f"duality_{name}", s == tuple(reversed(sd)))
-        ok = True
-        for sub in range(1 << d.n_edges):
-            edges = [i for i in range(d.n_edges) if sub >> i & 1]
-            if dessin_counts(d, edges).f != mixed_state_face_count(pd, edges):
-                ok = False
-                break
-        add(f"face_crosscheck_{name}", ok)
+        # the bracket above already held the scan to the cap
+        add(
+            f"face_crosscheck_{name}",
+            all(f == state_circle_count(pd, sub) for sub, _, _, f in _scan(d, cap=cap)),
+        )
         tab = coefficient_table(pd, cap=cap, check=False)
         add(f"coeff_table_{name}", _coefficient_checks(d, tab, cap)["matches_bracket"])
 

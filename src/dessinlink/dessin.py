@@ -5,8 +5,8 @@ Half-edges are numbered 0..2e-1 and edge i pairs half-edges 2i and 2i+1.
 Faces are the orbits of h -> successor-at-vertex of the mate of h; genus
 comes from Euler's relation v - e + f = 2k - 2g per component count k.
 
-Sub-dessins keep every vertex and a subset of edges.  All subset sums in
-the package route through the single scanning engine in this module.
+Sub-dessins keep every vertex and a subset of edges.  Every sub-dessin
+count in the package comes from the one kernel in this module, `_counts`.
 """
 
 from __future__ import annotations
@@ -156,74 +156,64 @@ def _dessin_of(key: _StateKey) -> Dessin:
 # ============================================================
 
 
-class _ScanState:
-    """Reusable buffers for counting one edge-subset of a fixed dessin."""
+def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int, int]]:
+    """Yield (mask, edges, components, faces) for each edge bitmask in `masks`.
 
-    __slots__ = ("rot_lists", "vert_of", "nxt", "stamp", "parent", "v", "cur")
+    This is the dessin side's only per-subset kernel; its buffers are
+    allocated once per call and reused for every mask.
+    """
+    vert_of = d.vertex_of
+    nh = 2 * d.n_edges
+    nxt = [0] * nh
+    stamp = [0] * nh
+    v = d.n_vertices
+    parent = list(range(v))
+    cur = 0
+    for mask in masks:
+        cur += 1
+        parent[:] = range(v)
+        m = mask
+        while m:
+            low = m & -m
+            m ^= low
+            ei2 = 2 * (low.bit_length() - 1)
+            a = vert_of[ei2]
+            b = vert_of[ei2 + 1]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+        k = sum(1 for i in range(v) if parent[i] == i)
 
-    def __init__(self, d: Dessin):
-        self.rot_lists = [list(rot) for rot in d.rotations]
-        nh = 2 * d.n_edges
-        self.vert_of = d.vertex_of
-        self.nxt = [0] * nh
-        self.stamp = [0] * nh
-        self.v = len(self.rot_lists)
-        self.parent = list(range(self.v))
-        self.cur = 0
-
-
-def _mask_counts(st: _ScanState, mask: int) -> Tuple[int, int, int]:
-    """(edges, components, faces) of the sub-dessin with edge bitmask `mask`."""
-    st.cur += 1
-    cur = st.cur
-    nxt = st.nxt
-    stamp = st.stamp
-    vert_of = st.vert_of
-    parent = st.parent
-    for i in range(st.v):
-        parent[i] = i
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        ei2 = 2 * (low.bit_length() - 1)
-        a = vert_of[ei2]
-        b = vert_of[ei2 + 1]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-    k = sum(1 for i in range(st.v) if parent[i] == i)
-
-    f = 0
-    for rot in st.rot_lists:
-        first = -1
-        prev = -1
-        for h in rot:
-            if (mask >> (h >> 1)) & 1:
-                if prev < 0:
-                    first = h
-                else:
-                    nxt[prev] = h
-                prev = h
-        if prev >= 0:
-            nxt[prev] = first
-        else:
-            f += 1  # vertex untouched by the subset: one face of its own
-    for rot in st.rot_lists:
-        for h0 in rot:
-            if not (mask >> (h0 >> 1)) & 1 or stamp[h0] == cur:
-                continue
-            f += 1
-            h = h0
-            while stamp[h] != cur:
-                stamp[h] = cur
-                h = nxt[h ^ 1]
-    return mask.bit_count(), k, f
+        f = 0
+        for rot in d.rotations:
+            first = -1
+            prev = -1
+            for h in rot:
+                if (mask >> (h >> 1)) & 1:
+                    if prev < 0:
+                        first = h
+                    else:
+                        nxt[prev] = h
+                    prev = h
+            if prev >= 0:
+                nxt[prev] = first
+            else:
+                f += 1  # vertex untouched by the subset: one face of its own
+        for rot in d.rotations:
+            for h0 in rot:
+                if not (mask >> (h0 >> 1)) & 1 or stamp[h0] == cur:
+                    continue
+                f += 1
+                h = h0
+                while stamp[h] != cur:
+                    stamp[h] = cur
+                    h = nxt[h ^ 1]
+        yield mask, mask.bit_count(), k, f
 
 
 def _scan(
@@ -231,9 +221,10 @@ def _scan(
 ) -> Iterator[Tuple[int, int, int, int]]:
     """Yield (mask, edges, components, faces) for every subset of `universe`.
 
-    Subsets are emitted in increasing bitmask order.  This is the only
-    subset enumerator in the package; quantities that need only the
-    (edges, components, faces) multiplicities read `_subset_profile`.
+    This is the only dessin-side subset enumerator.  It walks the subsets in
+    increasing bitmask order, which only `scan_subdessins` promises; the
+    readers of `_subset_profile` take the (edges, components, faces)
+    multiplicities in whatever order the tally was filled.
     """
     e = d.n_edges
     full = (1 << e) - 1
@@ -245,14 +236,16 @@ def _scan(
         raise CapExceededError(
             f"scan over {universe.bit_count()} edges exceeds the cap {cap}"
         )
-    st = _ScanState(d)
-    sub = 0
-    while True:
-        eh, k, f = _mask_counts(st, sub)
-        yield sub, eh, k, f
-        if sub == universe:
-            return
-        sub = (sub - universe) & universe
+
+    def ascending() -> Iterator[int]:
+        sub = 0
+        while True:
+            yield sub
+            if sub == universe:
+                return
+            sub = (sub - universe) & universe
+
+    yield from _counts(d, ascending())
 
 
 class _Profile:
@@ -303,7 +296,8 @@ def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
 
 
 def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
-    """Counts of the whole dessin, or of the sub-dessin on the given edges."""
+    """Counts of the whole dessin, or of the sub-dessin on the given edges,
+    from the scan's kernel applied to that one subset."""
     if sub is None:
         mask = (1 << d.n_edges) - 1
     else:
@@ -312,7 +306,7 @@ def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
             if not 0 <= ei < d.n_edges:
                 raise DiagramError(f"edge index {ei} out of range")
             mask |= 1 << ei
-    eh, k, f = _mask_counts(_ScanState(d), mask)
+    _, eh, k, f = next(_counts(d, (mask,)))
     return _counts_from_efk(d, eh, k, f)
 
 
@@ -335,11 +329,10 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
     """
     tally = _subset_profile(d, cap).tally
     v = d.n_vertices
-    # subsets are scanned in increasing bitmask order, so the full edge
-    # set's triple, the only one with e(H) = e, is the tally's last key
-    e, k_full, f_full = next(reversed(tally))
-    if e != d.n_edges:
-        raise InternalError("internal error: last profile key is not the full edge set")
+    full = [key for key in tally if key[0] == d.n_edges]
+    if len(full) != 1:
+        raise InternalError(f"internal error: {len(full)} profile keys have e(H) = e")
+    e, k_full, f_full = full[0]
     g_full = _genus_of(v, e, k_full, f_full)
     s = [0] * (g_full + 1)
     for (eh, k, f), cnt in tally.items():

@@ -32,8 +32,6 @@ __all__ = [
     "DiagramError",
     "OrientationError",
     "CapExceededError",
-    "A_PAIRS",
-    "B_PAIRS",
     "parse_pd",
     "pd_to_text",
     "mirror",
@@ -57,8 +55,6 @@ StateLike = Union[int, Sequence[int], Sequence[str], str]
 # (b,c) and (d,a).  _PARTNER[bit][p] is the position joined to p under
 # smoothing bit (0 = A, 1 = B); _CHANNEL[bit][p] numbers the two smoothing
 # channels 0 and 1 at the crossing.
-A_PAIRS = ((0, 1), (2, 3))
-B_PAIRS = ((1, 2), (3, 0))
 _PARTNER = ((1, 0, 3, 2), (3, 2, 1, 0))
 _CHANNEL = ((0, 0, 1, 1), (1, 0, 0, 1))
 

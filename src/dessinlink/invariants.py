@@ -47,6 +47,7 @@ __all__ = [
     "jones_at_minus_two",
     "pretzel_determinant",
     "spanning_tree_count",
+    "DET_METHODS",
 ]
 
 DET_METHODS = ("quasitree", "jones_eval", "charpoly", "tree_difference")
@@ -266,7 +267,14 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     top = max(levels, default=0)
     table = CoefficientTable(m_top, tuple(levels.get(l, 0) for l in range(top + 1)))
     if check:
-        _coefficient_checks(d, table, cap, strict=True)
+        ok = _coefficient_checks(d, table, cap)
+        if not ok["matches_bracket"]:
+            raise InternalError("internal error: coefficient table != bracket")
+        if not ok["top_closed_form"]:
+            raise InternalError(
+                f"internal error: top coefficient {table.coefficient(0)} "
+                f"!= closed form {top_coefficient_closed_form(d)}"
+            )
     return table
 
 
@@ -289,25 +297,15 @@ def _spread(d: Dessin, bound: int, cap: int) -> Tuple[int, ...]:
     return tuple(acc)
 
 
-def _coefficient_checks(
-    d: Dessin, table: CoefficientTable, cap: int, strict: bool = False
-) -> Dict[str, bool]:
+def _coefficient_checks(d: Dessin, table: CoefficientTable, cap: int) -> Dict[str, bool]:
     """The two checks of the table of d: a[0] against its closed form, and
-    every level against the spread.  With strict=True a failure raises."""
-    closed = top_coefficient_closed_form(d)
+    every level against the spread."""
     # f(H) <= e(H) + v, so no subset spreads past level e + v - 1
     spread = _spread(d, d.n_edges + d.n_vertices - 1, cap)
-    ok = {
-        "top_closed_form": closed == table.coefficient(0),
+    return {
+        "top_closed_form": top_coefficient_closed_form(d) == table.coefficient(0),
         "matches_bracket": spread == table.coeffs + (0,) * (len(spread) - len(table.coeffs)),
     }
-    if strict and not ok["matches_bracket"]:
-        raise InternalError("internal error: coefficient table != bracket")
-    if strict and not ok["top_closed_form"]:
-        raise InternalError(
-            f"internal error: top coefficient {table.coefficient(0)} != closed form {closed}"
-        )
-    return ok
 
 
 def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:

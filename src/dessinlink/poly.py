@@ -50,21 +50,20 @@ class LaurentPoly:
                     acc[exp] = c
                 else:
                     del acc[exp]
-        object.__setattr__(self, "_terms", acc)
+        self._terms = acc
 
     # ---- constructors ----
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
+    def _of(cls, terms: Dict[int, int]) -> "LaurentPoly":
+        """Wrap an exponent -> nonzero coefficient dict without checking it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     # ---- inspection ----
 
@@ -105,14 +104,10 @@ class LaurentPoly:
                 acc[e] = s
             else:
                 acc.pop(e, None)
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return LaurentPoly._of(acc)
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", {e: -c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -123,11 +118,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            object.__setattr__(
-                out, "_terms", {e: c * other for e, c in self._terms.items()}
-            )
-            return out
+            return LaurentPoly._of({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         acc: Dict[int, int] = {}
@@ -143,9 +134,7 @@ class LaurentPoly:
                     acc[e] = s
                 else:
                     del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return LaurentPoly._of(acc)
 
     __rmul__ = __mul__
 
@@ -164,15 +153,11 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", {e + k: c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
 
     def reciprocal_variable(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (negate every exponent)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "_terms", {-e: c for e, c in self._terms.items()})
-        return out
+        return LaurentPoly._of({-e: c for e, c in self._terms.items()})
 
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises PolyError on a nonzero remainder."""

@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import importlib
 import json
 import os
 import subprocess
@@ -721,3 +722,14 @@ def test_public_names_resolve_lazily():
     report = run_python(_NAMES)
     assert report == {"loaded": [], "wrong": []}
     assert set(dessinlink.__all__) <= set(dir(dessinlink))
+
+
+def test_exported_names_are_in_their_modules_all():
+    # the package's export table and each module's own list must not drift
+    missing = [
+        (module, name)
+        for module, names in dessinlink._EXPORTS.items()
+        for name in names
+        if name not in importlib.import_module(f"dessinlink.{module}").__all__
+    ]
+    assert missing == []

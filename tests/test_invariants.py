@@ -499,6 +499,30 @@ def test_one_bracket_aggregation_per_dessin(aggregations, pd):
 
 
 @one_profile_diagrams
+def test_profile_readers_ignore_the_tally_order(pd):
+    # another kernel (a DP, a Gray-order walk) fills the tally in another
+    # order; every reader must get the same answers from the same counts
+    d = build_dessin(pd, 0)
+
+    def readings():
+        table = coefficient_table(pd, check=True)
+        levels = range(len(table.coeffs) + 1)
+        return (
+            quasi_tree_counts(d),
+            bracket_via_dessin(pd),
+            table,
+            [coefficient_restricted(pd, l) for l in levels],
+        )
+
+    want = readings()
+    profile = dessin._profile_scan(d)
+    profile.tally = dict(reversed(profile.tally.items()))
+    profile.bracket = None
+    assert dessin._profile_scan(d) is profile
+    assert readings() == want
+
+
+@one_profile_diagrams
 def test_bench_ops_smooth_the_input_once(monkeypatch, pd):
     # the all-A dessin is memoized: `build_dessin` smooths the input once,
     # `reduce_to_one_vertex` reads that memo, and `build_dessin` smooths the
