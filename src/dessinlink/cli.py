@@ -190,12 +190,16 @@ def _cmd_coeffs(args) -> Dict[str, Any]:
     pd = _load_pd(args)
     cap = _cap(args)
     tab = coefficient_table(pd, cap=cap, check=False)
-    return {
+    checks, skipped = _coefficient_checks(build_dessin(pd, 0), tab, cap)
+    payload: Dict[str, Any] = {
         "pd": pd_to_text(pd),
         "top_exponent": tab.top_exponent,
         "coeffs": list(tab.coeffs),
-        "checks": _coefficient_checks(build_dessin(pd, 0), tab, cap),
+        "checks": checks,
     }
+    if skipped:
+        payload["skipped"] = skipped
+    return payload
 
 
 def _cmd_reduce(args) -> Dict[str, Any]:
@@ -356,13 +360,13 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
         s = quasi_tree_counts(d, cap=cap)
         sd = quasi_tree_counts(dual(d), cap=cap)
         add(f"duality_{name}", s == tuple(reversed(sd)))
-        # the bracket above already held the scan to the cap
+        # the quasi-tree counts above already held the scan to the cap
         add(
             f"face_crosscheck_{name}",
             all(f == state_circle_count(pd, sub) for sub, _, _, f in _scan(d, cap=cap)),
         )
         tab = coefficient_table(pd, cap=cap, check=False)
-        add(f"coeff_table_{name}", _coefficient_checks(d, tab, cap)["matches_bracket"])
+        add(f"coeff_table_{name}", _coefficient_checks(d, tab, cap)[0]["matches_bracket"])
 
     dets = {"3_1": 3, "4_1": 5, "5_2": 7, "6_2": 11, "8_21": 15}
     for name, want in sorted(dets.items()):
@@ -527,7 +531,9 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--pd", help="inline PD string, e.g. 'X[1,4,2,5] ...'")
     source.add_argument("--name", help="bundled table entry, e.g. 8_21")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=int, help="scan size cap (default 24)")
+    capped.add_argument(
+        "--cap", type=int, help="cap on scanned edges and on open arcs (default 24)"
+    )
     capped.add_argument(
         "--allow-large", action="store_true", help="acknowledge caps beyond 28"
     )

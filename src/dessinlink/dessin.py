@@ -30,7 +30,6 @@ from .errors import CapExceededError, DiagramError, InternalError
 
 if TYPE_CHECKING:
     from .diagram import PDCode, StateLike
-    from .poly import LaurentPoly
 
 __all__ = [
     "Dessin",
@@ -248,25 +247,10 @@ def _scan(
     yield from _counts(d, ascending())
 
 
-class _Profile:
-    """One dessin's sub-dessin profile and what is aggregated from it.
-
-    `tally` maps each (edges, components, faces) triple to its multiplicity
-    over all edge subsets.  `bracket` is the Kauffman bracket summed from
-    the tally, stored by its first reader, `invariants.bracket_via_dessin`,
-    and shared by every later one.
-    """
-
-    __slots__ = ("tally", "bracket")
-
-    def __init__(self, tally: Dict[Tuple[int, int, int], int]):
-        self.tally = tally
-        self.bracket: Optional[LaurentPoly] = None
-
-
-def _subset_profile(d: Dessin, cap: int) -> _Profile:
-    """The cached profile of `d`; the cap is checked outside the cache, so
-    calls with any cap share one scan and one bracket."""
+def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int, int], int]:
+    """The cached profile of `d`: each (edges, components, faces) triple
+    with its multiplicity over all edge subsets.  The cap is checked
+    outside the cache, so calls with any cap share one scan."""
     if d.n_edges > cap:
         raise CapExceededError(f"scan over {d.n_edges} edges exceeds the cap {cap}")
     return _profile_scan(d)
@@ -274,12 +258,12 @@ def _subset_profile(d: Dessin, cap: int) -> _Profile:
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 @lru_cache(maxsize=16)
-def _profile_scan(d: Dessin) -> _Profile:
+def _profile_scan(d: Dessin) -> Dict[Tuple[int, int, int], int]:
     tally: Dict[Tuple[int, int, int], int] = {}
     for _, eh, k, f in _scan(d, cap=d.n_edges):
         key = (eh, k, f)
         tally[key] = tally.get(key, 0) + 1
-    return _Profile(tally)
+    return tally
 
 
 def _genus_of(v: int, eh: int, k: int, f: int) -> int:
@@ -327,7 +311,7 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
     Returns (s(0), .., s(g)) for g the genus of d; a one-face sub-dessin is
     checked to be connected with the genus Euler's relation forces.
     """
-    tally = _subset_profile(d, cap).tally
+    tally = _subset_profile(d, cap)
     v = d.n_vertices
     full = [key for key in tally if key[0] == d.n_edges]
     if len(full) != 1:

@@ -267,7 +267,7 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 def delta_power_sum(counts: Iterable[Tuple[Tuple[int, int], int]]) -> LaurentPoly:
     """Sum of cnt * A^shift * DELTA^j over ((shift, j), cnt) pairs.
 
-    Both bracket expansions (over states and over sub-dessins) end here.
+    The state-sum bracket ends here.
     """
     dpow = [LaurentPoly.one()]
     acc: Dict[int, int] = {}

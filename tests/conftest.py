@@ -3,17 +3,20 @@
 import pytest
 
 import helpers
-from dessinlink import dessin, diagram
+from dessinlink import dessin, diagram, invariants
 from helpers import corpus
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Empty the program's memo caches before each test, so a test that
-    patches a smoothing or a route never reads another test's entry."""
+    """Empty the program's memo caches, the bracket's contraction among
+    them, before each test, so a test that patches a smoothing or a route
+    never reads another test's entry."""
     diagram._planar_map.cache_clear()
     dessin._dessin_of.cache_clear()
     dessin._profile_scan.cache_clear()
+    invariants._contraction_order.cache_clear()
+    invariants._contract.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 import random
 from typing import List, Sequence
 
-from dessinlink.dessin import Dessin, scan_subdessins
+from dessinlink.dessin import Dessin, _subset_profile, build_dessin, scan_subdessins
 from dessinlink.diagram import (
     PDCode,
     mirror,
@@ -11,6 +11,7 @@ from dessinlink.diagram import (
     state_circle_count,
     strand_components,
 )
+from dessinlink.poly import LaurentPoly, delta_power_sum
 
 # One line per acceptance criterion, echoed after the pytest run summary.
 ACCEPTANCE_LINES: List[str] = []
@@ -92,6 +93,24 @@ def reduce_by_resmoothing(pd: PDCode) -> PDCode:
         assert len(next_circles) == len(circles) - 1
         circles = next_circles
     return PDCode(tuple(tuple(t) for t in crossings))
+
+
+def shuffled(pd: PDCode, rng: random.Random) -> PDCode:
+    """The same diagram with its crossings in a random order and its arc
+    labels permuted."""
+    order = rng.sample(range(pd.n), pd.n)
+    labels = sorted({lab for tup in pd.crossings for lab in tup})
+    image = dict(zip(labels, rng.sample(labels, len(labels))))
+    crossings = tuple(tuple(image[lab] for lab in pd.crossings[c]) for c in order)
+    return PDCode(crossings, None if pd.signs is None else [pd.signs[c] for c in order])
+
+
+def scan_bracket(pd: PDCode) -> LaurentPoly:
+    """<P> summed from the subset scan's profile of the all-A dessin."""
+    d = build_dessin(pd, 0)
+    return delta_power_sum(
+        ((d.n_edges - 2 * eh, f - 1), cnt) for (eh, _, f), cnt in _subset_profile(d, 24).items()
+    )
 
 
 def random_braid_word(rng: random.Random, n_strands: int, length: int) -> List[int]:

@@ -130,6 +130,28 @@ def test_coeffs_are_the_bracket_read_by_level(capsys, name):
     assert payload["checks"] == {"top_closed_form": True, "matches_bracket": True}
 
 
+def test_coeffs_past_the_scan_cap_skip_the_spread(capsys):
+    # 29 edges: the table comes from the contracted bracket, a[0] is still
+    # checked against its closed form, and the spread check is reported as
+    # skipped the way `det` reports a skipped route
+    pd = diagram.twist_pd(20, 9)
+    code, payload, _ = run_json(capsys, "coeffs", "--pd", diagram.pd_to_text(pd))
+    assert code == EXIT_OK
+    assert payload["checks"] == {"top_closed_form": True}
+    assert payload["skipped"] == {"matches_bracket": "scan over 29 edges exceeds the cap 24"}
+    table = invariants.coefficient_table(pd, check=False)
+    assert payload["coeffs"] == list(table.coeffs)
+
+
+def test_det_past_the_scan_cap_reads_the_contracted_bracket(capsys):
+    pd = diagram.pretzel_pd((10, 9, -8))
+    code, payload, _ = run_json(capsys, "det", "--pd", diagram.pd_to_text(pd))
+    assert code == EXIT_OK
+    assert payload["value"] == invariants.pretzel_determinant((10, 9), (8,))
+    assert sorted(payload["methods"]) == ["charpoly", "jones_eval", "tree_difference"]
+    assert payload["skipped"] == {"quasitree": "scan over 27 edges exceeds the cap 24"}
+
+
 def test_reduce_and_twist(capsys):
     code, payload, _ = run_json(capsys, "reduce", "--name", "3_1")
     assert code == EXIT_OK
@@ -255,6 +277,15 @@ def test_bad_input(capsys):
     assert json.loads(err)["error"]["kind"] == "bad-input"
     code, _, _ = run_json(capsys, "det", "--name", "no_such_knot")
     assert code == EXIT_BAD_INPUT
+
+
+def test_non_planar_code_is_bad_input(capsys):
+    code, _, err = run_json(capsys, "bracket", "--pd", "X[1,2,1,3] X[2,4,3,4]")
+    assert code == EXIT_BAD_INPUT
+    assert json.loads(err)["error"] == {
+        "kind": "bad-input",
+        "message": "PD code is not planar: 2 faces for 2 crossings (expected 4)",
+    }
 
 
 def test_cap_exceeded(capsys):

@@ -48,7 +48,7 @@ from dessinlink.invariants import (
 from dessinlink.poly import LaurentPoly
 from dessinlink.table import knot_table
 
-from helpers import braid_pd, corpus, genus_0_loop_sum, random_braid_word
+from helpers import braid_pd, corpus, genus_0_loop_sum, random_braid_word, shuffled
 
 KINK = parse_pd("X[1,1,2,2]")
 HOPF_PLUS = parse_pd("X[1,3,2,4] X[3,1,4,2] S[+,+]")
@@ -86,6 +86,34 @@ def test_bracket_matches_state_sum_on_table():
     for name in BRACKETS:
         pd = table_pd(name)
         assert bracket_via_dessin(pd) == state_sum_bracket(pd), name
+
+
+NON_PLANAR = "X[1,2,1,3] X[2,4,3,4]"
+DISCONNECTED = "X[1,1,2,2] X[3,4,4,3]"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(NON_PLANAR, "PD code is not planar"), (DISCONNECTED, "diagram is not connected")],
+)
+def test_the_contraction_rejects_what_no_planar_diagram_draws(text, message):
+    # folded without the planarity check, the first code gives A^2 + 2 + A^-2
+    pd = parse_pd(text)
+    with pytest.raises(DiagramError, match=message):
+        bracket_via_dessin(pd)
+    with pytest.raises(DiagramError, match=message):
+        jones_polynomial(pd)
+
+
+def test_bracket_cap_bounds_the_contraction_width():
+    pd = twist_pd(20, 9)
+    _, width = invariants._contraction_order(pd.crossings)
+    assert pd.n > 24 >= width
+    with pytest.raises(CapExceededError, match=f"contraction over {width} open arcs"):
+        bracket_via_dessin(pd, cap=width - 1)
+    assert bracket_via_dessin(pd, cap=width) == weighted_bracket(
+        contract_parallel(build_dessin(pd, 0))
+    )
 
 
 def test_bracket_matches_state_sum_random():
@@ -225,10 +253,11 @@ def test_top_coefficient_closed_form_past_the_cap(p, q):
     pd = twist_pd(p, q)
     d = build_dessin(pd, 0)
     assert 24 < d.n_edges <= 33
-    with pytest.raises(CapExceededError):
-        coefficient_table(pd)
+    # past the scan cap the table is read off the contracted bracket, and
+    # check=True keeps the closed form of a[0], skipping the spread
+    table = coefficient_table(pd)
     top = weighted_bracket(contract_parallel(d)).coefficient(d.n_edges + 2 * d.n_vertices - 2)
-    assert top_coefficient_closed_form(d) == top
+    assert table.coefficient(0) == top_coefficient_closed_form(d) == top
 
 
 def test_one_vertex_coefficients():
@@ -334,11 +363,8 @@ def test_pretzel_determinant_beyond_100_crossings(params):
     pos = [p for p in params if p > 0]
     neg = [-p for p in params if p < 0]
     assert rep.value == pretzel_determinant(pos, neg)
-    assert set(rep.methods) == {"charpoly", "tree_difference"}
-    assert rep.skipped == {
-        name: f"scan over {pd.n} edges exceeds the cap 24"
-        for name in ("quasitree", "jones_eval")
-    }
+    assert set(rep.methods) == {"charpoly", "jones_eval", "tree_difference"}
+    assert rep.skipped == {"quasitree": f"scan over {pd.n} edges exceeds the cap 24"}
 
 
 def coloring_determinant(pd):
@@ -377,8 +403,12 @@ def test_determinant_of_a_120_crossing_braid_knot():
         if len(strand_components(pd)) == 1:
             break
     rep = determinant(pd)
-    assert "charpoly" in rep.methods
+    assert {"charpoly", "jones_eval"} <= set(rep.methods)
     assert rep.value == coloring_determinant(pd)
+    jones = jones_polynomial(pd).poly
+    assert sum(c for _, c in jones.terms()) == 1
+    assert abs(sum(c * (-1) ** e for e, c in jones.terms())) == rep.value
+    assert jones_polynomial(shuffled(pd, random.Random(121))).poly == jones
 
 
 def test_disagreeing_determinant_methods_are_internal_errors(monkeypatch):
@@ -429,6 +459,11 @@ def scans(monkeypatch):
     return calls
 
 
+def contractions():
+    """Frontier contractions run since the memo was last cleared."""
+    return invariants._contract.cache_info().misses
+
+
 def test_determinant_scans_once(scans):
     rep = determinant(table_pd("8_21"))
     assert {"quasitree", "jones_eval"} <= set(rep.methods)
@@ -436,11 +471,15 @@ def test_determinant_scans_once(scans):
 
 
 def test_quasi_tree_counts_reuse_the_bracket_profile(scans):
+    # the bracket is a contraction, not a scan: the quasi-tree counts scan
+    # once, and nothing read after them contracts or scans again
     pd = table_pd("6_2")
     bracket_via_dessin(pd)
-    assert len(scans) == 1
+    assert (contractions(), len(scans)) == (1, 0)
     quasi_tree_counts(build_dessin(pd, 0))
-    assert len(scans) == 1
+    coefficient_table(pd, check=True)
+    bracket_via_dessin(pd, cap=30)
+    assert (contractions(), len(scans)) == (1, 1)
 
 
 one_profile_diagrams = pytest.mark.parametrize(
@@ -468,40 +507,27 @@ def test_one_scan_per_diagram(scans, pd):
     assert len(scans) == 1
 
 
-@pytest.fixture
-def aggregations(monkeypatch):
-    """Every bracket aggregation made from now on."""
-    real = invariants.delta_power_sum
-    calls = []
-
-    def counting(counts):
-        calls.append(counts)
-        return real(counts)
-
-    monkeypatch.setattr(invariants, "delta_power_sum", counting)
-    dessin._profile_scan.cache_clear()
-    return calls
-
-
 @one_profile_diagrams
-def test_one_bracket_aggregation_per_dessin(aggregations, pd):
-    # the bracket is kept with its profile, so clearing the profile cache
-    # drops it too
+def test_one_bracket_aggregation_per_dessin(scans, pd):
+    # the benchmark's op order contracts once and scans once; the bracket
+    # is memoized with its contraction, so clearing that memo drops it too
     bracket_via_dessin(pd)
     jones_polynomial(pd)
     determinant(pd)
     determinant(pd, cap=30)
     coefficient_table(pd, check=True)
-    assert len(aggregations) == 1
-    dessin._profile_scan.cache_clear()
+    quasi_tree_counts(build_dessin(pd, 0))
+    assert (contractions(), len(scans)) == (1, 1)
+    invariants._contract.cache_clear()
     bracket_via_dessin(pd)
-    assert len(aggregations) == 2
+    assert (contractions(), len(scans)) == (1, 1)
 
 
 @one_profile_diagrams
-def test_profile_readers_ignore_the_tally_order(pd):
+def test_profile_readers_ignore_the_tally_order(scans, pd):
     # another kernel (a DP, a Gray-order walk) fills the tally in another
-    # order; every reader must get the same answers from the same counts
+    # order; every reader must get the same answers from the same counts,
+    # from one contraction and one scan
     d = build_dessin(pd, 0)
 
     def readings():
@@ -515,11 +541,13 @@ def test_profile_readers_ignore_the_tally_order(pd):
         )
 
     want = readings()
-    profile = dessin._profile_scan(d)
-    profile.tally = dict(reversed(profile.tally.items()))
-    profile.bracket = None
-    assert dessin._profile_scan(d) is profile
+    tally = dessin._profile_scan(d)
+    items = list(tally.items())
+    tally.clear()
+    tally.update(reversed(items))
+    assert dessin._profile_scan(d) is tally
     assert readings() == want
+    assert (contractions(), len(scans)) == (1, 1)
 
 
 @one_profile_diagrams

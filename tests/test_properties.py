@@ -29,7 +29,14 @@ from dessinlink.invariants import (
 )
 from dessinlink.poly import LaurentPoly
 
-from helpers import genus_0_loop_sum, nugatory_join, random_decorated_diagram, random_diagram
+from helpers import (
+    genus_0_loop_sum,
+    nugatory_join,
+    random_decorated_diagram,
+    random_diagram,
+    scan_bracket,
+    shuffled,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 diagrams = seeds.map(
@@ -64,6 +71,19 @@ def abs_at_a4_minus_one(p: LaurentPoly) -> int:
 @given(diagrams)
 def test_dessin_bracket_equals_state_sum(pd: PDCode):
     assert bracket_via_dessin(pd) == state_sum_bracket(pd)
+
+
+@checked
+@given(diagrams)
+def test_contraction_equals_the_scan_and_the_state_sum(pd: PDCode):
+    assert bracket_via_dessin(pd) == scan_bracket(pd) == state_sum_bracket(pd)
+
+
+@checked
+@given(diagrams, seeds)
+def test_contraction_ignores_crossing_order_and_arc_labels(pd: PDCode, seed: int):
+    twin = shuffled(pd, random.Random(seed))
+    assert bracket_via_dessin(twin) == bracket_via_dessin(pd)
 
 
 @checked
