@@ -222,10 +222,12 @@ def _cmd_reduce(args) -> Dict[str, Any]:
             "one_circle": d1.v == 1,
         },
     }
-    if red.n <= cap:
+    try:
         payload["bracket_preserved"] = bracket_via_dessin(
             red, cap=cap
         ) == bracket_via_dessin(pd, cap=cap)
+    except CapExceededError as exc:
+        payload["skipped"] = {"bracket_preserved": str(exc)}
     return payload
 
 

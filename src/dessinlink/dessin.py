@@ -222,8 +222,8 @@ def _scan(
 
     This is the only dessin-side subset enumerator.  It walks the subsets in
     increasing bitmask order, which only `scan_subdessins` promises; the
-    readers of `_subset_profile` take the (edges, components, faces)
-    multiplicities in whatever order the tally was filled.
+    readers of `_subset_profile` take the (edges, faces) multiplicities in
+    whatever order the tally was filled.
     """
     e = d.n_edges
     full = (1 << e) - 1
@@ -247,9 +247,11 @@ def _scan(
     yield from _counts(d, ascending())
 
 
-def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int, int], int]:
-    """The cached profile of `d`: each (edges, components, faces) triple
-    with its multiplicity over all edge subsets.  The cap is checked
+def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int], int]:
+    """The cached profile of `d`: each (e(H), f(H)) pair with the number of
+    edge subsets H that have it.  That is all the profile's readers need:
+    (e, f) fixes the start level (v + e - f) / 2 of H in the bracket, and a
+    one-face H is connected, of genus (e - v + 1) / 2.  The cap is checked
     outside the cache, so calls with any cap share one scan."""
     if d.n_edges > cap:
         raise CapExceededError(f"scan over {d.n_edges} edges exceeds the cap {cap}")
@@ -258,10 +260,10 @@ def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int, int], int]:
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 @lru_cache(maxsize=16)
-def _profile_scan(d: Dessin) -> Dict[Tuple[int, int, int], int]:
-    tally: Dict[Tuple[int, int, int], int] = {}
-    for _, eh, k, f in _scan(d, cap=d.n_edges):
-        key = (eh, k, f)
+def _profile_scan(d: Dessin) -> Dict[Tuple[int, int], int]:
+    tally: Dict[Tuple[int, int], int] = {}
+    for _, eh, _, f in _scan(d, cap=d.n_edges):
+        key = (eh, f)
         tally[key] = tally.get(key, 0) + 1
     return tally
 
@@ -270,7 +272,7 @@ def _genus_of(v: int, eh: int, k: int, f: int) -> int:
     """Genus g from Euler's relation v - e + f = 2k - 2g."""
     g2 = 2 * k - v + eh - f
     if g2 < 0 or g2 % 2:
-        raise DiagramError(f"bad Euler data v={v} e={eh} f={f} k={k}")
+        raise InternalError(f"internal error: bad Euler data v={v} e={eh} f={f} k={k}")
     return g2 // 2
 
 
@@ -308,27 +310,19 @@ def scan_subdessins(
 def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
     """s(j) = number of spanning quasi-trees (one-face sub-dessins) of genus j.
 
-    Returns (s(0), .., s(g)) for g the genus of d; a one-face sub-dessin is
-    checked to be connected with the genus Euler's relation forces.
+    Returns (s(0), .., s(g)) for g the genus of d.  A one-face sub-dessin
+    is connected, so Euler's relation gives its genus (e(H) - v + 1) / 2,
+    which is checked to be an integer in 0..g.
     """
     tally = _subset_profile(d, cap)
     v = d.n_vertices
-    full = [key for key in tally if key[0] == d.n_edges]
-    if len(full) != 1:
-        raise InternalError(f"internal error: {len(full)} profile keys have e(H) = e")
-    e, k_full, f_full = full[0]
-    g_full = _genus_of(v, e, k_full, f_full)
+    g_full = dessin_counts(d).g
     s = [0] * (g_full + 1)
-    for (eh, k, f), cnt in tally.items():
+    for (eh, f), cnt in tally.items():
         if f != 1:
             continue
-        if k != 1:
-            raise InternalError("internal error: one-face sub-dessin not connected")
-        try:
-            g = _genus_of(v, eh, k, f)
-        except DiagramError:
-            g = -1
-        if not 0 <= g <= g_full:
+        g, odd = divmod(eh - v + 1, 2)
+        if odd or not 0 <= g <= g_full:
             raise InternalError("internal error: quasi-tree genus out of range")
         s[g] += cnt
     return tuple(s)

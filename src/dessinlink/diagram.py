@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError, OrientationError
-from .poly import LaurentPoly, delta_power_sum
+from .poly import LaurentPoly, delta_spread
 from .table import knot_table
 
 __all__ = [
@@ -336,7 +336,10 @@ _POOL_MIN_STATES = 1 << 16
 
 
 def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
-    """Tally (A-minus-B exponent, circles-1) over the states gray(i), start <= i < stop.
+    """Tally (#B smoothings, circles) over the states gray(i), start <= i < stop.
+
+    The state that B-smooths exactly the crossings of H has f(H) circles,
+    so over all states this is the (e(H), f(H)) profile of the all-A dessin.
 
     The states are visited in Gray order, gray(i) = i ^ (i >> 1), so state
     gray(i) differs from gray(i-1) only at crossing c = ctz(i).  On a planar
@@ -388,12 +391,7 @@ def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
         raise InternalError(
             f"internal error: incremental circle count drifted over states {start}..{stop - 1}"
         )
-    counts: Dict[Tuple[int, int], int] = {}
-    for index, mult in enumerate(tally):
-        if mult:
-            b, k = divmod(index, width)
-            counts[(n - 2 * b, k - 1)] = mult
-    return counts
+    return {divmod(index, width): mult for index, mult in enumerate(tally) if mult}
 
 
 def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPoly:
@@ -402,9 +400,10 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPol
     <P> = sum over states of A^(#A - #B) * delta^(#circles - 1).  The states
     are walked in Gray order by `_bracket_counts`, one crossing flip and one
     partial circle walk per state, with a from-scratch recount at the end of
-    each range.  With workers > 1 and at least 2^16 states, contiguous
-    ranges of the Gray sequence run in forked processes; below that, forking
-    costs more than it saves.
+    each range, and `delta_spread` reads the levels off their tally.  With
+    workers > 1 and at least 2^16 states, contiguous ranges of the Gray
+    sequence run in forked processes; below that, forking costs more than
+    it saves.
     """
     n = len(pd.crossings)
     if n > cap:
@@ -425,7 +424,9 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPol
         for part in parts:
             for key, mult in part.items():
                 counts[key] = counts.get(key, 0) + mult
-    return delta_power_sum(counts.items())
+    v = next(f for b, f in counts if b == 0)  # circles of the all-A state
+    levels = delta_spread(counts, v, n + v - 1)
+    return LaurentPoly({n + 2 * v - 2 - 4 * l: c for l, c in enumerate(levels)})
 
 
 # ============================================================

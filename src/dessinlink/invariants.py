@@ -8,14 +8,14 @@ dessin D on e edges is
 
 with delta = -A^2 - A^-2.  The bracket, and what is read off it (Jones,
 the coefficients a[l], the `jones_eval` determinant), folds that sum
-crossing by crossing; the quasi-tree counts and the checks aggregate the
-per-subset (edges, components, faces) profile of D, a 2^e scan.
+crossing by crossing; the quasi-tree counts and the checks read the
+per-subset (e(H), f(H)) profile of D, a 2^e scan, and `poly.delta_spread`
+turns that profile into levels.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._record import Record
@@ -39,7 +39,7 @@ from .diagram import (
     writhe,
 )
 from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
-from .poly import DELTA, LaurentPoly
+from .poly import LaurentPoly, PolyError, delta_spread
 
 __all__ = [
     "JonesResult",
@@ -296,12 +296,12 @@ def jones_polynomial(pd: PDCode, cap: int = 24) -> JonesResult:
     va = br.shift(-3 * w)
     if w % 2:
         va = -va
-    if va and va.exponent_parity() != 0:
+    if any(e % 2 for e, _ in va.terms()):
         raise InternalError("internal error: odd exponent after writhe normalization")
     q_poly = LaurentPoly({-(e // 2): c for e, c in va.terms()})
     knot = len(strand_components(pd)) == 1
     if knot:
-        if q_poly and q_poly.exponent_parity() != 0:
+        if any(e % 2 for e, _ in q_poly.terms()):
             raise InternalError("internal error: odd q-exponent for a knot")
         t_poly = LaurentPoly({e // 2: c for e, c in q_poly.terms()})
         return JonesResult("t", q_poly, t_poly, w)
@@ -473,26 +473,8 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
 
 
 def _spread(d: Dessin, bound: int, cap: int) -> Tuple[int, ...]:
-    """a[0..bound] without the bracket: a subset H first contributes at
-    level l0(H) = (v - k(H)) + g(H), and its delta-power spreads it
-    binomially across f(H) consecutive levels, a[l] = sum over H of
-    (-1)^(f-1) C(f-1, l - l0)."""
-    v = d.n_vertices
-    groups: Dict[Tuple[int, int], int] = {}
-    for (eh, k, f), cnt in _subset_profile(d, cap).items():
-        l0 = v - k + _genus_of(v, eh, k, f)
-        if l0 <= bound:
-            groups[l0, f] = groups.get((l0, f), 0) + cnt
-    acc = [0] * (bound + 1)
-    rows: Dict[int, List[int]] = {}  # f -> C(f-1, 0..f-1)
-    for (l0, f), cnt in groups.items():
-        row = rows.get(f)
-        if row is None:
-            row = rows[f] = [comb(f - 1, i) for i in range(f)]
-        signed = -cnt if (f - 1) % 2 else cnt
-        for l in range(l0, min(l0 + f, bound + 1)):
-            acc[l] += signed * row[l - l0]
-    return tuple(acc)
+    """a[0..bound] without the bracket: the binomial spread of the profile."""
+    return delta_spread(_subset_profile(d, cap), d.n_vertices, bound)
 
 
 def _coefficient_checks(
@@ -610,7 +592,10 @@ def weighted_bracket(wd: WeightedDessin, cap: int = 24) -> LaurentPoly:
             mm ^= low
             term = term * chord_factor[low.bit_length() - 1]
         acc = acc + term
-    return acc.divide_exact(upow[2 * g_max])
+    try:
+        return acc.divide_exact(upow[2 * g_max])
+    except PolyError as exc:
+        raise InternalError(f"internal error: weighted sum not cleared: {exc}") from None
 
 
 def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
@@ -627,10 +612,9 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
     # at v = 1, M = e: A^(-e) <P> = sum_l a[l] A^(-4l)
     table = coefficient_table(pd, cap, check=False)
     lhs = sum(c * (-2) ** l for l, c in enumerate(table.coeffs))
-    rhs = sum(
-        cnt * (-2) ** _genus_of(1, eh, k, f)
-        for (eh, k, f), cnt in _subset_profile(d, cap).items()
-    )
+    # one vertex: every subset is connected, of genus (1 + e(H) - f(H)) / 2
+    profile = _subset_profile(d, cap)
+    rhs = sum(cnt * (-2) ** ((1 + eh - f) // 2) for (eh, f), cnt in profile.items())
     return lhs, rhs
 
 

@@ -3,18 +3,22 @@
 Everything here is integer arithmetic: coefficients are Python ints, so
 state sums with thousands of terms stay exact.  The variable is called A
 by convention (the Kauffman bracket variable) but nothing below depends
-on that; renderers accept any variable name.
+on that; renderers accept any variable name.  `delta_spread` is the one
+place where powers of the loop value delta are summed.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from math import comb
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
+
+from .errors import InternalError
 
 __all__ = [
     "LaurentPoly",
     "DELTA",
-    "delta_power_sum",
+    "delta_spread",
     "PolyError",
 ]
 
@@ -264,16 +268,27 @@ class LaurentPoly:
 DELTA = LaurentPoly({2: -1, -2: -1})
 
 
-def delta_power_sum(counts: Iterable[Tuple[Tuple[int, int], int]]) -> LaurentPoly:
-    """Sum of cnt * A^shift * DELTA^j over ((shift, j), cnt) pairs.
+def delta_spread(profile: Mapping[Tuple[int, int], int], v: int, bound: int) -> Tuple[int, ...]:
+    """Levels a[0..bound] of the sub-dessin sum of a dessin with v vertices.
 
-    The state-sum bracket ends here.
+    `profile` maps (e(H), f(H)) to the number of sub-dessins H with those
+    edge and face counts.  H contributes A^(e - 2 e(H)) delta^(f(H) - 1) to
+    the bracket: from level l0 = (v + e(H) - f(H)) / 2, its delta power
+    spreads binomially over f(H) consecutive levels of A^(e + 2v - 2 - 4l),
+    a[l] = sum over H of (-1)^(f-1) C(f-1, l - l0).
     """
-    dpow = [LaurentPoly.one()]
-    acc: Dict[int, int] = {}
-    for (shift, j), cnt in counts:
-        while len(dpow) <= j:
-            dpow.append(dpow[-1] * DELTA)
-        for e, c in dpow[j]._terms.items():
-            acc[e + shift] = acc.get(e + shift, 0) + cnt * c
-    return LaurentPoly(acc)
+    acc = [0] * (bound + 1)
+    rows: Dict[int, List[int]] = {}  # f -> C(f-1, 0..f-1)
+    for (eh, f), cnt in profile.items():
+        l0, odd = divmod(v + eh - f, 2)
+        if odd or l0 < 0:
+            raise InternalError(f"internal error: no start level for v={v} e={eh} f={f}")
+        if l0 > bound:
+            continue
+        row = rows.get(f)
+        if row is None:
+            row = rows[f] = [comb(f - 1, i) for i in range(f)]
+        signed = -cnt if (f - 1) % 2 else cnt
+        for l in range(l0, min(l0 + f, bound + 1)):
+            acc[l] += signed * row[l - l0]
+    return tuple(acc)

@@ -11,7 +11,7 @@ from dessinlink.diagram import (
     state_circle_count,
     strand_components,
 )
-from dessinlink.poly import LaurentPoly, delta_power_sum
+from dessinlink.poly import DELTA, LaurentPoly
 
 # One line per acceptance criterion, echoed after the pytest run summary.
 ACCEPTANCE_LINES: List[str] = []
@@ -108,8 +108,12 @@ def shuffled(pd: PDCode, rng: random.Random) -> PDCode:
 def scan_bracket(pd: PDCode) -> LaurentPoly:
     """<P> summed from the subset scan's profile of the all-A dessin."""
     d = build_dessin(pd, 0)
-    return delta_power_sum(
-        ((d.n_edges - 2 * eh, f - 1), cnt) for (eh, _, f), cnt in _subset_profile(d, 24).items()
+    return sum(
+        (
+            (DELTA ** (f - 1)).shift(d.n_edges - 2 * eh) * cnt
+            for (eh, f), cnt in _subset_profile(d, 24).items()
+        ),
+        LaurentPoly(),
     )
 
 

@@ -164,6 +164,22 @@ def test_reduce_and_twist(capsys):
     assert payload["variable"] == "t"
 
 
+def test_reduce_past_the_scan_cap_checks_the_bracket(capsys):
+    # the cap bounds the contraction's width, not the crossing count
+    pd = diagram.pd_to_text(diagram.twist_pd(12, 14))
+    code, payload, _ = run_json(capsys, "reduce", "--pd", pd)
+    assert code == EXIT_OK
+    assert payload["crossings"] == 26
+    assert payload["bracket_preserved"] is True
+    assert "skipped" not in payload
+    code, payload, _ = run_json(capsys, "reduce", "--pd", pd, "--cap", "3")
+    assert code == EXIT_OK
+    assert "bracket_preserved" not in payload
+    assert payload["skipped"] == {
+        "bracket_preserved": "contraction over 4 open arcs exceeds the cap 3"
+    }
+
+
 # ==========================================================================
 # exit codes and error reports
 # ==========================================================================
@@ -405,6 +421,17 @@ def test_mixed_bracket_exponents_mod_4_exit_1(capsys, monkeypatch):
     error = json.loads(err)["error"]
     assert error["kind"] == "internal"
     assert "mod 4" in error["message"]
+
+
+def test_mixed_parity_bracket_in_jones_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        invariants, "bracket_via_dessin", lambda pd, cap=24: LaurentPoly({1: 1, 2: 1})
+    )
+    code, _, err = run_json(capsys, "jones", "--name", "3_1")
+    assert code == EXIT_INTERNAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert error["message"].startswith("internal error:")
 
 
 def test_jones_at_minus_two_exponent_check_is_internal(monkeypatch):

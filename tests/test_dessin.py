@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from dessinlink import dessin
+from dessinlink import dessin, diagram
 from dessinlink.diagram import (
     CapExceededError,
     DiagramError,
     PDCode,
     parse_pd,
     smooth_state,
+    strand_components,
     table_pd,
     twist_pd,
 )
@@ -29,8 +30,10 @@ from dessinlink.dessin import (
     quasi_tree_counts,
     scan_subdessins,
 )
+from dessinlink.errors import InternalError
+from dessinlink.table import knot_table
 
-from helpers import corpus
+from helpers import add_curl, corpus, nugatory_join, random_decorated_diagram
 
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
 
@@ -115,6 +118,11 @@ def test_reordered_crossings_get_their_own_memo_entry():
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
+def test_bad_euler_data_is_internal():
+    with pytest.raises(InternalError, match="^internal error: bad Euler data"):
+        dessin._genus_of(1, 1, 1, 1)
+
+
 def test_counts_validation():
     with pytest.raises(ValueError):
         Counts(v=1, e=1, f=1, k=1, g=7, n=1)
@@ -195,6 +203,28 @@ def test_mixed_state_face_count_matches_scan():
         for sub in range(1 << d.n_edges):
             edges = [i for i in range(d.n_edges) if sub >> i & 1]
             assert dessin_counts(d, edges).f == mixed_state_face_count(pd, edges)
+
+
+def test_state_sum_tally_is_the_subset_profile():
+    # the (#B, circles) tally of the state sum and the (e(H), f(H)) profile
+    # of the subset scan are one table, which `delta_spread` reads for both
+    trefoil, figure8 = table_pd("3_1"), table_pd("4_1")
+    cases = [table_pd(name) for name in sorted(knot_table())]
+    cases += corpus(seed=41, count=12, max_crossings=12)
+    rng = random.Random(41)
+    cases += [random_decorated_diagram(rng, max_crossings=10) for _ in range(12)]
+    cases += [
+        add_curl(add_curl(trefoil, 2), 5, positive=False),
+        nugatory_join(trefoil, figure8),
+        nugatory_join(add_curl(figure8, 1), trefoil),
+    ]
+    components = {len(strand_components(pd)) == 1 for pd in cases}
+    assert components == {True, False}  # knots and links
+    for pd in cases:
+        assert pd.n <= 12
+        alpha = diagram._planar_map(pd.crossings).alpha
+        tally = diagram._bracket_counts(alpha, pd.n, 0, 1 << pd.n)
+        assert dessin._profile_scan(build_dessin(pd, 0)) == tally, pd
 
 
 # ==========================================================================

@@ -26,7 +26,7 @@ from dessinlink.diagram import (
     writhe,
 )
 from dessinlink.errors import InternalError
-from dessinlink.poly import LaurentPoly, delta_power_sum
+from dessinlink.poly import DELTA, LaurentPoly
 
 from helpers import (
     add_curl,
@@ -174,9 +174,12 @@ def test_bracket_workers_deterministic():
 
 def per_state_bracket(pd):
     """The bracket from every state traced from scratch."""
-    return delta_power_sum(
-        ((pd.n - 2 * bin(mask).count("1"), state_circle_count(pd, mask) - 1), 1)
-        for mask in range(1 << pd.n)
+    return sum(
+        (
+            (DELTA ** (state_circle_count(pd, mask) - 1)).shift(pd.n - 2 * bin(mask).count("1"))
+            for mask in range(1 << pd.n)
+        ),
+        LaurentPoly(),
     )
 
 

@@ -301,6 +301,16 @@ def test_weighted_bracket_matches_bracket():
         assert weighted_bracket(wd) == bracket_via_dessin(pd), name
 
 
+def test_inexact_weighted_sum_is_internal(monkeypatch):
+    # every subset weighed at the full genus leaves a sum that the cleared
+    # genus powers do not divide
+    wd = contract_parallel(build_dessin(twist_pd(2, 3), 0))
+    g = dessin_counts(wd.dessin).g
+    monkeypatch.setattr(invariants, "_genus_of", lambda v, eh, k, f: g)
+    with pytest.raises(InternalError, match="^internal error: weighted sum"):
+        weighted_bracket(wd)
+
+
 def test_jones_at_minus_two():
     for name in BRACKETS:
         lhs, rhs = jones_at_minus_two(table_pd(name))

@@ -9,8 +9,9 @@ from dessinlink.poly import (
     DELTA,
     LaurentPoly,
     PolyError,
-    delta_power_sum,
+    delta_spread,
 )
+from dessinlink.errors import InternalError
 
 
 def eval_at(p: LaurentPoly, x: Fraction) -> Fraction:
@@ -60,17 +61,31 @@ def test_delta_is_loop_value():
     assert DELTA.coefficient(0) == 0
 
 
-def test_delta_power_sum_matches_term_by_term():
+def test_delta_spread_matches_term_by_term():
+    # levels l of A^(e + 2v - 2 - 4l) against the sum of
+    # cnt * A^(e - 2 e(H)) * DELTA^(f(H) - 1), term by term
     rng = random.Random(17)
     for _ in range(20):
-        counts = [
-            ((rng.randint(-8, 8), rng.randint(0, 5)), rng.randint(-3, 3))
-            for _ in range(rng.randint(0, 6))
-        ]
+        v, e = rng.randint(1, 4), rng.randint(0, 8)
+        profile = {}
+        for _ in range(rng.randint(0, 6)):
+            eh = rng.randint(0, e)
+            f = rng.randrange(1 + (v + eh + 1) % 2, v + eh + 1, 2)
+            profile[eh, f] = rng.randint(-3, 3)
         want = LaurentPoly()
-        for (shift, j), cnt in counts:
-            want = want + (DELTA ** j).shift(shift) * cnt
-        assert delta_power_sum(counts) == want
+        for (eh, f), cnt in profile.items():
+            want = want + (DELTA ** (f - 1)).shift(e - 2 * eh) * cnt
+        levels = delta_spread(profile, v, e + v - 1)
+        got = LaurentPoly({e + 2 * v - 2 - 4 * l: c for l, c in enumerate(levels)})
+        assert got == want
+        for bound in range(len(levels)):
+            assert delta_spread(profile, v, bound) == levels[: bound + 1]
+
+
+@pytest.mark.parametrize("key", [(1, 1), (0, 3)], ids=["odd", "negative"])
+def test_delta_spread_rejects_a_bad_start_level(key):
+    with pytest.raises(InternalError, match="^internal error: no start level"):
+        delta_spread({key: 1}, 1, 4)
 
 
 # ==========================================================================
