@@ -121,33 +121,22 @@ def build_dessin(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Dessin:
     Crossing c becomes the chord with half-edges 2c and 2c+1, attached at
     its two smoothing channels; each circle's rotation lists the chord
     ends in the circle's oriented cyclic order, as `smooth_state` returns
-    them.  The dessin is memoized per (crossings, state mask, outer
-    corner), so every invariant of a diagram, and `reduce_to_one_vertex`,
-    reads the same `Dessin` object and smooths the state once.
+    them.  The dessin is memoized per (PD code, state mask, outer corner),
+    so every invariant of a diagram, and `reduce_to_one_vertex`, reads the
+    same `Dessin` object and smooths the state once.
     """
     from .diagram import _state_mask
 
-    key = _StateKey((pd.crossings, _state_mask(pd, s), outer_corner))
-    key.pd = pd
-    return _dessin_of(key)
-
-
-class _StateKey(tuple):
-    """Memo key (crossings, state mask, outer corner).  It carries the PD
-    code it was made from, which is not part of its hash or equality, so a
-    miss smooths that code without parsing the crossings again."""
-
-    pd: PDCode
+    return _dessin_of(pd, _state_mask(pd, s), outer_corner)
 
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 # A bad outer corner raises in `smooth_state`, and errors are not cached.
 @lru_cache(maxsize=16)
-def _dessin_of(key: _StateKey) -> Dessin:
+def _dessin_of(pd: PDCode, mask: int, outer_corner: int) -> Dessin:
     from .diagram import smooth_state
 
-    _, mask, outer_corner = key
-    return Dessin(smooth_state(key.pd, mask, outer_corner))
+    return Dessin(smooth_state(pd, mask, outer_corner))
 
 
 # ============================================================

@@ -13,13 +13,16 @@ face to the left of outward travel along a dart).  The faces are
 checkerboard coloured, and a smoothing only ever joins two opposite
 corners of a crossing, which share a colour; so in every state each region
 is one colour and the two sides of every circle differ.
+
+`PDCode` builds this map once, when it is made, and rejects a code that is
+disconnected or not planar there; the smoothing walks, the state sum, the
+strand walk and the bracket's contraction read its `alpha` and `flip`.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
@@ -65,9 +68,15 @@ _CHANNEL = ((0, 0, 1, 1), (1, 0, 0, 1))
 
 
 class PDCode(Record):
-    """A connected link diagram in planar-diagram notation."""
+    """A connected planar link diagram in planar-diagram notation.
 
-    __slots__ = ("crossings", "signs")
+    Construction checks the code and builds its planar map once, so a
+    code that is disconnected or not planar raises `DiagramError`.  The
+    map's `alpha` and `flip` are caches, in no part of equality, hash,
+    repr or pickling: a copied or unpickled code builds its own.
+    """
+
+    __slots__ = ("crossings", "signs", "_alpha", "_flip")
 
     def __init__(self, crossings: Sequence[Sequence[int]], signs: Optional[Sequence[int]] = None):
         crossings = tuple(tuple(int(x) for x in tup) for tup in crossings)
@@ -91,6 +100,19 @@ class PDCode(Record):
             if any(s not in (-1, 1) for s in signs):
                 raise DiagramError("crossing signs must be +1 or -1")
         self._set(crossings, signs)
+        alpha, flip = _planar_map(crossings)
+        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_flip", flip)
+
+    @property
+    def alpha(self) -> Tuple[int, ...]:
+        """The dart at the other end of each dart's arc."""
+        return self._alpha
+
+    @property
+    def flip(self) -> Tuple[int, ...]:
+        """Crossing c's corner ccw of dart 4c+p has colour (flip[c] + p) mod 2."""
+        return self._flip
 
     @property
     def n(self) -> int:
@@ -166,36 +188,24 @@ def mirror(pd: PDCode) -> PDCode:
 # ============================================================
 
 
-class _PlanarMap(Record):
-    """A connected planar diagram's darts and corner colours.
+def _planar_map(crossings: Tuple[Crossing, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """`PDCode`'s (alpha, flip) of crossings whose arc labels each occur
+    twice; `DiagramError` unless they are connected and planar.
 
-    The corner counterclockwise of dart d has checkerboard colour
-    (flip[d >> 2] + d) mod 2.  Faces are only counted, as the planarity
-    check: orienting state circles needs a corner's colour, not its face.
+    Faces are only counted, as the planarity check: orienting state
+    circles needs a corner's colour, not its face.
     """
-
-    __slots__ = ("n", "alpha", "flip")
-
-    def __init__(self, n: int, alpha: Tuple[int, ...], flip: Tuple[int, ...]):
-        self._set(n, alpha, flip)
-
-
-# Reuse is between the invariants of one diagram, so a few entries suffice.
-@lru_cache(maxsize=16)
-def _planar_map(crossings: Tuple[Crossing, ...]) -> _PlanarMap:
     n = len(crossings)
     nd = 4 * n
-    occ: Dict[int, List[int]] = {}
-    for c, tup in enumerate(crossings):
-        for p, lab in enumerate(tup):
-            occ.setdefault(lab, []).append(4 * c + p)
     alpha = [0] * nd
-    for lab, darts in occ.items():
-        if len(darts) != 2:
-            raise DiagramError(f"arc {lab} occurs {len(darts)} times")
-        a, b = darts
-        alpha[a] = b
-        alpha[b] = a
+    first: Dict[int, int] = {}
+    for d, lab in enumerate(lab for tup in crossings for lab in tup):
+        other = first.pop(lab, None)
+        if other is None:
+            first[lab] = d
+        else:
+            alpha[d] = other
+            alpha[other] = d
 
     # connectivity of the underlying 4-valent graph, colouring a spanning
     # tree on the way (the corner ccw of 4c+p is the corner ccw of 4c'+p'-1
@@ -234,7 +244,7 @@ def _planar_map(crossings: Tuple[Crossing, ...]) -> _PlanarMap:
         raise DiagramError(
             f"PD code is not planar: {nf} faces for {n} crossings (expected {n + 2})"
         )
-    return _PlanarMap(n, tuple(alpha), tuple(flip))
+    return tuple(alpha), tuple(flip)
 
 
 def _state_mask(pd: PDCode, s: StateLike) -> int:
@@ -294,9 +304,7 @@ def _trace_circles(alpha, n, mask):
 
 def state_circle_count(pd: PDCode, s: StateLike) -> int:
     """Number of circles of the smoothed diagram (no orientation work)."""
-    pm = _planar_map(pd.crossings)
-    mask = _state_mask(pd, s)
-    return len(_trace_circles(pm.alpha, pm.n, mask))
+    return len(_trace_circles(pd.alpha, pd.n, _state_mask(pd, s)))
 
 
 def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Tuple[Tuple[int, ...], ...]:
@@ -315,12 +323,11 @@ def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Tuple[Tuple
     """
     if not 0 <= outer_corner < 4 * pd.n:
         raise DiagramError(f"outer corner {outer_corner} is not a dart 0..{4 * pd.n - 1}")
-    pm = _planar_map(pd.crossings)
     mask = _state_mask(pd, s)
-    flip = pm.flip
+    flip = pd.flip
     outer = (flip[outer_corner >> 2] + outer_corner) & 1
     oriented: List[Tuple[int, ...]] = []
-    for spots, d0 in _trace_circles(pm.alpha, pm.n, mask):
+    for spots, d0 in _trace_circles(pd.alpha, pd.n, mask):
         b = (d0 & ~3) | _PARTNER[(mask >> (d0 >> 2)) & 1][d0 & 3]
         oriented.append(tuple(spots if (flip[b >> 2] + b) & 1 != outer else spots[::-1]))
     return tuple(oriented)
@@ -349,7 +356,7 @@ def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
     two circles through c otherwise.  So only the first state is traced from
     scratch; each later one walks the circle through dart 4c until it comes
     back to 4c (merge) or meets c's other channel first (split).  The rule
-    needs a planar map, which `_planar_map` guarantees; as a check, the last
+    needs a planar map, which `PDCode` guarantees; as a check, the last
     state of the range is traced again from scratch and a mismatch raises
     `InternalError`.  Ranges that split [0, 2^n) visit every state once
     between them.
@@ -408,16 +415,15 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPol
     n = len(pd.crossings)
     if n > cap:
         raise CapExceededError(f"{n} crossings exceeds the state-sum cap {cap}")
-    pm = _planar_map(pd.crossings)
     total = 1 << n
     workers = max(1, min(workers, os.cpu_count() or 1))
     if workers == 1 or total < _POOL_MIN_STATES:
-        counts = _bracket_counts(pm.alpha, n, 0, total)
+        counts = _bracket_counts(pd.alpha, n, 0, total)
     else:
         import multiprocessing
 
         bounds = [total * i // workers for i in range(workers + 1)]
-        args = [(pm.alpha, n, bounds[i], bounds[i + 1]) for i in range(workers)]
+        args = [(pd.alpha, n, bounds[i], bounds[i + 1]) for i in range(workers)]
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.starmap(_bracket_counts, args)
         counts = {}
@@ -440,10 +446,10 @@ def strand_components(pd: PDCode) -> List[List[Tuple[int, int]]]:
     A strand entering a crossing at position p leaves at position p+2; the
     walk direction within each component is an arbitrary but fixed choice.
     """
-    pm = _planar_map(pd.crossings)
-    state = [0] * (4 * pm.n)  # 0 untouched, 1 entry, 2 exit
+    alpha = pd.alpha
+    state = [0] * len(alpha)  # 0 untouched, 1 entry, 2 exit
     comps: List[List[Tuple[int, int]]] = []
-    for d0 in range(4 * pm.n):
+    for d0 in range(len(alpha)):
         if state[d0]:
             continue
         walk: List[Tuple[int, int]] = []
@@ -453,7 +459,7 @@ def strand_components(pd: PDCode) -> List[List[Tuple[int, int]]]:
             walk.append((d >> 2, d & 3))
             exit_d = (d & ~3) | ((d + 2) & 3)
             state[exit_d] = 2
-            d = pm.alpha[exit_d]
+            d = alpha[exit_d]
         comps.append(walk)
     return comps
 
@@ -566,9 +572,7 @@ def pretzel_pd(params: Sequence[int]) -> PDCode:
             else:
                 crossings.append((ur, ul, dl, dr))
             ul, ur = dl, dr
-    pd = PDCode(tuple(crossings))
-    _planar_map(pd.crossings)  # validate connectivity and planarity
-    return pd
+    return PDCode(tuple(crossings))
 
 
 def twist_pd(p: int, q: int) -> PDCode:

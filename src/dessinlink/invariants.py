@@ -30,14 +30,7 @@ from .dessin import (
     dual,
     quasi_tree_counts,
 )
-from .diagram import (
-    Crossing,
-    PDCode,
-    _planar_map,
-    reduce_to_one_vertex,
-    strand_components,
-    writhe,
-)
+from .diagram import PDCode, reduce_to_one_vertex, strand_components, writhe
 from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
 from .poly import LaurentPoly, PolyError, delta_spread
 
@@ -75,14 +68,14 @@ def bracket_via_dessin(pd: PDCode, cap: int = 24) -> LaurentPoly:
     The contraction is the planar-algebra one of Bar-Natan, "Fast Khovanov
     homology computations" (arXiv math/0606318), taken for the bracket
     only: its cost grows with the width of the crossing order, the most
-    arc labels open at once, and `cap` bounds that width.  The subset scan
-    stays the oracle for it.  The bracket is memoized per diagram.
+    arcs open at once, and `cap` bounds that width.  The subset scan stays
+    the oracle for it.  The bracket is memoized per dart involution
+    `pd.alpha`, which is all the contraction reads.
     """
-    _planar_map(pd.crossings)  # rejects disconnected and non-planar codes
-    _, width = _contraction_order(pd.crossings)
+    _, width = _contraction_order(pd.alpha)
     if width > cap:
         raise CapExceededError(f"contraction over {width} open arcs exceeds the cap {cap}")
-    return _contract(pd.crossings)
+    return _contract(pd.alpha)
 
 
 # Greedy starts tried by `_contraction_order`, spread over the crossing
@@ -95,32 +88,30 @@ _ORDER_STARTS = 2
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 @lru_cache(maxsize=16)
-def _contraction_order(crossings: Tuple[Crossing, ...]) -> Tuple[Tuple[int, ...], int]:
-    """A crossing order for `_contract` and its width.
+def _contraction_order(alpha: Tuple[int, ...]) -> Tuple[Tuple[int, ...], int]:
+    """A crossing order for `_contract` on the dart involution `alpha`, and
+    its width.
 
     From each start, the next crossing is, among those the frontier
-    touches, the one with the most labels open, then the most neighbours on
+    touches, the one with the most arcs open, then the most neighbours on
     the frontier, then the earliest there; the order of least width wins.
     """
-    n = len(crossings)
-    # each crossing's neighbours across its labels, and its curl labels
-    # (both ends at the crossing), which never open
+    n = len(alpha) >> 2
+    # each crossing's neighbours across its arcs, and its curls (both ends
+    # at the crossing), which never open; an arc counts at its later dart
     nbrs: List[List[int]] = [[] for _ in range(n)]
     curls = [0] * n
-    first: Dict[int, int] = {}
-    for c, tup in enumerate(crossings):
-        for lab in tup:
-            other = first.pop(lab, None)
-            if other is None:
-                first[lab] = c
-            elif other == c:
+    for d, e in enumerate(alpha):
+        if e < d:
+            c, other = d >> 2, e >> 2
+            if other == c:
                 curls[c] += 1
             else:
                 nbrs[c].append(other)
                 nbrs[other].append(c)
     best: Tuple[int, Tuple[int, ...]] = (4 * n + 1, ())
     for start in range(0, n, -(-n // _ORDER_STARTS)):
-        # 8 per open label and 1 per neighbour on the frontier; once placed,
+        # 8 per open arc and 1 per neighbour on the frontier; once placed,
         # -8, which its at most 4 neighbours entering the frontier leave < 0
         rank = [0] * n
         for y in nbrs[start]:
@@ -144,7 +135,7 @@ def _contraction_order(crossings: Tuple[Crossing, ...]) -> Tuple[Tuple[int, ...]
                     frontier.append(x)
                     for y in nbrs[x]:
                         rank[y] += 1
-                rank[x] = r + 7  # a label opens, and c leaves the frontier
+                rank[x] = r + 7  # an arc opens, and c leaves the frontier
         if width < best[0]:
             best = (width, tuple(order))
     if len(best[1]) != n:
@@ -156,7 +147,7 @@ def _contraction_order(crossings: Tuple[Crossing, ...]) -> Tuple[Tuple[int, ...]
 @lru_cache(maxsize=None)
 def _routes(shape: Tuple[int, ...]) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], int, int], ...]:
     """Both smoothings of a crossing whose slot i leads on to slot j when
-    shape[i] = ~j, and to an open label when shape[i] = 0.
+    shape[i] = ~j, and to an open arc when shape[i] = 0.
 
     A joins slots (0,1), (2,3) and weighs A; B joins (1,2), (3,0) and
     weighs A^-1.  For each: the pairs of slots a path now joins, the
@@ -189,14 +180,16 @@ def _routes(shape: Tuple[int, ...]) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], 
 
 
 @lru_cache(maxsize=16)
-def _contract(crossings: Tuple[Crossing, ...]) -> LaurentPoly:
-    """<P> by folding the crossings in `_contraction_order`.
+def _contract(alpha: Tuple[int, ...]) -> LaurentPoly:
+    """<P> of the dart involution `alpha`, folding the crossings in
+    `_contraction_order`.
 
-    Each open arc label holds a register; a state maps every register to
-    its partner's (-1 when free): which open labels the smoothed crossings
-    so far join in pairs.  A slot of the next crossing leads on to an open
-    label, or back to a slot of the same crossing (a curl label, or two
-    open labels the state joins); `_routes` smooths it both ways.
+    Each open arc holds a register, keyed by the dart that opened it; a
+    state maps every register to its partner's (-1 when free): which open
+    arcs the smoothed crossings so far join in pairs.  A slot of the next
+    crossing leads on to an open arc, or back to a slot of the same
+    crossing (a curl, or two open arcs the state joins); `_routes` smooths
+    it both ways.
 
     A state's value, its sum of A^(#A - #B) delta^(closed loops) after k
     crossings, is one integer: sum_j c_j A^(2j - 5k) is sum_j c_j X^j at
@@ -206,26 +199,27 @@ def _contract(crossings: Tuple[Crossing, ...]) -> LaurentPoly:
     (A-power + 5) / 2 - L and multiply by -(1 + X^2) per loop.  The last
     state has every loop closed, one of them counted once too many.
     """
-    order, width = _contraction_order(crossings)
-    bits = 3 * len(crossings) + 2
-    reg: Dict[int, int] = {}
+    order, width = _contraction_order(alpha)
+    bits = 3 * len(order) + 2
+    reg: Dict[int, int] = {}  # opening dart -> register
     free = list(range(width - 1, -1, -1))
     states: Dict[Tuple[int, ...], int] = {(-1,) * width: 1}
     for c in order:
-        tup = crossings[c]
-        closing: Dict[int, int] = {}  # register -> ~slot, of the labels closed here
+        darts = range(4 * c, 4 * c + 4)
+        closing: Dict[int, int] = {}  # register -> ~slot, of the arcs closed here
         kinds: List[Optional[Tuple[int, int]]] = [None] * 4
-        for i, lab in enumerate(tup):
-            if lab in reg:
-                r = reg.pop(lab)
+        for i, d in enumerate(darts):
+            e = alpha[d]
+            if e in reg:
+                r = reg.pop(e)
                 closing[r] = ~i
                 kinds[i] = (0, r)
-            elif tup.count(lab) == 2:
-                kinds[i] = (1, ~next(j for j in range(4) if j != i and tup[j] == lab))
+            elif e >> 2 == c:
+                kinds[i] = (1, ~(e & 3))
         free.extend(closing)
-        for i, lab in enumerate(tup):
+        for i, d in enumerate(darts):
             if kinds[i] is None:
-                reg[lab] = r = free.pop()
+                reg[d] = r = free.pop()
                 kinds[i] = (1, r)
         nxt: Dict[Tuple[int, ...], int] = {}
         for state, value in states.items():

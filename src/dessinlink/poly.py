@@ -87,15 +87,6 @@ class LaurentPoly:
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self.terms())
 
-    def exponent_parity(self) -> int:
-        """Common parity of all exponents (0 or 1); error if mixed or zero."""
-        if not self._terms:
-            raise PolyError("zero polynomial has no exponent parity")
-        parities = {e & 1 for e in self._terms}
-        if len(parities) != 1:
-            raise PolyError("mixed exponent parity")
-        return parities.pop()
-
     # ---- arithmetic ----
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -3,7 +3,7 @@
 import pytest
 
 import helpers
-from dessinlink import dessin, diagram, invariants
+from dessinlink import dessin, invariants
 from helpers import corpus
 
 
@@ -12,7 +12,6 @@ def fresh_memos():
     """Empty the program's memo caches, the bracket's contraction among
     them, before each test, so a test that patches a smoothing or a route
     never reads another test's entry."""
-    diagram._planar_map.cache_clear()
     dessin._dessin_of.cache_clear()
     dessin._profile_scan.cache_clear()
     invariants._contraction_order.cache_clear()

@@ -222,7 +222,7 @@ def test_state_sum_tally_is_the_subset_profile():
     assert components == {True, False}  # knots and links
     for pd in cases:
         assert pd.n <= 12
-        alpha = diagram._planar_map(pd.crossings).alpha
+        alpha = pd.alpha
         tally = diagram._bracket_counts(alpha, pd.n, 0, 1 << pd.n)
         assert dessin._profile_scan(build_dessin(pd, 0)) == tally, pd
 

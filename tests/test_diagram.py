@@ -35,6 +35,7 @@ from helpers import (
     nugatory_join,
     random_braid_word,
     reduce_by_resmoothing,
+    shuffled,
 )
 
 KINK = "X[1,1,2,2]"
@@ -84,6 +85,25 @@ def test_parse_rejects_arc_label_zero():
         parse_pd("X[0,1,1,0]")
     with pytest.raises(DiagramError, match="arc label 0"):
         PDCode(((0, 1, 1, 0),))
+
+
+def test_alpha_pairs_the_two_ends_of_each_arc():
+    rng = random.Random(7)
+    trefoil = parse_pd(TREFOIL)
+    codes = [
+        trefoil,
+        parse_pd(KINK),
+        mirror(trefoil),
+        pretzel_pd([2, 3, -5]),
+        twist_pd(3, 4),
+        reduce_to_one_vertex(table_pd("8_21")),
+        shuffled(table_pd("8_21"), rng),
+    ]
+    for pd in codes:
+        labels = [lab for tup in pd.crossings for lab in tup]
+        assert len(pd.alpha) == len(labels) == 4 * len(pd.flip)
+        for d, e in enumerate(pd.alpha):
+            assert e != d and pd.alpha[e] == d and labels[e] == labels[d], pd
 
 
 def test_rejects_disconnected():
@@ -205,7 +225,7 @@ def test_state_sum_matches_per_state_circle_counts():
 def test_bracket_counts_uneven_ranges_cover_every_state():
     pd = nugatory_join(parse_pd(TREFOIL), twist_pd(3, 3))
     assert pd.n == 10
-    alpha = diagram._planar_map(pd.crossings).alpha
+    alpha = pd.alpha
     total = 1 << pd.n
     full = diagram._bracket_counts(alpha, pd.n, 0, total)
     assert sum(full.values()) == total
@@ -223,7 +243,7 @@ def test_bracket_counts_recount_catches_a_drift():
     # end-of-range recount must notice instead of returning a wrong tally.
     crossings = ((1, 2, 1, 3), (2, 4, 3, 4))
     with pytest.raises(DiagramError, match="not planar"):
-        diagram._planar_map(crossings)
+        PDCode(crossings)
     alpha = [0] * 8
     for label in (1, 2, 3, 4):
         a, b = [4 * c + p for c, t in enumerate(crossings) for p, x in enumerate(t) if x == label]

@@ -3,6 +3,7 @@ knots plus seeded random diagrams."""
 
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from dessinlink.dessin import (
 )
 from dessinlink.diagram import (
     DiagramError,
+    PDCode,
     parse_pd,
     pretzel_pd,
     reduce_to_one_vertex,
@@ -94,20 +96,24 @@ DISCONNECTED = "X[1,1,2,2] X[3,4,4,3]"
 
 @pytest.mark.parametrize(
     "text, message",
-    [(NON_PLANAR, "PD code is not planar"), (DISCONNECTED, "diagram is not connected")],
+    [
+        (NON_PLANAR, "PD code is not planar: 2 faces for 2 crossings (expected 4)"),
+        (DISCONNECTED, "diagram is not connected (1 of 2 crossings reachable)"),
+    ],
 )
 def test_the_contraction_rejects_what_no_planar_diagram_draws(text, message):
-    # folded without the planarity check, the first code gives A^2 + 2 + A^-2
-    pd = parse_pd(text)
-    with pytest.raises(DiagramError, match=message):
-        bracket_via_dessin(pd)
-    with pytest.raises(DiagramError, match=message):
-        jones_polynomial(pd)
+    # no such PD code is ever made, so the contraction never folds one:
+    # folded unchecked, the first code gives A^2 + 2 + A^-2
+    crossings = [tuple(map(int, re.findall(r"\d+", token))) for token in text.split()]
+    for make in (lambda: parse_pd(text), lambda: PDCode(crossings)):
+        with pytest.raises(DiagramError) as info:
+            make()
+        assert str(info.value) == message
 
 
 def test_bracket_cap_bounds_the_contraction_width():
     pd = twist_pd(20, 9)
-    _, width = invariants._contraction_order(pd.crossings)
+    _, width = invariants._contraction_order(pd.alpha)
     assert pd.n > 24 >= width
     with pytest.raises(CapExceededError, match=f"contraction over {width} open arcs"):
         bracket_via_dessin(pd, cap=width - 1)
@@ -472,6 +478,29 @@ def scans(monkeypatch):
 def contractions():
     """Frontier contractions run since the memo was last cleared."""
     return invariants._contract.cache_info().misses
+
+
+def test_label_permuted_twins_share_the_contraction_memo():
+    # the contraction reads only the dart involution, which renaming the
+    # arcs keeps, so the twin reads the order and the bracket from the memo
+    pd = table_pd("8_21")
+    labels = sorted({lab for tup in pd.crossings for lab in tup})
+    image = dict(zip(labels, random.Random(5).sample(labels, len(labels))))
+    twin = PDCode([[image[lab] for lab in tup] for tup in pd.crossings])
+    assert twin != pd and twin.alpha == pd.alpha
+    assert bracket_via_dessin(twin) == bracket_via_dessin(pd) == BRACKETS["8_21"]
+    for memo, hits in ((invariants._contraction_order, 2), (invariants._contract, 1)):
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, hits, 1)
+
+
+def test_reordered_crossings_get_their_own_contraction_memo_entry():
+    pd = table_pd("8_21")
+    reordered = PDCode(pd.crossings[::-1])
+    assert bracket_via_dessin(reordered) == bracket_via_dessin(pd)
+    for memo, hits in ((invariants._contraction_order, 2), (invariants._contract, 0)):
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, hits, 2)
 
 
 def test_determinant_scans_once(scans):

@@ -48,13 +48,6 @@ def test_monomial_and_one():
     assert LaurentPoly({4: 0}) == LaurentPoly()
 
 
-def test_exponent_parity():
-    assert LaurentPoly({4: 1, -2: 1}).exponent_parity() == 0
-    assert LaurentPoly({3: 1, -5: 1}).exponent_parity() == 1
-    with pytest.raises(PolyError):
-        LaurentPoly({2: 1, 1: 1}).exponent_parity()
-
-
 def test_delta_is_loop_value():
     assert DELTA == LaurentPoly({2: -1, -2: -1})
     assert DELTA.coefficient(2) == -1

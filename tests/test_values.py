@@ -16,7 +16,6 @@ def _examples():
     one_vertex = chord.to_dessin(chord.ChordDiagram((0, 1, 0, 1)))
     return [
         (TREFOIL, ("crossings", "signs"), True),
-        (diagram._planar_map(TREFOIL.crossings), ("n", "alpha", "flip"), True),
         (d, ("rotations",), True),
         (dessin.dessin_counts(d), ("v", "e", "f", "k", "g", "n"), True),
         (dessin.WeightedDessin(one_vertex, (2, 1)), ("dessin", "weights"), True),
@@ -53,6 +52,13 @@ def test_value_type_contract(value, names, hashable):
     assert [getattr(value, name) for name in names] == fields
     assert repr(value).startswith(f"{cls.__name__}({names[0]}=")
     assert copy.copy(value) == pickle.loads(pickle.dumps(value)) == value
+
+
+def test_a_copied_or_unpickled_pd_code_builds_its_own_map():
+    for twin in (copy.copy(TREFOIL), pickle.loads(pickle.dumps(TREFOIL))):
+        assert twin == TREFOIL and (twin.alpha, twin.flip) == (TREFOIL.alpha, TREFOIL.flip)
+    assert pickle.dumps(TREFOIL) == pickle.dumps(diagram.PDCode(TREFOIL.crossings))
+    assert repr(TREFOIL) == f"PDCode(crossings={TREFOIL.crossings!r}, signs=None)"
 
 
 def test_signs_default_to_none():
