@@ -53,7 +53,6 @@ _EXPORTS = {
         "build_dessin",
         "contract_parallel",
         "dessin_counts",
-        "dessin_from_text",
         "dessin_to_text",
         "dual",
         "faces",

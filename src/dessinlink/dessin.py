@@ -11,7 +11,6 @@ count in the package comes from the one kernel in this module, `_counts`.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
@@ -44,7 +43,6 @@ __all__ = [
     "mixed_state_face_count",
     "contract_parallel",
     "dessin_to_text",
-    "dessin_from_text",
 ]
 
 
@@ -115,28 +113,27 @@ class Counts(Record):
 # ============================================================
 
 
-def build_dessin(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Dessin:
+def build_dessin(pd: PDCode, s: StateLike) -> Dessin:
     """Dessin of a state: vertices are circles, edges are crossings.
 
     Crossing c becomes the chord with half-edges 2c and 2c+1, attached at
     its two smoothing channels; each circle's rotation lists the chord
     ends in the circle's oriented cyclic order, as `smooth_state` returns
-    them.  The dessin is memoized per (PD code, state mask, outer corner),
-    so every invariant of a diagram, and `reduce_to_one_vertex`, reads the
-    same `Dessin` object and smooths the state once.
+    them.  The dessin is memoized per (PD code, state mask), so every
+    invariant of a diagram, and `reduce_to_one_vertex`, reads the same
+    `Dessin` object and smooths the state once.
     """
     from .diagram import _state_mask
 
-    return _dessin_of(pd, _state_mask(pd, s), outer_corner)
+    return _dessin_of(pd, _state_mask(pd, s))
 
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.
-# A bad outer corner raises in `smooth_state`, and errors are not cached.
 @lru_cache(maxsize=16)
-def _dessin_of(pd: PDCode, mask: int, outer_corner: int) -> Dessin:
+def _dessin_of(pd: PDCode, mask: int) -> Dessin:
     from .diagram import smooth_state
 
-    return Dessin(smooth_state(pd, mask, outer_corner))
+    return Dessin(smooth_state(pd, mask))
 
 
 # ============================================================
@@ -439,45 +436,3 @@ def dessin_to_text(d: Dessin) -> str:
     edges = " ".join(f"({2 * i + 1},{2 * i + 2})" for i in range(d.n_edges))
     return f"V: {verts} E: {edges}"
 
-
-_VERT_RE = re.compile(r"\(([^()]*)\)")
-
-
-def dessin_from_text(text: str) -> Dessin:
-    """Parse the textual form; arbitrary edge pairings are renumbered."""
-    m = re.fullmatch(r"\s*V:\s*(.*?)\s*E:\s*(.*?)\s*", text, re.S)
-    if not m:
-        raise DiagramError("expected `V: (..) .. E: (a,b) ..`")
-    vpart, epart = m.groups()
-    verts: List[List[int]] = []
-    rest = _VERT_RE.sub("", vpart).strip()
-    if rest:
-        raise DiagramError(f"stray text {rest!r} in vertex list")
-    for grp in _VERT_RE.findall(vpart):
-        try:
-            verts.append([int(tok) for tok in grp.replace(",", " ").split()])
-        except ValueError:
-            raise DiagramError(f"bad vertex group ({grp})") from None
-    pairs: List[Tuple[int, int]] = []
-    rest = _VERT_RE.sub("", epart).strip()
-    if rest:
-        raise DiagramError(f"stray text {rest!r} in edge list")
-    for grp in _VERT_RE.findall(epart):
-        try:
-            a, b = map(int, grp.replace(",", " ").split())
-        except ValueError:
-            raise DiagramError(f"edge ({grp}) is not a pair of integers") from None
-        pairs.append((a, b))
-    ids = sorted(h for rot in verts for h in rot)
-    n = len(ids)
-    if len(set(ids)) != n:
-        raise DiagramError("half-edge ids must be distinct")
-    if n % 2:
-        raise DiagramError("a dessin needs an even number of half-edges")
-    if sorted(h for pr in pairs for h in pr) != ids:
-        raise DiagramError("edge pairs must cover each half-edge id exactly once")
-    remap: Dict[int, int] = {}
-    for i, (a, b) in enumerate(pairs):
-        remap[a] = 2 * i
-        remap[b] = 2 * i + 1
-    return Dessin(tuple(tuple(remap[h] for h in rot) for rot in verts))

@@ -307,29 +307,26 @@ def state_circle_count(pd: PDCode, s: StateLike) -> int:
     return len(_trace_circles(pd.alpha, pd.n, _state_mask(pd, s)))
 
 
-def smooth_state(pd: PDCode, s: StateLike, outer_corner: int = 0) -> Tuple[Tuple[int, ...], ...]:
+def smooth_state(pd: PDCode, s: StateLike) -> Tuple[Tuple[int, ...], ...]:
     """Smooth every crossing per the state; the oriented circles' rotations.
 
     Each circle lists the chord ends it meets along its traversal, crossing
     c's two smoothing channels being 2c and 2c+1: the rotations of the
     state's dessin (`dessin.build_dessin`).  Depth-even circles run
     counterclockwise, depth counted from the region at the corner of dart
-    `outer_corner`: the ribbon-graph convention of
-    Dasbach-Futer-Kalfagianni-Lin-Stoltzfus (arXiv math/0605571).  Each
-    region of a state is one checkerboard colour and the two sides of a
-    circle differ, so a region's depth is odd exactly when its colour is
-    not the outer corner's; and a traced circle keeps its direction exactly
-    when the region on its left (ccw of its partner start dart b) is odd.
+    0: the ribbon-graph convention of Dasbach-Futer-Kalfagianni-Lin-Stoltzfus
+    (arXiv math/0605571).  Each region of a state is one checkerboard
+    colour and the two sides of a circle differ, so a region's depth is odd
+    exactly when its colour is 1 (dart 0's is flip[0] = 0); and a traced
+    circle keeps its direction exactly when the region on its left (ccw of
+    its partner start dart b) is odd.
     """
-    if not 0 <= outer_corner < 4 * pd.n:
-        raise DiagramError(f"outer corner {outer_corner} is not a dart 0..{4 * pd.n - 1}")
     mask = _state_mask(pd, s)
     flip = pd.flip
-    outer = (flip[outer_corner >> 2] + outer_corner) & 1
     oriented: List[Tuple[int, ...]] = []
     for spots, d0 in _trace_circles(pd.alpha, pd.n, mask):
         b = (d0 & ~3) | _PARTNER[(mask >> (d0 >> 2)) & 1][d0 & 3]
-        oriented.append(tuple(spots if (flip[b >> 2] + b) & 1 != outer else spots[::-1]))
+        oriented.append(tuple(spots if (flip[b >> 2] + b) & 1 else spots[::-1]))
     return tuple(oriented)
 
 
@@ -468,23 +465,23 @@ def _traced_signs(pd: PDCode) -> Tuple[int, List[Tuple[int, int, int]]]:
     """Component count, and per crossing (sign, under component, over component)
     under the orientation `strand_components` traces.
 
-    A crossing is positive exactly when its over-strand enters three
-    positions counterclockwise of the under-entry (over entering at d for
-    under entering at a).
+    Each dart holds the component entering there, if any.  Crossing c's
+    under-strand enters at 4c or 4c+2, its over-strand at 4c+1 or 4c+3, and
+    c is positive exactly when the over-entry is three positions
+    counterclockwise of the under-entry.
     """
     comps = strand_components(pd)
-    entries: Dict[int, List[Tuple[int, int]]] = {}
+    entering = [-1] * len(pd.alpha)
     for ci, walk in enumerate(comps):
         for c, p in walk:
-            entries.setdefault(c, []).append((p, ci))
+            entering[4 * c + p] = ci
     out = []
     for c in range(pd.n):
-        pair = entries[c]
-        evens = [e for e in pair if e[0] % 2 == 0]
-        odds = [e for e in pair if e[0] % 2 == 1]
-        if len(evens) != 1 or len(odds) != 1:
-            raise InternalError(f"internal error: bad strand entries {pair} at crossing {c}")
-        (pu, cu), (po, co) = evens[0], odds[0]
+        pu = 0 if entering[4 * c] >= 0 else 2
+        po = 1 if entering[4 * c + 1] >= 0 else 3
+        cu, co = entering[4 * c + pu], entering[4 * c + po]
+        if cu < 0 or co < 0:
+            raise InternalError(f"internal error: no under- or over-entry traced at crossing {c}")
         out.append((1 if (po - pu) % 4 == 3 else -1, cu, co))
     return len(comps), out
 
@@ -622,19 +619,24 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
     distinct all-A circles, one strand slides over the other next to it
     (two new crossings, both A-smoothing across the old gap), merging those
     circles.  The link type, hence the bracket, is unchanged; each clasp
-    adds 2 crossings and removes 1 circle.
+    adds 2 crossings and removes 1 circle; a diagram whose all-A state is
+    one circle comes back as it is.
 
     A union-find over the vertices of the all-A dessin, the one
     `build_dessin` memoizes for every invariant, picks the crossings that
     re-smoothing after every clasp would (the lowest-index crossing
     joining two circles): merges only coarsen the circles, so a skipped
     crossing stays skippable, and the clasp crossings, later in index
-    order, are never needed while an original one joins two circles.  One
-    circle count of the result checks the whole reduction.
+    order, are never needed while an original one joins two circles.  A
+    clasp at t reads the far ends of t's slots 1 and 2 from a working copy
+    of alpha, rewires 6 dart pairs and takes 4 fresh labels.  One circle
+    count of the result checks the whole reduction.
     """
     from .dessin import build_dessin
 
     d = build_dessin(pd, 0)
+    if d.n_vertices == 1:
+        return pd
     vertex_of = d.vertex_of
     parent = list(range(d.n_vertices))
 
@@ -645,33 +647,29 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
         return x
 
     crossings = [list(tup) for tup in pd.crossings]
+    alpha = list(pd.alpha)
+    top = max(map(max, crossings))
     for target in range(pd.n):
         ra, rb = find(vertex_of[2 * target]), find(vertex_of[2 * target + 1])
         if ra == rb:
             continue
         parent[ra] = rb
-        x = crossings[target][1]
-        y = crossings[target][2]
-        if x == y:
+        dx, dy = 4 * target + 1, 4 * target + 2
+        fx, fy = alpha[dx], alpha[dy]
+        if fx == dy:
             raise InternalError("internal error: joining crossing with x == y")
-        cx, px = next(
-            (c, p)
-            for c in range(len(crossings))
-            for p in range(4)
-            if crossings[c][p] == x and (c, p) != (target, 1)
-        )
-        cy, py = next(
-            (c, p)
-            for c in range(len(crossings))
-            for p in range(4)
-            if crossings[c][p] == y and (c, p) != (target, 2)
-        )
-        top = max(max(t) for t in crossings)
-        x_mid, x_far, y_mid, y_far = top + 1, top + 2, top + 3, top + 4
-        crossings[cx][px] = x_far
-        crossings[cy][py] = y_far
+        x, y = crossings[target][1], crossings[target][2]
+        x_mid, x_far, y_mid, y_far = range(top + 1, top + 5)
+        top += 4
+        crossings[fx >> 2][fx & 3] = x_far
+        crossings[fy >> 2][fy & 3] = y_far
+        m = len(alpha)  # first dart of the two new crossings
         crossings.append([y, x, y_mid, x_mid])
         crossings.append([y_mid, x_far, y_far, x_mid])
+        alpha += [0] * 8
+        for a, b in ((dy, m), (dx, m + 1), (m + 2, m + 4), (m + 3, m + 7),
+                     (fx, m + 5), (fy, m + 6)):
+            alpha[a], alpha[b] = b, a
     out = PDCode(tuple(tuple(t) for t in crossings))
     if out.n != pd.n + 2 * (d.n_vertices - 1) or state_circle_count(out, 0) != 1:
         raise InternalError("internal error: clasp insertion did not reduce to one circle")

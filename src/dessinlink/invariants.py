@@ -30,7 +30,7 @@ from .dessin import (
     dual,
     quasi_tree_counts,
 )
-from .diagram import PDCode, reduce_to_one_vertex, strand_components, writhe
+from .diagram import _PARTNER, PDCode, reduce_to_one_vertex, strand_components, writhe
 from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
 from .poly import LaurentPoly, PolyError, delta_spread
 
@@ -155,7 +155,7 @@ def _routes(shape: Tuple[int, ...]) -> Tuple[Tuple[Tuple[Tuple[int, int], ...], 
     of loops closed.
     """
     out = []
-    for digits, join in ((3, (1, 0, 3, 2)), (2, (3, 2, 1, 0))):
+    for digits, join in zip((3, 2), _PARTNER):
         seen = [False] * 4
         pairs = []
         for i in range(4):

@@ -164,6 +164,17 @@ def test_reduce_and_twist(capsys):
     assert payload["variable"] == "t"
 
 
+def test_reduce_keeps_the_signs_of_a_one_circle_code(capsys):
+    # no clasp is inserted, so the reduced code is the input, S[...] included
+    pd = "X[2,4,3,1] X[4,6,5,3] X[2,7,8,6] X[7,9,10,8] X[9,1,5,10] S[+,+,-,-,-]"
+    code, payload, _ = run_json(capsys, "reduce", "--pd", pd)
+    assert code == EXIT_OK
+    assert payload["reduced_pd"] == payload["pd"] == pd
+    assert payload["crossings"] == 5
+    assert all(payload["bookkeeping"].values())
+    assert payload["bracket_preserved"] is True
+
+
 def test_reduce_past_the_scan_cap_checks_the_bracket(capsys):
     # the cap bounds the contraction's width, not the crossing count
     pd = diagram.pd_to_text(diagram.twist_pd(12, 14))

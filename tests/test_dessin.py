@@ -22,7 +22,6 @@ from dessinlink.dessin import (
     build_dessin,
     contract_parallel,
     dessin_counts,
-    dessin_from_text,
     dessin_to_text,
     dual,
     faces,
@@ -68,13 +67,6 @@ def test_build_8_21_frozen():
     assert loops == 2
 
 
-def test_counts_outer_corner_invariance():
-    pd = parse_pd(TREFOIL)
-    base = dessin_counts(build_dessin(pd, "AAB"))
-    for corner in range(1, 4 * pd.n):
-        assert dessin_counts(build_dessin(pd, "AAB", outer_corner=corner)) == base
-
-
 # ==========================================================================
 # the build_dessin memo
 # ==========================================================================
@@ -85,26 +77,23 @@ def test_build_dessin_memo_returns_one_object_per_diagram():
 
 
 def test_build_dessin_memo_matches_a_direct_smoothing():
-    # corner 5 flips every circle of 8_21 against corner 0, so a key that
-    # dropped the corner or the state would return a stale dessin here
+    # every spelling of a state shares one entry, and a key that dropped
+    # the state would return a stale dessin here
     pd = table_pd("8_21")
     for forms in ([0, "A" * pd.n, [0] * pd.n], [0b10110101, "BABABBAB"]):
-        for corner in (0, 5, 13, 31):
-            circles = smooth_state(pd, forms[0], corner)
-            direct = Dessin(circles)
-            built = [build_dessin(pd, state, corner) for state in forms]
-            assert built[0] == direct
-            assert all(d is built[0] for d in built)
-    assert dessin._dessin_of.cache_info().currsize == 8
+        direct = Dessin(smooth_state(pd, forms[0]))
+        built = [build_dessin(pd, state) for state in forms]
+        assert built[0] == direct
+        assert all(d is built[0] for d in built)
+    assert dessin._dessin_of.cache_info().currsize == 2
 
 
 def test_build_dessin_memo_does_not_cache_errors():
     pd = parse_pd(TREFOIL)
-    bad = [("AAC", 0), ("AA", 0), (8, 0), (-1, 0), (0, 12), (0, -1)]
     for _ in range(2):
-        for state, corner in bad:
+        for state in ("AAC", "AA", 8, -1):
             with pytest.raises(DiagramError):
-                build_dessin(pd, state, corner)
+                build_dessin(pd, state)
     assert dessin._dessin_of.cache_info().currsize == 0
 
 
@@ -259,30 +248,8 @@ def test_weighted_validation():
 # ==========================================================================
 
 
-def test_text_round_trip():
-    for pd in corpus(seed=43, count=10, max_crossings=8):
-        d = build_dessin(pd, 0)
-        assert dessin_from_text(dessin_to_text(d)) == d
-
-
 def test_text_frozen():
-    d = build_dessin(parse_pd("X[1,1,2,2]"), 0)
-    text = dessin_to_text(d)
-    assert dessin_from_text(text) == d
-    assert "V:" in text and "E:" in text
-
-
-def test_from_text_renumbers():
-    a = dessin_from_text("V: (1 2 3 4) E: (1,3) (2,4)")
-    b = dessin_from_text("V: (10 20 30 40) E: (10,30) (20,40)")
-    assert a == b
-
-
-def test_from_text_rejects_bad():
-    with pytest.raises(ValueError):
-        dessin_from_text("V: (1 2 3) E: (1,2)")
-    with pytest.raises(ValueError):
-        dessin_from_text("V: (1 2) (3 4) E: (1,2)")
-    for edges in ("(1,x)", "(1 2 3)"):
-        with pytest.raises(DiagramError, match="not a pair of integers"):
-            dessin_from_text(f"V: (1 2) E: {edges}")
+    assert dessin_to_text(build_dessin(parse_pd("X[1,1,2,2]"), 0)) == "V: (1) (2) E: (1,2)"
+    assert dessin_to_text(build_dessin(table_pd("4_1"), 0)) == (
+        "V: (1 3 6 8 10 4 2 9 7 5) E: (1,2) (3,4) (5,6) (7,8) (9,10)"
+    )

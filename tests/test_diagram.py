@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dessinlink import diagram
+from dessinlink import dessin, diagram
 from dessinlink.dessin import build_dessin
 from dessinlink.diagram import (
     CapExceededError,
@@ -136,24 +136,6 @@ def test_smooth_state_structure():
     circles = smooth_state(pd, 0)
     assert len(circles) == 2
     assert sorted(h for rot in circles for h in rot) == list(range(2 * pd.n))
-
-
-def test_smooth_state_outer_corner_invariance():
-    pd = parse_pd(TREFOIL)
-    base = {frozenset(rot) for rot in smooth_state(pd, 0)}
-    for corner in range(1, 4 * pd.n):
-        assert {frozenset(rot) for rot in smooth_state(pd, 0, outer_corner=corner)} == base
-
-
-def test_smooth_state_rejects_an_outer_corner_off_the_darts():
-    # darts are 0..4n-1; -1 must not wrap round to the last one
-    pd = table_pd("3_1")
-    for corner in (4 * pd.n, -1):
-        with pytest.raises(DiagramError, match="outer corner"):
-            smooth_state(pd, 0, corner)
-        with pytest.raises(DiagramError, match="outer corner"):
-            build_dessin(pd, 0, corner)
-    assert len(smooth_state(pd, 0, 4 * pd.n - 1)) == len(smooth_state(pd, 0))
 
 
 # ==========================================================================
@@ -326,9 +308,21 @@ def test_reduce_trefoil_frozen():
     assert state_sum_bracket(red) == state_sum_bracket(pd)
 
 
+# the figure-8 twist_pd(2, 3), one all-A circle, with its traced signs
+SIGNED_FIGURE8 = "X[2,4,3,1] X[4,6,5,3] X[2,7,8,6] X[7,9,10,8] X[9,1,5,10] S[+,+,-,-,-]"
+
+
 def test_reduce_already_reduced():
-    pd = twist_pd(2, 3)
-    assert reduce_to_one_vertex(pd) == pd
+    # no clasp is needed: the input comes back, signs and planar map
+    # included, so its memoized all-A dessin serves the reduction too
+    signed = parse_pd(SIGNED_FIGURE8)
+    assert writhe(signed) == -1
+    for pd in (twist_pd(2, 3), signed):
+        assert reduce_to_one_vertex(pd) is pd
+    dessin._dessin_of.cache_clear()
+    build_dessin(signed, 0)
+    build_dessin(reduce_to_one_vertex(signed), 0)
+    assert dessin._dessin_of.cache_info().misses == 1
 
 
 def test_reduce_bookkeeping_random():

@@ -24,13 +24,19 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.jsonl"
 
 def golden_commands():
     """The recorded argv lists: verify, the per-diagram commands on every
-    table entry, and the two family commands."""
+    table entry (with the all-A and all-B dessins and the reduced chord
+    word's char poly), and the two family commands."""
     commands = [["verify"], ["verify", "--plain"]]
     for name in sorted(knot_table()):
         for command in ("quasitrees", "coeffs", "det", "bracket", "jones", "reduce"):
             argv = [command, "--name", name]
             argv += {"det": ["--method", "all"], "bracket": ["--oracle"]}.get(command, [])
             commands.append(argv)
+        commands += [
+            ["dessin", "--name", name, "--state", "A"],
+            ["dessin", "--name", name, "--state", "B"],
+            ["charpoly", "--name", name],
+        ]
     commands += [["twist", "3", "4"], ["pretzel", "2", "3", "-5", "--det"]]
     return commands
 

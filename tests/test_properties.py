@@ -164,12 +164,11 @@ def test_profile_readers_agree_with_the_full_dessin(pd: PDCode):
 @checked
 @given(diagrams, st.data())
 def test_dessin_faces_are_the_complementary_state_circles(pd: PDCode, data):
-    # the rotations of any state's dessin, oriented by nesting parity from
-    # any outer corner, trace the circles of the complementary state
+    # the rotations of any state's dessin, oriented by nesting parity,
+    # trace the circles of the complementary state
     full = (1 << pd.n) - 1
     s = data.draw(st.integers(min_value=0, max_value=full), label="state")
-    corner = data.draw(st.integers(min_value=0, max_value=4 * pd.n - 1), label="outer_corner")
-    assert dessin_counts(build_dessin(pd, s, corner)).f == state_circle_count(pd, s ^ full)
+    assert dessin_counts(build_dessin(pd, s)).f == state_circle_count(pd, s ^ full)
 
 
 @checked
