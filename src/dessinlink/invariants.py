@@ -32,7 +32,7 @@ from .dessin import (
 )
 from .diagram import _PARTNER, PDCode, reduce_to_one_vertex, strand_components, writhe
 from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
-from .poly import LaurentPoly, PolyError, delta_spread
+from .poly import LaurentPoly, PolyError, _signed_digits, delta_spread
 
 __all__ = [
     "JonesResult",
@@ -246,19 +246,9 @@ def _contract(alpha: Tuple[int, ...]) -> LaurentPoly:
     value, rem = divmod(value, 1 + (1 << 2 * bits))
     if rem or not value:
         raise InternalError("internal error: contraction value is not a nonzero multiple of delta")
-    low = ((value & -value).bit_length() - 1) // bits
-    value >>= low * bits
-    exp = 2 - 5 * len(order) + 2 * low
-    terms: Dict[int, int] = {}
-    while value:
-        digit = value & ((1 << bits) - 1)
-        if digit >> (bits - 1):
-            digit -= 1 << bits
-        if digit:
-            terms[exp] = -digit
-        value = (value - digit) >> bits
-        exp += 2
-    return LaurentPoly._of(terms)
+    low = ((value & -value).bit_length() - 1) // bits  # the digits below are 0
+    digits = _signed_digits(value >> low * bits, bits, value.bit_length() // bits + 1 - low)
+    return LaurentPoly._of({2 * j + 2 - 5 * len(order): -c for j, c in enumerate(digits, low) if c})
 
 
 class JonesResult(Record):
@@ -514,14 +504,15 @@ def top_coefficient_closed_form(d: Dessin) -> int:
     """
     vert_of = d.vertex_of
     total = (-1) ** (d.n_vertices - 1)
-    for rot in d.rotations:
-        ends = [h for h in rot if vert_of[h ^ 1] == vert_of[h]]
+    loops = ([h for h in rot if vert_of[h ^ 1] == vert_of[h]] for rot in d.rotations)
+    for ends in filter(None, loops):  # a vertex with no loops has N(0, 0) = 1
+        pos = {h: i for i, h in enumerate(ends)}
         size = len(ends)
-        n = [[1] * (size + 1) for _ in range(size + 1)]
+        n = [[1] * (size + 1)] * (size + 1)  # rows are replaced, never changed in place
         for i in range(size - 1, -1, -1):
-            p = ends.index(ends[i] ^ 1)
-            for j in range(i + 1, size + 1):
-                n[i][j] = n[i + 1][j] - (n[i + 1][p] * n[p + 1][j] if i < p < j else 0)
+            p, up = pos[ends[i] ^ 1], n[i + 1]
+            n[i] = up if p < i else (
+                up[: p + 1] + [a - up[p] * b for a, b in zip(up[p + 1 :], n[p + 1][p + 1 :])])
         total *= n[0][size]
     return total
 

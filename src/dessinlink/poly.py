@@ -3,14 +3,13 @@
 Everything here is integer arithmetic: coefficients are Python ints, so
 state sums with thousands of terms stay exact.  The variable is called A
 by convention (the Kauffman bracket variable) but nothing below depends
-on that; renderers accept any variable name.  `delta_spread` is the one
-place where powers of the loop value delta are summed.
+on that; renderers accept any variable name.  `delta_spread` sums the
+powers of the loop value delta by Horner's rule on packed signed digits.
 """
 
 from __future__ import annotations
 
 import re
-from math import comb
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .errors import InternalError
@@ -266,20 +265,29 @@ def delta_spread(profile: Mapping[Tuple[int, int], int], v: int, bound: int) -> 
     edge and face counts.  H contributes A^(e - 2 e(H)) delta^(f(H) - 1) to
     the bracket: from level l0 = (v + e(H) - f(H)) / 2, its delta power
     spreads binomially over f(H) consecutive levels of A^(e + 2v - 2 - 4l),
-    a[l] = sum over H of (-1)^(f-1) C(f-1, l - l0).
+    a[l] = sum over H of (-1)^(f-1) C(f-1, l - l0): the coefficient of x^l
+    in sum_f P_f(x) (-1 - x)^(f-1), P_f = sum cnt x^l0 over the entries
+    with f faces.  Horner's rule takes it on integers packed at x = 2^bits;
+    no digit of a step exceeds sum |cnt| 2^(f-1), so bits is its length + 1.
     """
-    acc = [0] * (bound + 1)
-    rows: Dict[int, List[int]] = {}  # f -> C(f-1, 0..f-1)
+    bits = sum(abs(cnt) << (f - 1) for (_, f), cnt in profile.items() if f > 0).bit_length() + 1
+    packed: Dict[int, int] = {}  # f -> P_f(2^bits)
     for (eh, f), cnt in profile.items():
         l0, odd = divmod(v + eh - f, 2)
-        if odd or l0 < 0:
+        if odd or l0 < 0 or f < 1 or eh < 0:
             raise InternalError(f"internal error: no start level for v={v} e={eh} f={f}")
-        if l0 > bound:
-            continue
-        row = rows.get(f)
-        if row is None:
-            row = rows[f] = [comb(f - 1, i) for i in range(f)]
-        signed = -cnt if (f - 1) % 2 else cnt
-        for l in range(l0, min(l0 + f, bound + 1)):
-            acc[l] += signed * row[l - l0]
-    return tuple(acc)
+        if l0 <= bound:
+            packed[f] = packed.get(f, 0) + (cnt << l0 * bits)
+    acc = 0
+    for f in range(max(packed, default=0), 0, -1):
+        acc = packed.get(f, 0) - acc - (acc << bits)
+    return tuple(_signed_digits(acc, bits, bound + 1))
+
+
+def _signed_digits(value: int, bits: int, count: int) -> Iterator[int]:
+    """The low `count` digits c_j of value = sum c_j 2^(j bits), given |c_j| < 2^(bits-1)."""
+    mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    for _ in range(count):
+        digit = value & mask
+        value = (value >> bits) + (digit >= half)  # a negative digit borrows one
+        yield digit - full if digit >= half else digit

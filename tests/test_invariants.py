@@ -12,7 +12,13 @@ import pytest
 
 import dessinlink
 from dessinlink import dessin, diagram, invariants
-from dessinlink.chord import bareiss_det, quasi_counts_and_det, to_chord_diagram
+from dessinlink.chord import (
+    ChordDiagram,
+    bareiss_det,
+    quasi_counts_and_det,
+    to_chord_diagram,
+    to_dessin,
+)
 from dessinlink.dessin import (
     build_dessin,
     contract_parallel,
@@ -252,6 +258,13 @@ def test_top_coefficient_closed_form_is_the_genus_0_loop_sum():
         d = build_dessin(pd, 0)
         closed = top_coefficient_closed_form(d)
         assert closed == genus_0_loop_sum(d) == coefficient_table(pd).coefficient(0), pd
+    # one-vertex dessins of seeded chord words: every edge is a loop
+    rng = random.Random(248)
+    for _ in range(60):
+        word = list(range(rng.randint(1, 10))) * 2
+        rng.shuffle(word)
+        d = to_dessin(ChordDiagram(word))
+        assert top_coefficient_closed_form(d) == genus_0_loop_sum(d), word
 
 
 @pytest.mark.parametrize("p, q", [(20, 9), (16, 15), (30, 3)])

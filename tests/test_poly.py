@@ -54,9 +54,8 @@ def test_delta_is_loop_value():
     assert DELTA.coefficient(0) == 0
 
 
-def test_delta_spread_matches_term_by_term():
-    # levels l of A^(e + 2v - 2 - 4l) against the sum of
-    # cnt * A^(e - 2 e(H)) * DELTA^(f(H) - 1), term by term
+def spread_inputs():
+    """(profile, v, e) triples: small counts, then wide ones."""
     rng = random.Random(17)
     for _ in range(20):
         v, e = rng.randint(1, 4), rng.randint(0, 8)
@@ -65,6 +64,25 @@ def test_delta_spread_matches_term_by_term():
             eh = rng.randint(0, e)
             f = rng.randrange(1 + (v + eh + 1) % 2, v + eh + 1, 2)
             profile[eh, f] = rng.randint(-3, 3)
+        yield profile, v, e
+    # counts up to 2^70 of both signs and zero, f up to 40, and an empty
+    # profile; the smaller bounds below leave entries past the bound
+    rng = random.Random(19)
+    yield {}, 2, 5
+    for _ in range(8):
+        v, e = rng.randint(1, 4), rng.randint(30, 36)
+        profile = {(e, v + e): rng.choice((-1, 1)) << 70}
+        for _ in range(rng.randint(1, 12)):
+            eh = rng.randint(0, e)
+            f = rng.randrange(1 + (v + eh + 1) % 2, min(v + eh, 40) + 1, 2)
+            profile[eh, f] = rng.choice((0, rng.randint(-(1 << 70), 1 << 70)))
+        yield profile, v, e
+
+
+def test_delta_spread_matches_term_by_term():
+    # levels l of A^(e + 2v - 2 - 4l) against the sum of
+    # cnt * A^(e - 2 e(H)) * DELTA^(f(H) - 1), term by term
+    for profile, v, e in spread_inputs():
         want = LaurentPoly()
         for (eh, f), cnt in profile.items():
             want = want + (DELTA ** (f - 1)).shift(e - 2 * eh) * cnt
@@ -75,10 +93,14 @@ def test_delta_spread_matches_term_by_term():
             assert delta_spread(profile, v, bound) == levels[: bound + 1]
 
 
-@pytest.mark.parametrize("key", [(1, 1), (0, 3)], ids=["odd", "negative"])
-def test_delta_spread_rejects_a_bad_start_level(key):
+@pytest.mark.parametrize(
+    "key, v, bound",
+    [((1, 1), 1, 4), ((0, 3), 1, 4), ((1, 0), 1, 3), ((-1, 1), 2, 3), ((12, 1), 2, 0)],
+    ids=["odd", "negative", "no-face", "negative-edges", "odd-past-the-bound"],
+)
+def test_delta_spread_rejects_a_bad_start_level(key, v, bound):
     with pytest.raises(InternalError, match="^internal error: no start level"):
-        delta_spread({key: 1}, 1, 4)
+        delta_spread({key: 1}, v, bound)
 
 
 # ==========================================================================
