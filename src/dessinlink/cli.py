@@ -365,7 +365,7 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
         # the quasi-tree counts above already held the scan to the cap
         add(
             f"face_crosscheck_{name}",
-            all(f == state_circle_count(pd, sub) for sub, _, _, f in _scan(d, cap=cap)),
+            all(f == state_circle_count(pd, sub) for sub, _, f in _scan(d, cap=cap)),
         )
         tab = coefficient_table(pd, cap=cap, check=False)
         add(f"coeff_table_{name}", _coefficient_checks(d, tab, cap)[0]["matches_bracket"])
@@ -461,8 +461,10 @@ def _cache_key(command: str, args) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_get(path: str, key: str) -> Optional[Dict[str, Any]]:
-    """The payload cached under `key`; a line that does not decode is a miss."""
+def _cache_get(path: str, key: str, command: str) -> Optional[Dict[str, Any]]:
+    """The payload of `command` cached under `key`.  A line that does not
+    decode, or whose payload is not this schema's output of `command`, is
+    a miss."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
@@ -477,6 +479,8 @@ def _cache_get(path: str, key: str) -> Optional[Dict[str, Any]]:
                 isinstance(entry, dict)
                 and entry.get("key") == key
                 and isinstance(entry.get("payload"), dict)
+                and entry["payload"].get("schema") == SCHEMA
+                and entry["payload"].get("command") == command
             ):
                 return entry["payload"]
     return None
@@ -589,7 +593,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         cache = getattr(args, "cache", None)
         if cache:
             key = _cache_key(args.command, args)
-            hit = _cache_get(cache, key)
+            hit = _cache_get(cache, key, args.command)
             if hit is not None:
                 _emit(hit, args)
                 return EXIT_OK if _checks_pass(hit) else EXIT_INTERNAL
@@ -612,7 +616,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except PreconditionError as exc:
         _error(args, "precondition", str(exc))
         return EXIT_PRECONDITION
-    except (DiagramError, ValueError) as exc:
+    except DiagramError as exc:
         _error(args, "bad-input", str(exc))
         return EXIT_BAD_INPUT
     except OSError as exc:

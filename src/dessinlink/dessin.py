@@ -6,7 +6,10 @@ Faces are the orbits of h -> successor-at-vertex of the mate of h; genus
 comes from Euler's relation v - e + f = 2k - 2g per component count k.
 
 Sub-dessins keep every vertex and a subset of edges.  Every sub-dessin
-count in the package comes from the one kernel in this module, `_counts`.
+edge and face count in the package comes from the one kernel in this
+module, `_counts`, which counts no components: the (e, f) profile needs
+none, because a one-face sub-dessin is connected.  Components are counted
+by `_components` only where a genus or a `Counts` is built.
 """
 
 from __future__ import annotations
@@ -141,39 +144,20 @@ def _dessin_of(pd: PDCode, mask: int) -> Dessin:
 # ============================================================
 
 
-def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int, int]]:
-    """Yield (mask, edges, components, faces) for each edge bitmask in `masks`.
+def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
+    """Yield (mask, edges, faces) for each edge bitmask in `masks`.
 
     This is the dessin side's only per-subset kernel; its buffers are
-    allocated once per call and reused for every mask.
+    allocated once per call and reused for every mask.  It counts faces
+    only: the profile's readers need no component count, and the few
+    that build a genus ask `_components` for it.
     """
-    vert_of = d.vertex_of
     nh = 2 * d.n_edges
     nxt = [0] * nh
     stamp = [0] * nh
-    v = d.n_vertices
-    parent = list(range(v))
     cur = 0
     for mask in masks:
         cur += 1
-        parent[:] = range(v)
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            ei2 = 2 * (low.bit_length() - 1)
-            a = vert_of[ei2]
-            b = vert_of[ei2 + 1]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-        k = sum(1 for i in range(v) if parent[i] == i)
-
         f = 0
         for rot in d.rotations:
             first = -1
@@ -198,13 +182,36 @@ def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int, in
                 while stamp[h] != cur:
                     stamp[h] = cur
                     h = nxt[h ^ 1]
-        yield mask, mask.bit_count(), k, f
+        yield mask, mask.bit_count(), f
+
+
+def _components(d: Dessin, mask: int) -> int:
+    """Connected components of the sub-dessin on the edges of `mask`, by
+    union-find over the vertices; every vertex is kept."""
+    vert_of = d.vertex_of
+    parent = list(range(d.n_vertices))
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        ei2 = 2 * (low.bit_length() - 1)
+        a = vert_of[ei2]
+        b = vert_of[ei2 + 1]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+    return sum(1 for i, p in enumerate(parent) if p == i)
 
 
 def _scan(
     d: Dessin, universe: Optional[int] = None, cap: int = 24
-) -> Iterator[Tuple[int, int, int, int]]:
-    """Yield (mask, edges, components, faces) for every subset of `universe`.
+) -> Iterator[Tuple[int, int, int]]:
+    """Yield (mask, edges, faces) for every subset of `universe`.
 
     This is the only dessin-side subset enumerator.  It walks the subsets in
     increasing bitmask order, which only `scan_subdessins` promises; the
@@ -248,7 +255,7 @@ def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int], int]:
 @lru_cache(maxsize=16)
 def _profile_scan(d: Dessin) -> Dict[Tuple[int, int], int]:
     tally: Dict[Tuple[int, int], int] = {}
-    for _, eh, _, f in _scan(d, cap=d.n_edges):
+    for _, eh, f in _scan(d, cap=d.n_edges):
         key = (eh, f)
         tally[key] = tally.get(key, 0) + 1
     return tally
@@ -269,7 +276,7 @@ def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
 
 def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
     """Counts of the whole dessin, or of the sub-dessin on the given edges,
-    from the scan's kernel applied to that one subset."""
+    from the scan's kernel applied to that one subset and its components."""
     if sub is None:
         mask = (1 << d.n_edges) - 1
     else:
@@ -278,8 +285,8 @@ def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
             if not 0 <= ei < d.n_edges:
                 raise DiagramError(f"edge index {ei} out of range")
             mask |= 1 << ei
-    _, eh, k, f = next(_counts(d, (mask,)))
-    return _counts_from_efk(d, eh, k, f)
+    _, eh, f = next(_counts(d, (mask,)))
+    return _counts_from_efk(d, eh, _components(d, mask), f)
 
 
 def scan_subdessins(
@@ -289,8 +296,8 @@ def scan_subdessins(
     universe: Optional[int] = None,
 ) -> None:
     """Call visitor(mask, counts) for every sub-dessin, ascending by mask."""
-    for mask, eh, k, f in _scan(d, universe, cap):
-        visitor(mask, _counts_from_efk(d, eh, k, f))
+    for mask, eh, f in _scan(d, universe, cap):
+        visitor(mask, _counts_from_efk(d, eh, _components(d, mask), f))
 
 
 def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:

@@ -22,6 +22,7 @@ from ._record import Record
 from .dessin import (
     Dessin,
     WeightedDessin,
+    _components,
     _genus_of,
     _scan,
     _subset_profile,
@@ -568,8 +569,8 @@ def weighted_bracket(wd: WeightedDessin, cap: int = 24) -> LaurentPoly:
     ]
     v = d.n_vertices
     acc = LaurentPoly()
-    for mask, eh, k, f in _scan(d, cap=cap):
-        g = _genus_of(v, eh, k, f)
+    for mask, eh, f in _scan(d, cap=cap):
+        g = _genus_of(v, eh, _components(d, mask), f)
         term = upow[2 * (g_max - g)].shift(e_total - 4 * g)
         mm = mask
         while mm:

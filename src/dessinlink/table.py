@@ -19,7 +19,10 @@ def _table_text() -> str:
     path = os.environ.get(_TABLE_ENV)
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as exc:
+                raise DiagramError(f"table {path} is not UTF-8 text: {exc}") from None
     from importlib import resources
 
     return resources.files("dessinlink").joinpath("tables/knots.txt").read_text("utf-8")
@@ -36,6 +39,8 @@ def knot_table() -> Dict[str, str]:
         name, pd_text = name.strip(), pd_text.strip()
         if not name or not pd_text:
             raise DiagramError(f"bad table line {line!r}")
+        if name in table:
+            raise DiagramError(f"table entry {name!r} is repeated")
         table[name] = pd_text
     return table
 

@@ -60,6 +60,32 @@ def genus_0_loop_sum(d: Dessin) -> int:
     return sum(terms)
 
 
+def bfs_component_count(d: Dessin, mask: int) -> int:
+    """Components of the sub-dessin on the edges of `mask`, by breadth-first
+    search over vertices read off the rotations; every vertex is kept."""
+    owner = {h: vi for vi, rot in enumerate(d.rotations) for h in rot}
+    adjacent: List[List[int]] = [[] for _ in d.rotations]
+    for ei in range(d.n_edges):
+        if mask >> ei & 1:
+            a, b = owner[2 * ei], owner[2 * ei + 1]
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    seen = [False] * len(adjacent)
+    count = 0
+    for start in range(len(adjacent)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        queue = [start]
+        for u in queue:  # the list grows while it is read: a FIFO queue
+            for w in adjacent[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    return count
+
+
 def reduce_by_resmoothing(pd: PDCode) -> PDCode:
     """Reference for `reduce_to_one_vertex`: clasp at the lowest-index
     crossing whose channels lie on distinct all-A circles, smooth the whole

@@ -348,6 +348,17 @@ def test_internal_error_exits_1(capsys, monkeypatch):
     assert error["message"].startswith("internal error:")
 
 
+def test_value_error_inside_a_computation_is_internal(capsys, monkeypatch):
+    # only a DiagramError is bad input: a ValueError raised by the code
+    # itself is a bug
+    monkeypatch.setattr(invariants, "_det_charpoly", lambda pd: max(()))
+    code, _, err = run_json(capsys, "det", "--name", "8_21")
+    assert code == EXIT_INTERNAL
+    error = json.loads(err)["error"]
+    assert error["kind"] == "internal"
+    assert error["message"].startswith("ValueError: ")
+
+
 def test_disagreeing_determinants_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(invariants, "_det_charpoly", lambda pd: 16)
     code, _, err = run_json(capsys, "det", "--name", "8_21")
@@ -458,6 +469,30 @@ def test_missing_table_is_a_file_error(tmp_path, capsys, monkeypatch):
     code, _, err = run_json(capsys, "det", "--name", "3_1")
     assert code == EXIT_IO
     assert json.loads(err)["error"]["kind"] == "io"
+
+
+def test_undecodable_table_is_bad_input(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "table.txt"
+    path.write_bytes(b"3_1: X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]\n\xff\xfe: X[1,1,2,2]\n")
+    monkeypatch.setenv("DESSINLINK_TABLE", str(path))
+    code, _, err = run_json(capsys, "det", "--name", "3_1")
+    assert code == EXIT_BAD_INPUT
+    error = json.loads(err)["error"]
+    assert error["kind"] == "bad-input"
+    assert "not UTF-8" in error["message"]
+
+
+def test_repeated_table_entry_is_bad_input(tmp_path, capsys, monkeypatch):
+    # the second `k:` line would otherwise answer for `--name k`
+    path = tmp_path / "table.txt"
+    path.write_text(f"k: X[1,1,2,2]\n3_1: {TREFOIL}\nk: {TREFOIL}\n")
+    monkeypatch.setenv("DESSINLINK_TABLE", str(path))
+    code, payload, err = run_json(capsys, "det", "--name", "k")
+    assert (code, payload) == (EXIT_BAD_INPUT, None)
+    assert json.loads(err)["error"] == {
+        "kind": "bad-input",
+        "message": "table entry 'k' is repeated",
+    }
 
 
 def test_cache_directory_is_a_file_error(tmp_path, capsys):
@@ -597,6 +632,24 @@ def test_undecodable_cache_lines_are_misses(tmp_path, capsys):
     again = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
     assert again[1] == payload
     assert len(cache.read_bytes().splitlines()) == 4  # served from the cache
+
+
+def test_cache_entries_of_another_payload_are_misses(tmp_path, capsys):
+    # an entry under the right key whose payload is not this command's
+    # output under this schema is not served: the command recomputes
+    cache = tmp_path / "cache.jsonl"
+    key = _cache_key("det", _build_parser().parse_args(["det", "--name", "3_1"]))
+    _, jones, _ = run_json(capsys, "jones", "--name", "3_1")
+    for stale in ({}, jones, {**jones, "command": "det", "schema": "dessinlink/0"}):
+        cache.write_text(json.dumps({"key": key, "payload": stale}) + "\n")
+        code, payload, _ = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
+        assert code == EXIT_OK
+        assert (payload["command"], payload["value"]) == ("det", 3)
+        lines = cache.read_text().splitlines()
+        assert len(lines) == 2 and json.loads(lines[1])["payload"] == payload
+        served = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
+        assert served[1] == payload
+        assert len(cache.read_text().splitlines()) == 2
 
 
 # Appends 200 entries of about 20 KB under one tag to a cache file.

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dessinlink import dessin, diagram
+from dessinlink.chord import ChordDiagram, to_dessin
 from dessinlink.diagram import (
     CapExceededError,
     DiagramError,
@@ -32,7 +33,13 @@ from dessinlink.dessin import (
 from dessinlink.errors import InternalError
 from dessinlink.table import knot_table
 
-from helpers import add_curl, corpus, nugatory_join, random_decorated_diagram
+from helpers import (
+    add_curl,
+    bfs_component_count,
+    corpus,
+    nugatory_join,
+    random_decorated_diagram,
+)
 
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
 
@@ -152,6 +159,35 @@ def test_scan_visits_all_subsets():
     seen = []
     scan_subdessins(d, lambda mask, c: seen.append(mask))
     assert sorted(seen) == list(range(8))
+
+
+def random_ribbon_graph(rng: random.Random, e: int) -> Dessin:
+    """Half-edges 0..2e-1 in random order, cut into 1..2e vertex rotations."""
+    darts = rng.sample(range(2 * e), 2 * e)
+    cuts = sorted(rng.sample(range(1, 2 * e), rng.randint(0, 2 * e - 1)))
+    return Dessin(darts[i:j] for i, j in zip([0, *cuts], [*cuts, 2 * e]))
+
+
+def test_component_counts_match_a_bfs():
+    # chord dessins have one vertex; random ribbon graphs are often
+    # disconnected, so their sub-dessins reach component counts above 1
+    rng = random.Random(53)
+    dessins = []
+    for _ in range(30):
+        word = list(range(rng.randint(1, 8))) * 2
+        rng.shuffle(word)
+        dessins.append(to_dessin(ChordDiagram(tuple(word))))
+        dessins.append(random_ribbon_graph(rng, rng.randint(1, 8)))
+    seen = set()
+    for d in dessins:
+        for dd in (d, dual(d)):
+            scanned = {}
+            scan_subdessins(dd, lambda mask, c: scanned.__setitem__(mask, c.k))
+            for mask, k in scanned.items():
+                edges = [i for i in range(dd.n_edges) if mask >> i & 1]
+                assert k == dessin_counts(dd, edges).k == bfs_component_count(dd, mask)
+                seen.add(k)
+    assert {1, 2, 3, 4} <= seen
 
 
 def test_duality_on_corpus():

@@ -522,6 +522,27 @@ def test_determinant_scans_once(scans):
     assert len(scans) == 1
 
 
+def test_profile_readers_count_components_of_the_full_dessin_only(scans, monkeypatch):
+    # the 2^16 subsets are scanned once, for faces only; components are
+    # counted by `dessin_counts` of the full dessin, never per subset
+    real = dessin._components
+    calls = []
+
+    def counting(d, mask):
+        calls.append(mask == (1 << d.n_edges) - 1)
+        return real(d, mask)
+
+    for module in (dessin, invariants):
+        monkeypatch.setattr(module, "_components", counting)
+    pd = braid_pd([1, -2] * 8, 3)
+    assert pd.n == 16
+    assert determinant(pd).value == 2205
+    coefficient_table(pd, check=True)
+    quasi_tree_counts(build_dessin(pd, 0))
+    assert len(scans) == 1
+    assert calls == [True] * 3
+
+
 def test_quasi_tree_counts_reuse_the_bracket_profile(scans):
     # the bracket is a contraction, not a scan: the quasi-tree counts scan
     # once, and nothing read after them contracts or scans again

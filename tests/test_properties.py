@@ -12,7 +12,7 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from dessinlink.dessin import build_dessin, dessin_counts, quasi_tree_counts
+from dessinlink.dessin import build_dessin, dessin_counts, dual, quasi_tree_counts
 from dessinlink.diagram import (
     PDCode,
     mirror,
@@ -30,6 +30,7 @@ from dessinlink.invariants import (
 from dessinlink.poly import LaurentPoly
 
 from helpers import (
+    bfs_component_count,
     genus_0_loop_sum,
     nugatory_join,
     random_decorated_diagram,
@@ -169,6 +170,20 @@ def test_dessin_faces_are_the_complementary_state_circles(pd: PDCode, data):
     full = (1 << pd.n) - 1
     s = data.draw(st.integers(min_value=0, max_value=full), label="state")
     assert dessin_counts(build_dessin(pd, s)).f == state_circle_count(pd, s ^ full)
+
+
+@checked
+@given(diagrams, st.data())
+def test_component_counts_match_a_bfs(pd: PDCode, data):
+    # the subset kernel counts no components; `dessin_counts` gets them
+    # from its own union-find, checked here on the dessin and its dual
+    d = build_dessin(pd, 0)
+    for dd in (d, dual(d)):
+        full = (1 << dd.n_edges) - 1
+        masks = data.draw(st.lists(st.integers(min_value=0, max_value=full), max_size=16))
+        for mask in [0, full, *masks]:
+            edges = [i for i in range(dd.n_edges) if mask >> i & 1]
+            assert dessin_counts(dd, edges).k == bfs_component_count(dd, mask)
 
 
 @checked
