@@ -14,6 +14,7 @@ by `_components` only where a genus or a `Counts` is built.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
@@ -27,6 +28,7 @@ from typing import (
     Tuple,
 )
 
+from ._pool import pooled_tally
 from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError
 
@@ -213,10 +215,8 @@ def _scan(
 ) -> Iterator[Tuple[int, int, int]]:
     """Yield (mask, edges, faces) for every subset of `universe`.
 
-    This is the only dessin-side subset enumerator.  It walks the subsets in
-    increasing bitmask order, which only `scan_subdessins` promises; the
-    readers of `_subset_profile` take the (edges, faces) multiplicities in
-    whatever order the tally was filled.
+    It walks the subsets in increasing bitmask order, which
+    `scan_subdessins` promises.
     """
     e = d.n_edges
     full = (1 << e) - 1
@@ -254,8 +254,16 @@ def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int], int]:
 # Reuse is between the invariants of one diagram, so a few entries suffice.
 @lru_cache(maxsize=16)
 def _profile_scan(d: Dessin) -> Dict[Tuple[int, int], int]:
+    """The (e, f) tally over every edge subset, split over the CPUs from
+    2^16 subsets on by `_pool.pooled_tally`.  Its readers take the
+    multiplicities in whatever order the tally was filled."""
+    return pooled_tally(_profile_range, (d,), 1 << d.n_edges, os.cpu_count() or 1)
+
+
+def _profile_range(d: Dessin, lo: int, hi: int) -> Dict[Tuple[int, int], int]:
+    """The (e, f) tally of the edge subsets with bitmasks lo <= mask < hi."""
     tally: Dict[Tuple[int, int], int] = {}
-    for _, eh, f in _scan(d, cap=d.n_edges):
+    for _, eh, f in _counts(d, range(lo, hi)):
         key = (eh, f)
         tally[key] = tally.get(key, 0) + 1
     return tally

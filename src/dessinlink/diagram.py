@@ -21,10 +21,10 @@ strand walk and the bracket's contraction read its `alpha` and `flip`.
 
 from __future__ import annotations
 
-import os
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._pool import pooled_tally
 from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError, OrientationError
 from .poly import LaurentPoly, delta_spread
@@ -334,11 +334,6 @@ def smooth_state(pd: PDCode, s: StateLike) -> Tuple[Tuple[int, ...], ...]:
 # State-sum Kauffman bracket (the brute-force oracle)
 # ============================================================
 
-# Fewest states for which `state_sum_bracket` forks its worker pool: with
-# the Gray-code kernel, 2 workers beat 1 from 16 crossings on, and lose at 15.
-_POOL_MIN_STATES = 1 << 16
-
-
 def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
     """Tally (#B smoothings, circles) over the states gray(i), start <= i < stop.
 
@@ -404,29 +399,15 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPol
     <P> = sum over states of A^(#A - #B) * delta^(#circles - 1).  The states
     are walked in Gray order by `_bracket_counts`, one crossing flip and one
     partial circle walk per state, with a from-scratch recount at the end of
-    each range, and `delta_spread` reads the levels off their tally.  With
-    workers > 1 and at least 2^16 states, contiguous ranges of the Gray
-    sequence run in forked processes; below that, forking costs more than
-    it saves.
+    each range, and `delta_spread` reads the levels off their tally.  From
+    2^16 states on, contiguous ranges of the Gray sequence run in up to
+    `workers` forked processes (`_pool.pooled_tally`); below that, forking
+    costs more than it saves.
     """
     n = len(pd.crossings)
     if n > cap:
         raise CapExceededError(f"{n} crossings exceeds the state-sum cap {cap}")
-    total = 1 << n
-    workers = max(1, min(workers, os.cpu_count() or 1))
-    if workers == 1 or total < _POOL_MIN_STATES:
-        counts = _bracket_counts(pd.alpha, n, 0, total)
-    else:
-        import multiprocessing
-
-        bounds = [total * i // workers for i in range(workers + 1)]
-        args = [(pd.alpha, n, bounds[i], bounds[i + 1]) for i in range(workers)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.starmap(_bracket_counts, args)
-        counts = {}
-        for part in parts:
-            for key, mult in part.items():
-                counts[key] = counts.get(key, 0) + mult
+    counts = pooled_tally(_bracket_counts, (pd.alpha, n), 1 << n, workers)
     v = next(f for b, f in counts if b == 0)  # circles of the all-A state
     levels = delta_spread(counts, v, n + v - 1)
     return LaurentPoly({n + 2 * v - 2 - 4 * l: c for l, c in enumerate(levels)})

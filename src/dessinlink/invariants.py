@@ -194,11 +194,14 @@ def _contract(alpha: Tuple[int, ...]) -> LaurentPoly:
 
     A state's value, its sum of A^(#A - #B) delta^(closed loops) after k
     crossings, is one integer: sum_j c_j A^(2j - 5k) is sum_j c_j X^j at
-    X = 2^bits, every |c_j| below 2^(bits - 1) (at most 2^k smoothings,
-    each weighed by a delta^L, L <= 2k, of coefficient sum 2^L).  With
-    delta = -A^-2 (1 + A^4), a crossing's smoothings shift the digits by
-    (A-power + 5) / 2 - L and multiply by -(1 + X^2) per loop.  The last
-    state has every loop closed, one of them counted once too many.
+    X = 2^bits.  With delta = -A^-2 (1 + A^4), a crossing's smoothings
+    shift the digits by (A-power + 5) / 2 - L and multiply by -(1 + X^2)
+    per loop.  The last state has every loop closed, one of them counted
+    once too many.  Evaluation at X is exact in Z, so the digits of the
+    states on the way may carry; only the read-out needs every |c_j| of
+    that last value, delta <P>, below 2^(bits - 1), which bits = 3n + 2
+    ensures (2^n smoothings, each weighed by a delta^L, L <= 2n, of
+    coefficient sum 2^L).
     """
     order, width = _contraction_order(alpha)
     bits = 3 * len(order) + 2

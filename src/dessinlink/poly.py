@@ -149,10 +149,6 @@ class LaurentPoly:
         """Multiply by A^k."""
         return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
 
-    def reciprocal_variable(self) -> "LaurentPoly":
-        """Substitute A -> A^-1 (negate every exponent)."""
-        return LaurentPoly._of({-e: c for e, c in self._terms.items()})
-
     def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises PolyError on a nonzero remainder."""
         if not other:

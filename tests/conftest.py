@@ -1,5 +1,8 @@
 """Session fixtures shared across test modules."""
 
+import multiprocessing.pool
+import os
+
 import pytest
 
 import helpers
@@ -16,6 +19,23 @@ def fresh_memos():
     dessin._profile_scan.cache_clear()
     invariants._contraction_order.cache_clear()
     invariants._contract.cache_clear()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of each pool run from now on.  Two CPUs are
+    reported, so a large enough scan forks on any machine."""
+    real = multiprocessing.pool.Pool.starmap
+    sizes = []
+
+    def counting(self, func, iterable, chunksize=None):
+        args = list(iterable)
+        sizes.append(len(args))
+        return real(self, func, args, chunksize)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
 
 
 @pytest.fixture(scope="session")

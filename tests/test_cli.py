@@ -4,6 +4,7 @@ import argparse
 import copy
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
-from dessinlink import cli, diagram, invariants
+from dessinlink import cli, dessin, diagram, invariants
 from dessinlink.errors import InternalError
 from dessinlink.dessin import build_dessin, dessin_counts
 from dessinlink.poly import LaurentPoly
@@ -30,6 +31,8 @@ from dessinlink.cli import (
     _cache_key,
     run_cli,
 )
+
+from helpers import braid_pd
 
 HOPF_UNSIGNED = "X[1,3,2,4] X[3,1,4,2]"
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"  # the bundled 3_1, writhe +3
@@ -700,6 +703,25 @@ def test_verify_passes_and_is_deterministic(tmp_path, capsys):
     assert "figure8_charpoly" in names
 
 
+def test_pooled_scans_print_what_in_process_scans_print(monkeypatch, capsys, pools):
+    # 16 crossings: the all-A dessin's 2^16 subsets are scanned in a pool
+    # when the process can fork, and in-process when it cannot
+    pd = diagram.pd_to_text(braid_pd([1, -2] * 8, 3))
+    commands = [[name, "--pd", pd] for name in ("det", "quasitrees", "coeffs")]
+
+    def outputs():
+        dessin._profile_scan.cache_clear()
+        codes = [run_cli(argv) for argv in commands]
+        return codes, capsys.readouterr().out
+
+    pooled = outputs()
+    assert pools == [2]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert outputs() == pooled
+    assert pools == [2]
+    assert pooled[0] == [EXIT_OK] * 3
+
+
 def test_verify_plain_lists_checks(capsys):
     code = run_cli(["verify", "--plain"])
     out = capsys.readouterr().out
@@ -785,6 +807,16 @@ def test_cache_hit_loads_no_math(tmp_path, capsys):
         assert code == EXIT_OK
         assert cache.stat().st_size == size, argv  # answered from the cache
         assert not modules & MATH_MODULES, argv
+
+
+def test_startup_and_small_scans_import_no_multiprocessing(tmp_path, capsys):
+    cache = str(tmp_path / "cache.jsonl")
+    assert run_cli(["det", "--name", "3_1", "--cache", cache]) == EXIT_OK
+    capsys.readouterr()
+    for argv in (("--version",), ("det", "--name", "3_1", "--cache", cache), ("det", "--name", "8_21")):
+        code, modules = probe_cli(*argv)
+        assert code == EXIT_OK
+        assert "multiprocessing" not in modules, argv
 
 
 def test_cache_miss_loads_no_dataclass_machinery(tmp_path):
