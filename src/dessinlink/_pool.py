@@ -2,12 +2,12 @@
 
 `diagram.state_sum_bracket` walks 2^n states and `dessin._profile_scan`
 2^e edge subsets; each tallies a kernel over contiguous index ranges, and
-`pooled_tally` decides whether those ranges run in forked workers or in
-one call in this process.
+`pooled_tally` alone decides whether those ranges run in forked workers
+or in one call in this process, and how many workers it forks.
 """
 
 import os
-from typing import Callable, Dict, Hashable
+from typing import Callable, Dict, Hashable, Optional
 
 # Fewest states (or subsets) for which `pooled_tally` forks.  The subset
 # scan breaks even lower, near 2^13 (serial against 2 workers: 12 edges
@@ -20,20 +20,23 @@ _POOL_MIN_STATES = 1 << 16
 
 
 def pooled_tally(
-    kernel: Callable[..., Dict[Hashable, int]], head: tuple, total: int, workers: int
+    kernel: Callable[..., Dict[Hashable, int]],
+    head: tuple, total: int, workers: Optional[int] = None,
 ) -> Dict[Hashable, int]:
     """The tally kernel(*head, 0, total), summed over contiguous ranges.
 
-    With total >= _POOL_MIN_STATES and more than one of min(workers, CPUs),
-    [0, total) is split into that many ranges, each run by a worker forked
-    for this call, and their tallies are added up; the pool is closed and
-    joined before returning, so no worker outlives the call.  A platform
-    without the "fork" start method, or a daemonic process (a pool worker,
-    which may not have children), gets the one in-process call instead.
-    `kernel` and `head` are pickled to the workers, so the kernel must be a
-    module-level function.
+    From total >= _POOL_MIN_STATES on, [0, total) is split into one range
+    per CPU this process may run on (its affinity set where the platform
+    has one), at most `workers` when given, each run by a worker forked for
+    this call, and their tallies are added up; the pool is closed and
+    joined before returning, so no worker outlives the call.  With one
+    CPU, without the "fork" start method, or in a daemonic process (a pool
+    worker, which may not have children), the kernel runs in one call in
+    this process instead.  `kernel` and `head` are pickled to the workers,
+    so the kernel must be a module-level function.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
     if total >= _POOL_MIN_STATES and workers > 1:
         import multiprocessing
 

@@ -101,16 +101,14 @@ def _cmd_bracket(args) -> Dict[str, Any]:
     from .invariants import bracket_via_dessin
 
     pd = _load_pd(args)
-    cap = _cap(args)
-    br = bracket_via_dessin(pd, cap=cap)
+    br = bracket_via_dessin(pd, cap=_cap(args))
     payload: Dict[str, Any] = {
         "pd": pd_to_text(pd),
         "crossings": pd.n,
         "bracket": _poly_fields(br, "A"),
     }
     if args.oracle:
-        oracle = state_sum_bracket(pd, cap=min(cap, 20), workers=args.workers)
-        payload["oracle_equal"] = oracle == br
+        payload["oracle_equal"] = state_sum_bracket(pd) == br
     return payload
 
 
@@ -324,7 +322,7 @@ def _cmd_twist(args) -> Dict[str, Any]:
 # ==========================================================================
 
 
-def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
+def _verify_checks(cap: int) -> List[Dict[str, Any]]:
     from .chord import char_poly, counts_from_char_poly, to_chord_diagram
     from .dessin import _scan, build_dessin, contract_parallel, dual, quasi_tree_counts
     from .diagram import (
@@ -355,10 +353,7 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
         pd = parse_pd(table[name])
         d = build_dessin(pd, 0)
         br = bracket_via_dessin(pd, cap=cap)
-        add(
-            f"bracket_oracle_{name}",
-            br == state_sum_bracket(pd, cap=min(cap, 20), workers=workers),
-        )
+        add(f"bracket_oracle_{name}", br == state_sum_bracket(pd))
         s = quasi_tree_counts(d, cap=cap)
         sd = quasi_tree_counts(dual(d), cap=cap)
         add(f"duality_{name}", s == tuple(reversed(sd)))
@@ -396,11 +391,8 @@ def _verify_checks(cap: int, workers: int) -> List[Dict[str, Any]]:
 
 
 def _cmd_verify(args) -> Dict[str, Any]:
-    checks = _verify_checks(_cap(args), args.workers)
-    return {
-        "checks": checks,
-        "all_pass": all(c["pass"] for c in checks),
-    }
+    checks = _verify_checks(_cap(args))
+    return {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
 
 
 # ==========================================================================
@@ -436,9 +428,9 @@ def _emit(payload: Dict[str, Any], args) -> None:
         sys.stdout.write(text)
 
 
-# options that choose where and how a payload is written, or how fast it
-# is computed, but never what it contains
-_UNKEYED = frozenset({"out", "cache", "plain", "workers", "allow_large"})
+# options that choose where and how a payload is written, or acknowledge
+# a large cap, but never change what it contains
+_UNKEYED = frozenset({"out", "cache", "plain", "allow_large"})
 
 
 def _cache_key(command: str, args) -> str:
@@ -543,8 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
     capped.add_argument(
         "--allow-large", action="store_true", help="acknowledge caps beyond 28"
     )
-    pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--workers", type=int, default=1)
     scans_diagram = [source, capped, common]
 
     parser = argparse.ArgumentParser(
@@ -554,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("bracket", parents=[*scans_diagram, pool])
+    p = sub.add_parser("bracket", parents=scans_diagram)
     p.add_argument("--oracle", action="store_true", help="cross-check by state sum")
     sub.add_parser("jones", parents=scans_diagram)
     p = sub.add_parser("det", parents=scans_diagram)
@@ -576,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist", parents=[capped, common])
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
-    sub.add_parser("verify", parents=[capped, pool, common])
+    sub.add_parser("verify", parents=[capped, common])
     return parser
 
 
@@ -587,8 +577,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise _UsageError("--workers must be >= 1")
         key = None
         cache = getattr(args, "cache", None)
         if cache:

@@ -5,16 +5,17 @@ Half-edges are numbered 0..2e-1 and edge i pairs half-edges 2i and 2i+1.
 Faces are the orbits of h -> successor-at-vertex of the mate of h; genus
 comes from Euler's relation v - e + f = 2k - 2g per component count k.
 
-Sub-dessins keep every vertex and a subset of edges.  Every sub-dessin
-edge and face count in the package comes from the one kernel in this
-module, `_counts`, which counts no components: the (e, f) profile needs
-none, because a one-face sub-dessin is connected.  Components are counted
-by `_components` only where a genus or a `Counts` is built.
+Sub-dessins keep every vertex and a subset of edges.  `_counts` is the
+kernel of the production (e, f) profile and of every sub-dessin count
+here; `diagram._bracket_counts`, the state-sum oracle's kernel, tallies
+the same profile from the PD code (`test_state_sum_tally_is_the_subset_profile`).
+`_counts` counts no components: the profile needs none, because a
+one-face sub-dessin is connected.  Components are counted by
+`_components` only where a genus or a `Counts` is built.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
@@ -257,7 +258,7 @@ def _profile_scan(d: Dessin) -> Dict[Tuple[int, int], int]:
     """The (e, f) tally over every edge subset, split over the CPUs from
     2^16 subsets on by `_pool.pooled_tally`.  Its readers take the
     multiplicities in whatever order the tally was filled."""
-    return pooled_tally(_profile_range, (d,), 1 << d.n_edges, os.cpu_count() or 1)
+    return pooled_tally(_profile_range, (d,), 1 << d.n_edges)
 
 
 def _profile_range(d: Dessin, lo: int, hi: int) -> Dict[Tuple[int, int], int]:

@@ -348,10 +348,12 @@ def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
     two circles through c otherwise.  So only the first state is traced from
     scratch; each later one walks the circle through dart 4c until it comes
     back to 4c (merge) or meets c's other channel first (split).  The rule
-    needs a planar map, which `PDCode` guarantees; as a check, the last
-    state of the range is traced again from scratch and a mismatch raises
-    `InternalError`.  Ranges that split [0, 2^n) visit every state once
-    between them.
+    needs an orientable map, not a planar one: a `PDCode`'s, or the medial
+    map of any dessin (darts 2h and 2h+1 the corners before and after
+    half-edge h, alpha[2h+1] = 2 next(h)), whose tally is that dessin's
+    (e, f) profile.  As a check, the last state of the range is traced
+    again from scratch and a mismatch raises `InternalError`.  Ranges that
+    split [0, 2^n) visit every state once between them.
     """
     if start >= stop:
         return {}
@@ -393,16 +395,16 @@ def _bracket_counts(alpha: Tuple[int, ...], n: int, start: int, stop: int):
     return {divmod(index, width): mult for index, mult in enumerate(tally) if mult}
 
 
-def state_sum_bracket(pd: PDCode, cap: int = 20, workers: int = 1) -> LaurentPoly:
+def state_sum_bracket(pd: PDCode, cap: int = 20, workers: Optional[int] = None) -> LaurentPoly:
     """Kauffman bracket by direct summation over all 2^n states.
 
     <P> = sum over states of A^(#A - #B) * delta^(#circles - 1).  The states
     are walked in Gray order by `_bracket_counts`, one crossing flip and one
     partial circle walk per state, with a from-scratch recount at the end of
     each range, and `delta_spread` reads the levels off their tally.  From
-    2^16 states on, contiguous ranges of the Gray sequence run in up to
-    `workers` forked processes (`_pool.pooled_tally`); below that, forking
-    costs more than it saves.
+    2^16 states on, contiguous ranges of the Gray sequence run in forked
+    processes, one per CPU and at most `workers` when given
+    (`_pool.pooled_tally`); below that, forking costs more than it saves.
     """
     n = len(pd.crossings)
     if n > cap:

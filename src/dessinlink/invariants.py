@@ -363,15 +363,18 @@ def determinant(
     """Link determinant with cross-checked evaluation routes.
 
     With methods=None every applicable route runs and inapplicable ones
-    are reported as skipped; an explicitly requested route that does not
-    apply raises instead.  All computed values must agree.
+    are reported as skipped; an explicitly requested route (a str names
+    one) that does not apply raises instead, and so does requesting none.
+    All computed values must agree.
     """
     if methods is None:
         requested = set(DET_METHODS)
         strict = False
     else:
-        requested = set(methods)
+        requested = {methods} if isinstance(methods, str) else set(methods)
         strict = True
+        if not requested:
+            raise DiagramError("no determinant method requested")
         unknown = requested.difference(DET_METHODS)
         if unknown:
             raise DiagramError(f"unknown determinant methods {sorted(unknown)}")

@@ -23,8 +23,8 @@ def fresh_memos():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of each pool run from now on.  Two CPUs are
-    reported, so a large enough scan forks on any machine."""
+    """The worker count of each pool run from now on.  The pool's CPU
+    count reads two, so a large enough scan forks on any machine."""
     real = multiprocessing.pool.Pool.starmap
     sizes = []
 
@@ -34,7 +34,7 @@ def pools(monkeypatch):
         return real(self, func, args, chunksize)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", counting)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return sizes
 
 

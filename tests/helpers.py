@@ -1,9 +1,9 @@
 """Shared test utilities: braid-closure diagrams and seeded random corpora."""
 
 import random
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from dessinlink.dessin import Dessin, _subset_profile, build_dessin, scan_subdessins
+from dessinlink.dessin import Dessin, _scan, _subset_profile, build_dessin, scan_subdessins
 from dessinlink.diagram import (
     PDCode,
     mirror,
@@ -58,6 +58,26 @@ def genus_0_loop_sum(d: Dessin) -> int:
         universe=loops,
     )
     return sum(terms)
+
+
+def scan_profile(d: Dessin) -> Dict[Tuple[int, int], int]:
+    """The (e, f) tally from the ascending subset enumerator."""
+    tally: Dict[Tuple[int, int], int] = {}
+    for _, eh, f in _scan(d, cap=d.n_edges):
+        tally[eh, f] = tally.get((eh, f), 0) + 1
+    return tally
+
+
+def medial_alpha(d: Dessin) -> Tuple[int, ...]:
+    """The dart involution of the medial map of `d`, as `diagram._bracket_counts`
+    reads a PD code's: edge i is crossing i, darts 2h and 2h+1 are the corners
+    before and after half-edge h, and alpha[2h+1] = 2 next(h), for next(h) the
+    half-edge after h at its vertex."""
+    alpha = [0] * (4 * d.n_edges)
+    for rot in d.rotations:
+        for h, k in zip(rot, rot[1:] + rot[:1]):
+            alpha[2 * h + 1], alpha[2 * k] = 2 * k, 2 * h + 1
+    return tuple(alpha)
 
 
 def bfs_component_count(d: Dessin, mask: int) -> int:

@@ -216,9 +216,9 @@ def test_usage_errors(capsys):
     "argv",
     [
         ("bracket", "--name", "3_1", "--cap", "0"),
-        ("bracket", "--name", "3_1", "--oracle", "--workers", "-5"),
-        ("bracket", "--name", "3_1", "--workers", "0"),
-        ("verify", "--workers", "0"),
+        ("bracket", "--name", "3_1", "--oracle", "--cap", "-5"),
+        ("quasitrees", "--name", "3_1", "--cap", "0"),
+        ("verify", "--cap", "0"),
     ],
 )
 def test_counts_below_1_are_usage_errors(capsys, argv):
@@ -228,15 +228,6 @@ def test_counts_below_1_are_usage_errors(capsys, argv):
     error = json.loads(err)["error"]
     assert error["kind"] == "usage"
     assert "must be >= 1" in error["message"]
-
-
-def test_workers_below_1_is_a_usage_error_on_a_cache_hit(tmp_path, capsys):
-    # --workers is not in the cache key, so it is checked before the lookup
-    cache = str(tmp_path / "cache.jsonl")
-    assert run_json(capsys, "bracket", "--name", "3_1", "--cache", cache)[0] == EXIT_OK
-    code, _, err = run_json(capsys, "bracket", "--name", "3_1", "--workers", "0", "--cache", cache)
-    assert code == EXIT_USAGE
-    assert "--workers must be >= 1" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [("charpoly",), ("charpoly", "--chords", "")])
@@ -271,13 +262,15 @@ def test_scan_options_only_where_a_scan_runs(capsys, tmp_path):
         ("jones", "--name", "3_1", "--workers", "2"),
         ("twist", "2", "3", "--workers", "2"),
         ("pretzel", "2", "3", "-5", "--workers", "2"),
+        ("bracket", "--name", "3_1", "--oracle", "--workers", "2"),
+        ("verify", "--workers", "1"),
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(list(argv))
         assert exc.value.code == EXIT_USAGE, argv
     capsys.readouterr()
     for argv in (
-        ("bracket", "--name", "3_1", "--oracle", "--workers", "2", "--cap", "10"),
+        ("bracket", "--name", "3_1", "--oracle", "--cap", "10"),
         ("det", "--name", "3_1", "--cap", "10"),
         ("twist", "2", "3", "--cap", "30", "--allow-large"),
         ("pretzel", "2", "3", "-5", "--det", "--cap", "10"),
@@ -322,6 +315,23 @@ def test_cap_exceeded(capsys):
     code, _, err = run_json(capsys, "bracket", "--name", "8_21", "--cap", "4")
     assert code == EXIT_CAP
     assert json.loads(err)["error"]["kind"] == "cap-exceeded"
+
+
+def test_the_state_sum_oracle_keeps_its_own_crossing_bound(capsys):
+    # --cap bounds the scanned edges and the contraction's width, not the
+    # oracle: 12 crossings of width at most 10 pass under --cap 10, and
+    # 21 crossings exceed the oracle's 20 under any cap
+    pd = diagram.pd_to_text(braid_pd([1, -2] * 6, 3))
+    code, payload, _ = run_json(capsys, "bracket", "--pd", pd, "--oracle", "--cap", "10")
+    assert (code, payload["crossings"], payload["oracle_equal"]) == (EXIT_OK, 12, True)
+    pd = diagram.pd_to_text(braid_pd([1, -2] * 10 + [1], 3))
+    assert run_json(capsys, "bracket", "--pd", pd, "--cap", "10")[0] == EXIT_OK
+    code, _, err = run_json(capsys, "bracket", "--pd", pd, "--oracle", "--cap", "10")
+    assert code == EXIT_CAP
+    assert json.loads(err)["error"] == {
+        "kind": "cap-exceeded",
+        "message": "21 crossings exceeds the state-sum cap 20",
+    }
 
 
 def test_orientation_precondition(capsys):
@@ -611,7 +621,7 @@ def test_cache_key_covers_every_option_but_the_unkeyed():
             moved = _cache_key(command, changed) != _cache_key(command, base)
             assert moved != (action.dest in _UNKEYED), (command, action.dest)
     # only options that cannot change a payload stay out of the key
-    assert _UNKEYED == {"out", "cache", "plain", "workers", "allow_large"} <= seen
+    assert _UNKEYED == {"out", "cache", "plain", "allow_large"} <= seen
     # a table name is keyed on its PD text
     by_name = parser.parse_args(["det", "--name", "3_1"])
     by_pd = parser.parse_args(["det", "--pd", TREFOIL])
@@ -689,11 +699,14 @@ def test_concurrent_cache_appends_never_interleave(tmp_path):
 # ==========================================================================
 
 
-def test_verify_passes_and_is_deterministic(tmp_path, capsys):
+def test_verify_passes_and_is_deterministic(tmp_path, capsys, monkeypatch):
+    # the same bytes on one CPU as on two
     one = tmp_path / "verify1.json"
     two = tmp_path / "verify2.json"
-    assert run_cli(["verify", "--workers", "1", "--out", str(one)]) == EXIT_OK
-    assert run_cli(["verify", "--workers", "2", "--out", str(two)]) == EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_cli(["verify", "--out", str(one)]) == EXIT_OK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert run_cli(["verify", "--out", str(two)]) == EXIT_OK
     capsys.readouterr()
     assert one.read_bytes() == two.read_bytes()
     payload = json.loads(one.read_text())

@@ -11,6 +11,7 @@ from dessinlink.diagram import (
     DiagramError,
     PDCode,
     parse_pd,
+    reduce_to_one_vertex,
     smooth_state,
     strand_components,
     table_pd,
@@ -37,8 +38,10 @@ from helpers import (
     add_curl,
     bfs_component_count,
     corpus,
+    medial_alpha,
     nugatory_join,
     random_decorated_diagram,
+    scan_profile,
 )
 
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"
@@ -250,6 +253,38 @@ def test_state_sum_tally_is_the_subset_profile():
         alpha = pd.alpha
         tally = diagram._bracket_counts(alpha, pd.n, 0, 1 << pd.n)
         assert dessin._profile_scan(build_dessin(pd, 0)) == tally, pd
+
+
+def test_medial_state_sum_tally_is_the_subset_profile():
+    # on the medial map of any dessin, planar or not, the state sum's
+    # kernel tallies that dessin's (e, f) profile, over any split of its
+    # range; the reference is the ascending subset enumerator
+    rng = random.Random(59)
+    table = [table_pd(name) for name in sorted(knot_table())]
+    pds = corpus(seed=59, count=20, max_crossings=8)
+    dessins = [build_dessin(pd, 0) for pd in table + pds]
+    dessins += [dual(d) for d in dessins]
+    # the corpus's one-vertex reductions have at most 12 edges, 6_2's 17
+    dessins += [build_dessin(reduce_to_one_vertex(pd), 0) for pd in pds]
+    for _ in range(20):
+        word = list(range(rng.randint(1, 12))) * 2
+        rng.shuffle(word)
+        dessins.append(to_dessin(ChordDiagram(tuple(word))))
+        dessins.append(random_ribbon_graph(rng, rng.randint(1, 12)))
+    assert max(d.n_edges for d in dessins) == 12
+    assert {dessin_counts(d).g for d in dessins} >= {0, 1, 2, 3}
+    assert {dessin_counts(d).k for d in dessins} >= {1, 2, 3}
+    for d in dessins:
+        e = d.n_edges
+        profile = scan_profile(d)
+        alpha = medial_alpha(d)
+        assert diagram._bracket_counts(alpha, e, 0, 1 << e) == profile, d
+        cuts = sorted(rng.sample(range(1, 1 << e), min(3, (1 << e) - 1)))
+        split = {}
+        for lo, hi in zip([0, *cuts], [*cuts, 1 << e]):
+            for key, mult in diagram._bracket_counts(alpha, e, lo, hi).items():
+                split[key] = split.get(key, 0) + mult
+        assert split == profile, (d, cuts)
 
 
 # ==========================================================================

@@ -192,6 +192,19 @@ def test_determinant_method_selection():
     assert not eight.skipped
 
 
+def test_a_str_of_methods_names_one_route():
+    rep = determinant(table_pd("3_1"), methods="charpoly")
+    assert (rep.value, rep.methods, rep.skipped) == (3, {"charpoly": 3}, {})
+    with pytest.raises(DiagramError, match=r"unknown determinant methods \['char'\]"):
+        determinant(table_pd("3_1"), methods="char")
+
+
+@pytest.mark.parametrize("methods", [(), [], set()])
+def test_requesting_no_determinant_method_is_an_error(methods):
+    with pytest.raises(DiagramError, match="^no determinant method requested$"):
+        determinant(table_pd("3_1"), methods=methods)
+
+
 def test_determinant_twist_law():
     for p in range(1, 5):
         for q in range(1, 5):
