@@ -10,12 +10,16 @@ import os
 from typing import Callable, Dict, Hashable, Optional
 
 # Fewest states (or subsets) for which `pooled_tally` forks.  The subset
-# scan breaks even lower, near 2^13 (serial against 2 workers: 12 edges
-# 36 vs 40 ms, 13 edges 84 vs 58 ms, 16 edges 627-811 vs 346-413 ms), and
-# the state sum near 2^16.  But a call below 2^16 takes under about 0.5 s,
-# and keeping it in-process spares it the fork, the `multiprocessing`
-# import (+1.1 MB peak RSS in a process that never forked) and the
-# copy-on-write faults on the work that follows.
+# scan breaks even near 2^14 (serial against 2 workers, medians on a
+# 2-core x86-64: 12 edges 16-19 vs 22-23 ms, 13 edges 31-49 vs 32-43 ms,
+# 14 edges 67 vs 57 ms, 16 edges 334-414 vs 180-255 ms), and the state sum
+# near 2^16.  Both stay in-process below 2^16: such a call takes under
+# about 0.2 s, and a lower threshold would fork inside the 6-13-crossing
+# scans of a tabulation session (the benchmark's `corpus`), add the
+# `multiprocessing` import (+1.1 MB peak RSS in a process that never
+# forked) and the copy-on-write faults on the work that follows, and put
+# those ops under the benchmark's speed probe, which pauses only around
+# the ops it lists in `bench/library.py` `POOL_OPS`.
 _POOL_MIN_STATES = 1 << 16
 
 

@@ -9,9 +9,11 @@ Sub-dessins keep every vertex and a subset of edges.  `_counts` is the
 kernel of the production (e, f) profile and of every sub-dessin count
 here; `diagram._bracket_counts`, the state-sum oracle's kernel, tallies
 the same profile from the PD code (`test_state_sum_tally_is_the_subset_profile`).
-`_counts` counts no components: the profile needs none, because a
-one-face sub-dessin is connected.  Components are counted by
-`_components` only where a genus or a `Counts` is built.
+A subset costs `_counts` one AND per vertex plus work at the half-edges
+the subset holds, none at the others.  It counts no components: the
+profile needs none, because a one-face sub-dessin is connected.
+Components are counted by `_components` only where a genus or a
+`Counts` is built.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _canonical(rotations: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...
 class Dessin(Record):
     """A connected-or-not ribbon graph, rotations in canonical form."""
 
-    __slots__ = ("rotations", "_vertex_of")
+    __slots__ = ("rotations", "_vertex_of", "_plan")
 
     def __init__(self, rotations: Iterable[Sequence[int]]):
         rotations = _canonical(rotations)
@@ -147,44 +149,88 @@ def _dessin_of(pd: PDCode, mask: int) -> Dessin:
 # ============================================================
 
 
+def _scan_plan(d: Dessin) -> List[list]:
+    """What `_counts` needs of each vertex, built once per dessin.
+
+    The kernel numbers half-edges by position: vertex after vertex, each
+    rotation in order, so every vertex owns one slice of positions.  Per
+    vertex the plan holds its edge mask, its slice, the mate position of
+    each position's successor in the full rotation, its positions, and a
+    (position, edge bit, mate position) triple per half-edge.  It is kept
+    in a cache slot, outside equality, hash and pickling.  It is built of
+    lists, not tuples: CPython keeps freed tuples of each length up to 19
+    on a free list of that length, so per-vertex tuples freed with each
+    dessin held memory no later tuple reused (on CPython 3.11, 7200 ops
+    of 6-13 crossings ended 0.6 MB above the old kernel, 0.2 MB with lists).
+    """
+    try:
+        return d._plan
+    except AttributeError:
+        pass
+    order = [h for rot in d.rotations for h in rot]
+    at = [0] * len(order)
+    for p, h in enumerate(order):
+        at[h] = p
+    mate = [at[h ^ 1] for h in order]
+    plan = []
+    a = 0
+    for rot in d.rotations:
+        b = a + len(rot)
+        own = range(a, b)
+        bits = [1 << (h >> 1) for h in rot]
+        mates = mate[a:b]
+        # a loop's two ends share one edge bit, counted once in the mask
+        edges = sum(set(bits))
+        plan.append([edges, slice(a, b), mates[1:] + mates[:1], own, list(zip(own, bits, mates))])
+        a = b
+    object.__setattr__(d, "_plan", plan)
+    return plan
+
+
 def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
     """Yield (mask, edges, faces) for each edge bitmask in `masks`.
 
-    This is the dessin side's only per-subset kernel; its buffers are
-    allocated once per call and reused for every mask.  It counts faces
-    only: the profile's readers need no component count, and the few
-    that build a genus ask `_components` for it.
+    This is the dessin side's only per-subset kernel.  A mask costs one
+    AND per vertex, against the vertex's edge mask in `_scan_plan`.  A
+    vertex the subset leaves untouched is one face and costs nothing more;
+    one whose edges it holds all links its whole rotation in one slice
+    assignment; one it holds in part links only its held half-edges.
+    Faces are then traced from the held half-edges alone, each walked
+    once.  It counts faces only: the profile's readers need no component
+    count, and the few that build a genus ask `_components` for it.
     """
-    nh = 2 * d.n_edges
-    nxt = [0] * nh
-    stamp = [0] * nh
-    cur = 0
+    plan = _scan_plan(d)
+    # step[p]: the mate of p's successor among the held half-edges at its
+    # vertex; the orbits of p -> step[p] are the faces, conjugated by the
+    # mate, so there are as many.  The walk sets each entry it leaves to -1.
+    step = [0] * (2 * d.n_edges)
     for mask in masks:
-        cur += 1
         f = 0
-        for rot in d.rotations:
-            first = -1
-            prev = -1
-            for h in rot:
-                if (mask >> (h >> 1)) & 1:
-                    if prev < 0:
-                        first = h
-                    else:
-                        nxt[prev] = h
-                    prev = h
-            if prev >= 0:
-                nxt[prev] = first
-            else:
+        held: List[int] = []
+        for edges, own_slice, successors, own, pairs in plan:
+            m = mask & edges
+            if not m:
                 f += 1  # vertex untouched by the subset: one face of its own
-        for rot in d.rotations:
-            for h0 in rot:
-                if not (mask >> (h0 >> 1)) & 1 or stamp[h0] == cur:
-                    continue
-                f += 1
-                h = h0
-                while stamp[h] != cur:
-                    stamp[h] = cur
-                    h = nxt[h ^ 1]
+            elif m == edges:
+                step[own_slice] = successors
+                held += own
+            else:
+                first = prev = -1
+                for p, bit, mate in pairs:
+                    if m & bit:
+                        if prev < 0:
+                            first = mate
+                        else:
+                            step[prev] = mate
+                        prev = p
+                        held.append(p)
+                step[prev] = first
+        for h in held:
+            if step[h] < 0:
+                continue
+            f += 1
+            while h >= 0:
+                step[h], h = -1, step[h]
         yield mask, mask.bit_count(), f
 
 

@@ -469,14 +469,14 @@ def _traced_signs(pd: PDCode) -> Tuple[int, List[Tuple[int, int, int]]]:
     return len(comps), out
 
 
-def _check_signs(pd: PDCode) -> None:
+def _check_signs(pd: PDCode, n_comps: int, traced: List[Tuple[int, int, int]]) -> None:
     """Explicit signs must be those of some orientation of the components.
 
-    Reversing one component flips exactly the crossings it shares with
-    another component, so a self-crossing's sign must equal the traced one,
-    and the mixed crossings must agree with one flip per component.
+    `n_comps` and `traced` are what `_traced_signs(pd)` returns.  Reversing
+    one component flips exactly the crossings it shares with another
+    component, so a self-crossing's sign must equal the traced one, and
+    the mixed crossings must agree with one flip per component.
     """
-    n_comps, traced = _traced_signs(pd)
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in range(n_comps)]
     for c, ((sign, cu, co), given) in enumerate(zip(traced, pd.signs)):
         adj[cu].append((co, sign * given, c))
@@ -497,6 +497,19 @@ def _check_signs(pd: PDCode) -> None:
                 )
 
 
+def _writhe_and_components(pd: PDCode) -> Tuple[int, int]:
+    """The writhe and the number of link components, from one strand walk."""
+    n_comps, traced = _traced_signs(pd)
+    if pd.signs is not None:
+        _check_signs(pd, n_comps, traced)
+        return sum(pd.signs), n_comps
+    if n_comps != 1:
+        raise OrientationError(
+            f"{n_comps}-component diagram: writhe needs explicit S[...] signs"
+        )
+    return sum(sign for sign, _, _ in traced), 1
+
+
 def writhe(pd: PDCode) -> int:
     """Signed crossing count of an oriented diagram.
 
@@ -504,15 +517,7 @@ def writhe(pd: PDCode) -> int:
     orientation of the components gives them.  Otherwise the diagram must
     be a knot, and its single strand is traced.
     """
-    if pd.signs is not None:
-        _check_signs(pd)
-        return sum(pd.signs)
-    n_comps, traced = _traced_signs(pd)
-    if n_comps != 1:
-        raise OrientationError(
-            f"{n_comps}-component diagram: writhe needs explicit S[...] signs"
-        )
-    return sum(sign for sign, _, _ in traced)
+    return _writhe_and_components(pd)[0]
 
 
 # ============================================================

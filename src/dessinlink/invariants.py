@@ -31,7 +31,7 @@ from .dessin import (
     dual,
     quasi_tree_counts,
 )
-from .diagram import _PARTNER, PDCode, reduce_to_one_vertex, strand_components, writhe
+from .diagram import _PARTNER, PDCode, _writhe_and_components, reduce_to_one_vertex
 from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
 from .poly import LaurentPoly, PolyError, _signed_digits, delta_spread
 
@@ -279,7 +279,7 @@ class JonesResult(Record):
 
 def jones_polynomial(pd: PDCode, cap: int = 24) -> JonesResult:
     """V(P) = (-A)^(-3w) <P>, re-expressed in q = A^-2 (t = q^2 for knots)."""
-    w = writhe(pd)
+    w, n_comps = _writhe_and_components(pd)
     br = bracket_via_dessin(pd, cap)
     va = br.shift(-3 * w)
     if w % 2:
@@ -287,8 +287,7 @@ def jones_polynomial(pd: PDCode, cap: int = 24) -> JonesResult:
     if any(e % 2 for e, _ in va.terms()):
         raise InternalError("internal error: odd exponent after writhe normalization")
     q_poly = LaurentPoly({-(e // 2): c for e, c in va.terms()})
-    knot = len(strand_components(pd)) == 1
-    if knot:
+    if n_comps == 1:
         if any(e % 2 for e, _ in q_poly.terms()):
             raise InternalError("internal error: odd q-exponent for a knot")
         t_poly = LaurentPoly({e // 2: c for e, c in q_poly.terms()})

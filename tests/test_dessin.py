@@ -233,6 +233,34 @@ def test_mixed_state_face_count_matches_scan():
             assert dessin_counts(d, edges).f == mixed_state_face_count(pd, edges)
 
 
+def test_kernel_faces_are_the_medial_circles_of_each_mask():
+    # mask by mask, on dessins off the plane too: the kernel's faces are
+    # the circles of the medial map's state that B-smooths the mask's
+    # edges; some mask leaves a vertex untouched, holds all the edges of
+    # another and part of those of a third
+    rng = random.Random(67)
+    dessins = []
+    for _ in range(30):
+        word = list(range(rng.randint(1, 10))) * 2
+        rng.shuffle(word)
+        dessins.append(to_dessin(ChordDiagram(tuple(word))))
+        dessins.append(random_ribbon_graph(rng, rng.randint(1, 10)))
+    dessins += [dual(d) for d in dessins]
+    assert max(d.n_edges for d in dessins) == 10
+    untouched_all_and_part = 0
+    for d in dessins:
+        e = d.n_edges
+        alpha = medial_alpha(d)
+        vertex_edges = [sum(1 << ei for ei in {h >> 1 for h in rot}) for rot in d.rotations]
+        for mask, eh, f in dessin._counts(d, range(1 << e)):
+            assert eh == mask.bit_count()
+            assert f == len(diagram._trace_circles(alpha, e, mask)), (d, mask)
+            # per vertex: None untouched, True all edges held, False part
+            states = {mask & edges == edges if mask & edges else None for edges in vertex_edges}
+            untouched_all_and_part += states == {None, True, False}
+    assert untouched_all_and_part > 0
+
+
 def test_state_sum_tally_is_the_subset_profile():
     # the (#B, circles) tally of the state sum and the (e(H), f(H)) profile
     # of the subset scan are one table, which `delta_spread` reads for both

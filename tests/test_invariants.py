@@ -164,6 +164,26 @@ def test_jones_identifies_twist_diagrams():
     assert jones_polynomial(twist_pd(3, 4)).t_poly == mirror_62
 
 
+def test_jones_walks_the_strands_once(monkeypatch):
+    # the writhe's strand walk also gives the component count, for a knot,
+    # a signed link and an unsigned link, which still needs its signs
+    real = diagram.strand_components
+    walks = []
+
+    def counting(pd):
+        walks.append(pd)
+        return real(pd)
+
+    monkeypatch.setattr(diagram, "strand_components", counting)
+    # and where `invariants` would look it up, had it imported the name
+    monkeypatch.setattr(invariants, "strand_components", counting, raising=False)
+    assert jones_polynomial(table_pd("3_1")).variable == "t"
+    assert jones_polynomial(HOPF_PLUS).variable == "q"
+    with pytest.raises(dessinlink.OrientationError):
+        jones_polynomial(parse_pd("X[1,3,2,4] X[3,1,4,2]"))
+    assert len(walks) == 3
+
+
 # ==========================================================================
 # Determinant routes
 # ==========================================================================

@@ -73,3 +73,13 @@ def test_vertex_of_is_computed_once_and_stays_out_of_equality():
     assert d == fresh and hash(d) == hash(fresh)  # fresh has no vertex map yet
     assert repr(d) == repr(fresh) == f"Dessin(rotations={d.rotations!r})"
     assert fresh.vertex_of == d.vertex_of
+
+
+def test_the_scan_plan_is_built_once_and_stays_out_of_equality_and_pickling():
+    d = dessin.Dessin(dessin.build_dessin(TREFOIL, 0).rotations)
+    fresh = dessin.Dessin(d.rotations)
+    dessin.dessin_counts(d)
+    assert dessin._scan_plan(d) is dessin._scan_plan(d)
+    assert d == fresh and hash(d) == hash(fresh)  # fresh has no plan yet
+    assert pickle.dumps(d) == pickle.dumps(fresh)
+    assert dessin._scan_plan(pickle.loads(pickle.dumps(d))) == dessin._scan_plan(d)
