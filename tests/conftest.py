@@ -1,12 +1,11 @@
 """Session fixtures shared across test modules."""
 
-import multiprocessing.pool
 import os
 
 import pytest
 
 import helpers
-from dessinlink import dessin, invariants
+from dessinlink import _pool, dessin, invariants
 from helpers import corpus
 
 
@@ -23,17 +22,17 @@ def fresh_memos():
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker count of each pool run from now on.  The pool's CPU
-    count reads two, so a large enough scan forks on any machine."""
-    real = multiprocessing.pool.Pool.starmap
+    """The worker count of each forking pool call run from now on.  The
+    pool's CPU count reads two, so a large enough scan forks on any
+    machine."""
+    real = _pool._forked_tallies
     sizes = []
 
-    def counting(self, func, iterable, chunksize=None):
-        args = list(iterable)
-        sizes.append(len(args))
-        return real(self, func, args, chunksize)
+    def counting(kernel, head, bounds):
+        sizes.append(len(bounds) - 1)
+        return real(kernel, head, bounds)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "starmap", counting)
+    monkeypatch.setattr(_pool, "_forked_tallies", counting)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return sizes
 

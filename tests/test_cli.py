@@ -4,7 +4,6 @@ import argparse
 import copy
 import importlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -729,7 +728,7 @@ def test_pooled_scans_print_what_in_process_scans_print(monkeypatch, capsys, poo
 
     pooled = outputs()
     assert pools == [2]
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert outputs() == pooled
     assert pools == [2]
     assert pooled[0] == [EXIT_OK] * 3
@@ -823,10 +822,15 @@ def test_cache_hit_loads_no_math(tmp_path, capsys):
 
 
 def test_startup_and_small_scans_import_no_multiprocessing(tmp_path, capsys):
+    # the 16-crossing det scans 2^16 subsets: it forks wherever 2 CPUs are free
     cache = str(tmp_path / "cache.jsonl")
     assert run_cli(["det", "--name", "3_1", "--cache", cache]) == EXIT_OK
     capsys.readouterr()
-    for argv in (("--version",), ("det", "--name", "3_1", "--cache", cache), ("det", "--name", "8_21")):
+    pooled = diagram.pd_to_text(braid_pd([1, -2] * 8, 3))
+    for argv in (
+        ("--version",), ("det", "--name", "3_1", "--cache", cache), ("det", "--name", "8_21"),
+        ("det", "--pd", pooled),
+    ):
         code, modules = probe_cli(*argv)
         assert code == EXIT_OK
         assert "multiprocessing" not in modules, argv
