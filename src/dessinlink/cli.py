@@ -456,13 +456,17 @@ def _cache_key(command: str, args) -> str:
 def _cache_get(path: str, key: str, command: str) -> Optional[Dict[str, Any]]:
     """The payload of `command` cached under `key`.  A line that does not
     decode, or whose payload is not this schema's output of `command`, is
-    a miss."""
+    a miss.  Only lines that contain the key's text are decoded; the key
+    itself is still compared in full."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return None
+    needle = key.encode()
     with fh:
         for line in fh:
+            if needle not in line:
+                continue
             try:
                 entry = json.loads(line)
             except ValueError:

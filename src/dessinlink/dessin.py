@@ -67,9 +67,12 @@ def _canonical(rotations: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...
 
 
 class Dessin(Record):
-    """A connected-or-not ribbon graph, rotations in canonical form."""
+    """A connected-or-not ribbon graph, rotations in canonical form.
 
-    __slots__ = ("rotations", "_vertex_of", "_plan")
+    Its edge count (set here), vertex map and scan plan are cache slots,
+    outside equality, hash and pickling."""
+
+    __slots__ = ("rotations", "_n_edges", "_vertex_of", "_plan")
 
     def __init__(self, rotations: Iterable[Sequence[int]]):
         rotations = _canonical(rotations)
@@ -78,10 +81,11 @@ class Dessin(Record):
         if n % 2 != 0 or ids != list(range(n)):
             raise DiagramError("half-edges must be exactly 0..2e-1, each once")
         self._set(rotations)
+        object.__setattr__(self, "_n_edges", n // 2)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(rot) for rot in self.rotations) // 2
+        return self._n_edges
 
     @property
     def n_vertices(self) -> int:

@@ -404,7 +404,9 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: Optional[int] = None) 
     each range, and `delta_spread` reads the levels off their tally.  From
     2^16 states on, contiguous ranges of the Gray sequence run in forked
     processes, one per CPU and at most `workers` when given
-    (`_pool.pooled_tally`); below that, forking costs more than it saves.
+    (`_pool.pooled_tally`).  2^16 is the pool's threshold, not this sum's
+    break-even, which is lower; the `_POOL_MIN_STATES` comment in
+    `_pool.py` says why it stays.
     """
     n = len(pd.crossings)
     if n > cap:

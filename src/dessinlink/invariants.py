@@ -439,17 +439,17 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     """
     d = build_dessin(pd, 0)
     m_top = d.n_edges + 2 * d.n_vertices - 2
-    levels: Dict[int, int] = {}
-    for x, c in bracket_via_dessin(pd, cap).terms():
-        l, r = divmod(m_top - x, 4)
-        if l < 0 or r:
+    terms = bracket_via_dessin(pd, cap)._terms  # unsorted: each term has its own level
+    coeffs = [0] * ((m_top - min(terms, default=m_top)) // 4 + 1)
+    for x, c in terms.items():
+        l = m_top - x
+        if l < 0 or l & 3:
             raise InternalError(
                 f"internal error: bracket exponent {x} is not {m_top} mod 4 "
                 f"and at most {m_top}: {x - m_top} not in -4N"
             )
-        levels[l] = c
-    top = max(levels, default=0)
-    table = CoefficientTable(m_top, tuple(levels.get(l, 0) for l in range(top + 1)))
+        coeffs[l >> 2] = c
+    table = CoefficientTable(m_top, tuple(coeffs))
     if check:
         ok, _ = _coefficient_checks(d, table, cap)
         if not ok.get("matches_bracket", True):
@@ -481,8 +481,8 @@ def _coefficient_checks(
     except CapExceededError as exc:
         skipped["matches_bracket"] = str(exc)
     else:
-        padded = table.coeffs + (0,) * (len(spread) - len(table.coeffs))
-        checks["matches_bracket"] = spread == padded
+        n = len(table.coeffs)  # a nonzero spread level past the table fails too
+        checks["matches_bracket"] = spread[:n] == table.coeffs and not any(spread[n:])
     return checks, skipped
 
 

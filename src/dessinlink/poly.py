@@ -10,6 +10,7 @@ powers of the loop value delta by Horner's rule on packed signed digits.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .errors import InternalError
@@ -264,26 +265,35 @@ def delta_spread(profile: Mapping[Tuple[int, int], int], v: int, bound: int) -> 
     a[l] = sum over H of (-1)^(f-1) C(f-1, l - l0): the coefficient of x^l
     in sum_f P_f(x) (-1 - x)^(f-1), P_f = sum cnt x^l0 over the entries
     with f faces.  Horner's rule takes it on integers packed at x = 2^bits;
-    no digit of a step exceeds sum |cnt| 2^(f-1), so bits is its length + 1.
+    no digit of a step exceeds sum |cnt| 2^(f-1) <= 2^(top-1) sum |cnt|,
+    top the largest f, so bits is the length of the latter + 1.
     """
-    bits = sum(abs(cnt) << (f - 1) for (_, f), cnt in profile.items() if f > 0).bit_length() + 1
-    packed: Dict[int, int] = {}  # f -> P_f(2^bits)
+    top = max(map(itemgetter(1), profile), default=1)
+    bits = (sum(map(abs, profile.values())) << max(top - 1, 0)).bit_length() + 1
+    packed = [0] * top  # packed[f - 1] = P_f(2^bits)
     for (eh, f), cnt in profile.items():
-        l0, odd = divmod(v + eh - f, 2)
-        if odd or l0 < 0 or f < 1 or eh < 0:
+        twice = v + eh - f  # 2 l0
+        if twice & 1 or twice < 0 or f < 1 or eh < 0:
             raise InternalError(f"internal error: no start level for v={v} e={eh} f={f}")
+        l0 = twice >> 1
         if l0 <= bound:
-            packed[f] = packed.get(f, 0) + (cnt << l0 * bits)
+            packed[f - 1] += cnt << l0 * bits
     acc = 0
-    for f in range(max(packed, default=0), 0, -1):
-        acc = packed.get(f, 0) - acc - (acc << bits)
+    for p in reversed(packed):
+        acc = p - acc - (acc << bits)
     return tuple(_signed_digits(acc, bits, bound + 1))
 
 
-def _signed_digits(value: int, bits: int, count: int) -> Iterator[int]:
+def _signed_digits(value: int, bits: int, count: int) -> List[int]:
     """The low `count` digits c_j of value = sum c_j 2^(j bits), given |c_j| < 2^(bits-1)."""
     mask, half, full = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+    out = []
     for _ in range(count):
         digit = value & mask
-        value = (value >> bits) + (digit >= half)  # a negative digit borrows one
-        yield digit - full if digit >= half else digit
+        if digit >= half:  # a negative digit borrows one
+            value = (value >> bits) + 1
+            out.append(digit - full)
+        else:
+            value >>= bits
+            out.append(digit)
+    return out

@@ -27,6 +27,7 @@ from dessinlink.cli import (
     EXIT_USAGE,
     _UNKEYED,
     _build_parser,
+    _cache_get,
     _cache_key,
     run_cli,
 )
@@ -446,6 +447,20 @@ def test_coefficient_closed_form_mismatch_is_internal(monkeypatch):
         invariants.coefficient_table(diagram.table_pd("4_1"), check=True)
 
 
+def test_a_spread_level_past_the_table_is_internal(monkeypatch):
+    pd = diagram.table_pd("4_1")
+    n = len(invariants.coefficient_table(pd, check=False).coeffs)
+    spread = invariants._spread
+
+    def one_level_more(d, bound, cap):
+        levels = spread(d, bound, cap)
+        return levels[:n] + (1,) + levels[n + 1 :]
+
+    monkeypatch.setattr(invariants, "_spread", one_level_more)
+    with pytest.raises(InternalError, match="^internal error: coefficient table != bracket$"):
+        invariants.coefficient_table(pd, check=True)
+
+
 def test_mixed_bracket_exponents_mod_4_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(
         invariants, "bracket_via_dessin", lambda pd, cap=24: LaurentPoly({0: 1, 2: 1})
@@ -662,6 +677,26 @@ def test_cache_entries_of_another_payload_are_misses(tmp_path, capsys):
         served = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
         assert served[1] == payload
         assert len(cache.read_text().splitlines()) == 2
+
+
+def test_cache_lookup_decodes_only_the_lines_that_hold_the_key(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache.jsonl"
+    key = _cache_key("det", _build_parser().parse_args(["det", "--name", "3_1"]))
+    _, payload, _ = run_json(capsys, "det", "--name", "3_1")
+    entries = [{"key": f"{i:064x}", "payload": {**payload, "value": i}} for i in range(500)]
+    # another key's entry, served if the key were not compared in full
+    entries[250]["payload"]["note"] = f"computed before {key}"
+    entries.insert(400, {"key": key, "payload": payload})
+    cache.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in entries))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: decoded.append(text) or loads(text))
+    assert _cache_get(str(cache), key, "det") == payload
+    assert len(decoded) == 2  # the decoy and the entry, nothing else
+    monkeypatch.undo()
+    code, served, _ = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
+    assert (code, served) == (EXIT_OK, payload)
+    assert len(cache.read_text().splitlines()) == 501  # served, not appended
 
 
 # Appends 200 entries of about 20 KB under one tag to a cache file.

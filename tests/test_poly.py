@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from dessinlink import diagram
 from dessinlink.poly import (
     DELTA,
     LaurentPoly,
@@ -12,6 +13,8 @@ from dessinlink.poly import (
     delta_spread,
 )
 from dessinlink.errors import InternalError
+
+from helpers import random_decorated_diagram
 
 
 def eval_at(p: LaurentPoly, x: Fraction) -> Fraction:
@@ -55,7 +58,8 @@ def test_delta_is_loop_value():
 
 
 def spread_inputs():
-    """(profile, v, e) triples: small counts, then wide ones."""
+    """(profile, v, e) triples: small counts, then wide ones, signed ones,
+    state-sum tallies and digit widths at their edge."""
     rng = random.Random(17)
     for _ in range(20):
         v, e = rng.randint(1, 4), rng.randint(0, 8)
@@ -77,6 +81,21 @@ def spread_inputs():
             f = rng.randrange(1 + (v + eh + 1) % 2, min(v + eh, 40) + 1, 2)
             profile[eh, f] = rng.choice((0, rng.randint(-(1 << 70), 1 << 70)))
         yield profile, v, e
+    # every count negative, and counts of both signs adding up to zero
+    yield {(1, 2): -5, (3, 2): -1, (2, 3): -7, (4, 1): -2}, 1, 4
+    yield {(0, 3): 4, (2, 1): -4, (1, 2): 3, (1, 4): -3}, 3, 2
+    # the (#B, circles) tally of decorated diagrams: this seed draws curls
+    # twice, a 3-component closure and a nugatory join
+    rng = random.Random(22)
+    for _ in range(4):
+        pd = random_decorated_diagram(rng, max_crossings=8)
+        tally = diagram._bracket_counts(pd.alpha, pd.n, 0, 1 << pd.n)
+        yield tally, next(f for b, f in tally if b == 0), pd.n
+    # sum |cnt| 2^(top-1) a power of two; at f = 1 one level holds all of
+    # it, so a width one bit narrower reads that digit with the wrong sign
+    yield {(0, 1): 1 << 40}, 1, 2
+    yield {(1, 1): -(1 << 40), (3, 1): 0}, 2, 3
+    yield {(0, 2): 1 << 20, (2, 2): -(1 << 20)}, 2, 2
 
 
 def test_delta_spread_matches_term_by_term():

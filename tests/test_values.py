@@ -83,3 +83,4 @@ def test_the_scan_plan_is_built_once_and_stays_out_of_equality_and_pickling():
     assert d == fresh and hash(d) == hash(fresh)  # fresh has no plan yet
     assert pickle.dumps(d) == pickle.dumps(fresh)
     assert dessin._scan_plan(pickle.loads(pickle.dumps(d))) == dessin._scan_plan(d)
+    assert pickle.loads(pickle.dumps(d)).n_edges == d.n_edges == 3  # a slot set by __init__
