@@ -261,34 +261,17 @@ def _components(d: Dessin, mask: int) -> int:
     return sum(1 for i, p in enumerate(parent) if p == i)
 
 
-def _scan(
-    d: Dessin, universe: Optional[int] = None, cap: int = 24
-) -> Iterator[Tuple[int, int, int]]:
-    """Yield (mask, edges, faces) for every subset of `universe`.
+def _check_cap(d: Dessin, cap: int) -> None:
+    if d.n_edges > cap:
+        raise CapExceededError(f"scan over {d.n_edges} edges exceeds the cap {cap}")
 
-    It walks the subsets in increasing bitmask order, which
-    `scan_subdessins` promises.
-    """
-    e = d.n_edges
-    full = (1 << e) - 1
-    if universe is None:
-        universe = full
-    elif universe & ~full:
-        raise DiagramError(f"universe {universe:#x} has bits beyond {e} edges")
-    if universe.bit_count() > cap:
-        raise CapExceededError(
-            f"scan over {universe.bit_count()} edges exceeds the cap {cap}"
-        )
 
-    def ascending() -> Iterator[int]:
-        sub = 0
-        while True:
-            yield sub
-            if sub == universe:
-                return
-            sub = (sub - universe) & universe
-
-    yield from _counts(d, ascending())
+def _scan(d: Dessin, cap: int = 24) -> Iterator[Tuple[int, int, int]]:
+    """Yield (mask, edges, faces) for every edge subset of `d`, masks
+    0 .. 2^e - 1 in increasing order, which `scan_subdessins` promises.
+    The cap is checked before the first subset."""
+    _check_cap(d, cap)
+    return _counts(d, range(1 << d.n_edges))
 
 
 def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int], int]:
@@ -297,8 +280,7 @@ def _subset_profile(d: Dessin, cap: int) -> Dict[Tuple[int, int], int]:
     (e, f) fixes the start level (v + e - f) / 2 of H in the bracket, and a
     one-face H is connected, of genus (e - v + 1) / 2.  The cap is checked
     outside the cache, so calls with any cap share one scan."""
-    if d.n_edges > cap:
-        raise CapExceededError(f"scan over {d.n_edges} edges exceeds the cap {cap}")
+    _check_cap(d, cap)
     return _profile_scan(d)
 
 
@@ -336,26 +318,24 @@ def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
 def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
     """Counts of the whole dessin, or of the sub-dessin on the given edges,
     from the scan's kernel applied to that one subset and its components."""
+    e = d.n_edges
     if sub is None:
-        mask = (1 << d.n_edges) - 1
+        mask = (1 << e) - 1
     else:
         mask = 0
         for ei in sub:
-            if not 0 <= ei < d.n_edges:
+            if not 0 <= ei < e:
                 raise DiagramError(f"edge index {ei} out of range")
             mask |= 1 << ei
     _, eh, f = next(_counts(d, (mask,)))
     return _counts_from_efk(d, eh, _components(d, mask), f)
 
 
-def scan_subdessins(
-    d: Dessin,
-    visitor: Callable[[int, Counts], None],
-    cap: int = 24,
-    universe: Optional[int] = None,
-) -> None:
-    """Call visitor(mask, counts) for every sub-dessin, ascending by mask."""
-    for mask, eh, f in _scan(d, universe, cap):
+def scan_subdessins(d: Dessin, visitor: Callable[[int, Counts], None], cap: int = 24) -> None:
+    """Call visitor(mask, counts) for every sub-dessin, masks 0 .. 2^e - 1
+    ascending; a dessin of more than `cap` edges raises
+    `CapExceededError` before the first call."""
+    for mask, eh, f in _scan(d, cap):
         visitor(mask, _counts_from_efk(d, eh, _components(d, mask), f))
 
 
@@ -438,11 +418,17 @@ def dual(d: Dessin) -> Dessin:
 
 
 class WeightedDessin(Record):
-    """One-vertex dessin whose chords carry positive multiplicities."""
+    """One-vertex dessin whose chords carry positive multiplicities.
+
+    One vertex is enforced: a dessin with more raises `DiagramError`,
+    since the weighted expansion reads each sub-dessin's genus from its
+    face count alone."""
 
     __slots__ = ("dessin", "weights")
 
     def __init__(self, dessin: Dessin, weights: Sequence[int]):
+        if dessin.n_vertices != 1:
+            raise DiagramError("a weighted dessin needs one vertex")
         weights = tuple(int(w) for w in weights)
         if len(weights) != dessin.n_edges:
             raise DiagramError("one weight per edge required")

@@ -22,8 +22,6 @@ from ._record import Record
 from .dessin import (
     Dessin,
     WeightedDessin,
-    _components,
-    _genus_of,
     _scan,
     _subset_profile,
     build_dessin,
@@ -560,7 +558,8 @@ def weighted_bracket(wd: WeightedDessin, cap: int = 24) -> LaurentPoly:
     telescope of its mu parallel copies, sum_j C(mu,j) (-1 - A^-4)^j; for
     odd mu it reduces to -1 - A^(-4 mu).  The negative genus powers are
     cleared globally by (1 + A^-4)^(2 g(D)) and divided back out, the
-    zero remainder asserted.
+    zero remainder asserted.  The dessin has one vertex, so every H is
+    connected, of genus (1 + e(H) - f(H)) / 2.
     """
     d = wd.dessin
     e_total = sum(wd.weights)
@@ -572,10 +571,9 @@ def weighted_bracket(wd: WeightedDessin, cap: int = 24) -> LaurentPoly:
     chord_factor = [
         LaurentPoly({0: -1, -4 * mu: (-1) ** mu}) for mu in wd.weights
     ]
-    v = d.n_vertices
     acc = LaurentPoly()
     for mask, eh, f in _scan(d, cap=cap):
-        g = _genus_of(v, eh, _components(d, mask), f)
+        g = (1 + eh - f) // 2
         term = upow[2 * (g_max - g)].shift(e_total - 4 * g)
         mm = mask
         while mm:

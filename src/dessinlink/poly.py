@@ -133,19 +133,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise PolyError("polynomial powers must be nonnegative integers")
-        result = LaurentPoly.one()
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
         return LaurentPoly._of({e + k: c for e, c in self._terms.items()})

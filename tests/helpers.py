@@ -1,9 +1,11 @@
 """Shared test utilities: braid-closure diagrams and seeded random corpora."""
 
 import random
+from functools import lru_cache
+from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from dessinlink.dessin import Dessin, _scan, _subset_profile, build_dessin, scan_subdessins
+from dessinlink.dessin import Dessin, _scan, _subset_profile, build_dessin, dessin_counts
 from dessinlink.diagram import (
     PDCode,
     mirror,
@@ -48,16 +50,17 @@ def braid_pd(word: Sequence[int], n_strands: int) -> PDCode:
 
 
 def genus_0_loop_sum(d: Dessin) -> int:
-    """a[0] by the subset scan: sum of (-1)^(v + e(H) - 1) over the
-    genus-0 sets H of loops."""
+    """a[0] by walking the subsets of the loops: sum of (-1)^(v + e(H) - 1)
+    over the genus-0 sets H of loops."""
     vert_of = d.vertex_of
-    loops = sum(1 << i for i in range(d.n_edges) if vert_of[2 * i] == vert_of[2 * i + 1])
-    terms: List[int] = []
-    scan_subdessins(
-        d, lambda mask, c: terms.append((-1) ** (c.v + c.e - 1) if c.g == 0 else 0),
-        universe=loops,
-    )
-    return sum(terms)
+    loops = [i for i in range(d.n_edges) if vert_of[2 * i] == vert_of[2 * i + 1]]
+    total = 0
+    for size in range(len(loops) + 1):
+        for sub in combinations(loops, size):
+            c = dessin_counts(d, sub)
+            if c.g == 0:
+                total += (-1) ** (c.v + c.e - 1)
+    return total
 
 
 def scan_profile(d: Dessin) -> Dict[Tuple[int, int], int]:
@@ -151,12 +154,18 @@ def shuffled(pd: PDCode, rng: random.Random) -> PDCode:
     return PDCode(crossings, None if pd.signs is None else [pd.signs[c] for c in order])
 
 
+@lru_cache(maxsize=None)
+def delta_power(k: int) -> LaurentPoly:
+    """DELTA^k for k >= 0, by repeated multiplication."""
+    return delta_power(k - 1) * DELTA if k else LaurentPoly.one()
+
+
 def scan_bracket(pd: PDCode) -> LaurentPoly:
     """<P> summed from the subset scan's profile of the all-A dessin."""
     d = build_dessin(pd, 0)
     return sum(
         (
-            (DELTA ** (f - 1)).shift(d.n_edges - 2 * eh) * cnt
+            delta_power(f - 1).shift(d.n_edges - 2 * eh) * cnt
             for (eh, f), cnt in _subset_profile(d, 24).items()
         ),
         LaurentPoly(),

@@ -158,10 +158,19 @@ def test_scan_cap():
 
 
 def test_scan_visits_all_subsets():
-    d = build_dessin(parse_pd(TREFOIL), 0)
-    seen = []
-    scan_subdessins(d, lambda mask, c: seen.append(mask))
-    assert sorted(seen) == list(range(8))
+    # every mask 0 .. 2^e - 1, ascending; past the cap, an error before
+    # any visit
+    for d in (build_dessin(parse_pd(TREFOIL), 0), build_dessin(table_pd("6_2"), 0)):
+        every = list(range(1 << d.n_edges))
+        seen = []
+        scan_subdessins(d, lambda mask, c: seen.append(mask))
+        assert seen == every
+        assert [mask for mask, _, _ in dessin._scan(d)] == every
+        with pytest.raises(CapExceededError, match=f"^scan over {d.n_edges} edges"):
+            scan_subdessins(d, lambda mask, c: seen.append(mask), cap=d.n_edges - 1)
+        with pytest.raises(CapExceededError, match=f"^scan over {d.n_edges} edges"):
+            dessin._scan(d, d.n_edges - 1)
+        assert seen == every
 
 
 def random_ribbon_graph(rng: random.Random, e: int) -> Dessin:
@@ -340,6 +349,9 @@ def test_weighted_validation():
         WeightedDessin(dessin=d, weights=(1,))
     with pytest.raises(ValueError):
         WeightedDessin(dessin=d, weights=(0,) * d.n_edges)
+    # the trefoil's all-A dessin has two vertices
+    with pytest.raises(DiagramError, match="one vertex"):
+        WeightedDessin(build_dessin(table_pd("3_1"), 0), (1, 1, 1))
 
 
 # ==========================================================================

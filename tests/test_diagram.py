@@ -26,12 +26,13 @@ from dessinlink.diagram import (
     writhe,
 )
 from dessinlink.errors import InternalError
-from dessinlink.poly import DELTA, LaurentPoly
+from dessinlink.poly import LaurentPoly
 
 from helpers import (
     add_curl,
     braid_pd,
     corpus,
+    delta_power,
     nugatory_join,
     random_braid_word,
     reduce_by_resmoothing,
@@ -178,7 +179,7 @@ def per_state_bracket(pd):
     """The bracket from every state traced from scratch."""
     return sum(
         (
-            (DELTA ** (state_circle_count(pd, mask) - 1)).shift(pd.n - 2 * bin(mask).count("1"))
+            delta_power(state_circle_count(pd, mask) - 1).shift(pd.n - 2 * bin(mask).count("1"))
             for mask in range(1 << pd.n)
         ),
         LaurentPoly(),

@@ -355,10 +355,16 @@ def test_weighted_bracket_matches_bracket():
 
 def test_inexact_weighted_sum_is_internal(monkeypatch):
     # every subset weighed at the full genus leaves a sum that the cleared
-    # genus powers do not divide
+    # genus powers do not divide: the planted scan gives each subset the
+    # face count of genus g
     wd = contract_parallel(build_dessin(twist_pd(2, 3), 0))
     g = dessin_counts(wd.dessin).g
-    monkeypatch.setattr(invariants, "_genus_of", lambda v, eh, k, f: g)
+    real = dessin._scan
+
+    def full_genus(d, cap=24):
+        return ((mask, eh, 1 + eh - 2 * g) for mask, eh, _ in real(d, cap))
+
+    monkeypatch.setattr(invariants, "_scan", full_genus)
     with pytest.raises(InternalError, match="^internal error: weighted sum"):
         weighted_bracket(wd)
 
@@ -508,14 +514,13 @@ def test_quasi_counts_agree_with_charpoly():
 @pytest.fixture
 def scans(monkeypatch):
     """A count of the subset scans made from now on: each (e, f) profile
-    built (a `_profile_scan` miss, serial or pooled) and each `_scan` call,
-    whatever its universe."""
+    built (a `_profile_scan` miss, serial or pooled) and each `_scan` call."""
     real = dessin._scan
     calls = []
 
-    def counting(d, universe=None, cap=24):
+    def counting(d, cap=24):
         calls.append(d)
-        return real(d, universe, cap)
+        return real(d, cap)
 
     for module in (dessin, invariants):
         monkeypatch.setattr(module, "_scan", counting)
@@ -567,8 +572,9 @@ def test_profile_readers_count_components_of_the_full_dessin_only(scans, monkeyp
         calls.append(mask == (1 << d.n_edges) - 1)
         return real(d, mask)
 
-    for module in (dessin, invariants):
-        monkeypatch.setattr(module, "_components", counting)
+    # `dessin` alone counts components, so patching it sees every call
+    assert not hasattr(invariants, "_components")
+    monkeypatch.setattr(dessin, "_components", counting)
     pd = braid_pd([1, -2] * 8, 3)
     assert pd.n == 16
     assert determinant(pd).value == 2205
