@@ -65,6 +65,7 @@ _EXPORTS = {
         "bareiss_det",
         "char_poly",
         "chords_to_text",
+        "interlacement_determinant",
         "intersection_matrix",
         "parse_chords",
         "quasi_counts_and_det",

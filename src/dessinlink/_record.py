@@ -3,7 +3,10 @@
 A subclass names its fields in `__slots__` and stores them, in slot order,
 with `_set` from its `__init__`.  Equality, hash and repr are by field,
 exactly as for a frozen dataclass; slots whose names start with an
-underscore are caches and take no part.  Defining a subclass imports and
+underscore are caches and take no part.  The hash is one such cache, kept
+by the first `hash` call, since values are `lru_cache` keys and a hit
+would otherwise hash every nested field again; a copied or unpickled
+value is built anew and hashes afresh.  Defining a subclass imports and
 compiles nothing, which keeps a command-line run from loading the
 dataclass machinery and `inspect`.
 """
@@ -15,7 +18,7 @@ __all__ = ["Record"]
 
 
 class Record:
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: Tuple[str, ...]
     _values: Callable[["Record"], tuple]  # the field values, in slot order
 
@@ -35,7 +38,13 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        h = hash(self._values())
+        object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

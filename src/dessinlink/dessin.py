@@ -133,11 +133,14 @@ def build_dessin(pd: PDCode, s: StateLike) -> Dessin:
     ends in the circle's oriented cyclic order, as `smooth_state` returns
     them.  The dessin is memoized per (PD code, state mask), so every
     invariant of a diagram, and `reduce_to_one_vertex`, reads the same
-    `Dessin` object and smooths the state once.
+    `Dessin` object and smooths the state once.  A bitmask is the cache
+    key as given; `smooth_state` checks its range on a miss.
     """
-    from .diagram import _state_mask
+    if s.__class__ is not int:
+        from .diagram import _state_mask
 
-    return _dessin_of(pd, _state_mask(pd, s))
+        s = _state_mask(pd, s)
+    return _dessin_of(pd, s)
 
 
 # Reuse is between the invariants of one diagram, so a few entries suffice.

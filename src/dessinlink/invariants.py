@@ -197,12 +197,18 @@ def _contract(alpha: Tuple[int, ...]) -> LaurentPoly:
     per loop.  The last state has every loop closed, one of them counted
     once too many.  Evaluation at X is exact in Z, so the digits of the
     states on the way may carry; only the read-out needs every |c_j| of
-    that last value, delta <P>, below 2^(bits - 1), which bits = 3n + 2
-    ensures (2^n smoothings, each weighed by a delta^L, L <= 2n, of
-    coefficient sum 2^L).
+    that last value, delta <P>, below 2^(bits - 1), and bits = n + 5
+    leaves a bit to spare.  Thistlethwaite's spanning-tree expansion
+    (Topology 26, 1987) gives sum |c| of <P> <= tau, the spanning trees of
+    a Tait graph; Hadamard's inequality, det <= the product of the
+    diagonal, on the reduced Laplacians of both Tait graphs, planar duals
+    with as many spanning trees, bounds tau^2 by the product of their
+    vertex degrees, the face sizes at most; the n + 2 faces of the connected
+    diagram have sizes totalling 4n, so by AM-GM tau < 2^(n + 2); and delta
+    at most doubles sum |c|, so every digit of delta <P> is below 2^(n + 3).
     """
     order, width = _contraction_order(alpha)
-    bits = 3 * len(order) + 2
+    bits = len(order) + 5
     reg: Dict[int, int] = {}  # opening dart -> register
     free = list(range(width - 1, -1, -1))
     states: Dict[Tuple[int, ...], int] = {(-1,) * width: 1}
@@ -340,11 +346,18 @@ def _det_jones_eval(pd: PDCode, cap: int) -> int:
 
 
 def _det_charpoly(pd: PDCode) -> int:
-    from .chord import quasi_counts_and_det, to_chord_diagram
+    """|det(I + iM)| for M the interlacement matrix of the one-vertex
+    reduction, by one elimination mod a prime (`chord.interlacement_determinant`).
+
+    The route is named `charpoly`, in `--method`, the `det` payloads and
+    `verify`, after the polynomial det(M - xI) whose coefficients are the
+    quasi-tree counts: their alternating sum is det(I + iM), and
+    `chord.quasi_counts_and_det` still reads it off char_poly(M).
+    """
+    from .chord import interlacement_determinant, to_chord_diagram
 
     d = build_dessin(reduce_to_one_vertex(pd), 0)
-    _, det = quasi_counts_and_det(to_chord_diagram(d))
-    return det
+    return interlacement_determinant(to_chord_diagram(d))
 
 
 def _det_tree_difference(pd: PDCode) -> int:

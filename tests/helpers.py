@@ -5,6 +5,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
+from dessinlink.chord import bareiss_det
 from dessinlink.dessin import Dessin, _scan, _subset_profile, build_dessin, dessin_counts
 from dessinlink.diagram import (
     PDCode,
@@ -142,6 +143,59 @@ def reduce_by_resmoothing(pd: PDCode) -> PDCode:
         assert len(next_circles) == len(circles) - 1
         circles = next_circles
     return PDCode(tuple(tuple(t) for t in crossings))
+
+
+def goeritz_determinant(pd: PDCode) -> int:
+    """|det| of the Goeritz matrix: the colour-0 face Laplacian of the
+    diagram, crossing c weighed +1 when flip[c] = 0 and -1 otherwise, with
+    one row and column deleted.
+
+    Corner 4c + p lies ccw of dart 4c + p and has colour (flip[c] + p) mod 2;
+    across the arc from 4c + p to 4c' + q = alpha[4c + p], corner (c, p) is
+    one face with (c', q - 1), and (c, p - 1) with (c', q).
+    """
+    parent = list(range(4 * pd.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for d, e in enumerate(pd.alpha):
+        for x, y in ((d, (e & ~3) | ((e - 1) & 3)), ((d & ~3) | ((d - 1) & 3), e)):
+            parent[find(x)] = find(y)
+    faces: Dict[int, int] = {}
+    rows: List[Dict[int, int]] = []
+    for c, f in enumerate(pd.flip):
+        w = 1 if f == 0 else -1
+        ends = []
+        for p in (f, f + 2):  # the corners of colour 0
+            root = find(4 * c + p)
+            if root not in faces:
+                faces[root] = len(faces)
+                rows.append({})
+            ends.append(faces[root])
+        a, b = ends
+        if a != b:
+            for u, v in ((a, b), (b, a)):
+                rows[u][u] = rows[u].get(u, 0) + w
+                rows[u][v] = rows[u].get(v, 0) - w
+    size = len(rows)
+    return abs(bareiss_det([[rows[u].get(v, 0) for v in range(1, size)] for u in range(1, size)]))
+
+
+def ceiling_closures(strands: Sequence[int]) -> List[PDCode]:
+    """One seeded 120-crossing braid closure per strand count."""
+    out = []
+    for n_strands in strands:
+        rng = random.Random(1000 + n_strands)
+        while True:
+            try:
+                out.append(braid_pd(random_braid_word(rng, n_strands, 120), n_strands))
+                break
+            except ValueError:
+                pass
+    return out
 
 
 def shuffled(pd: PDCode, rng: random.Random) -> PDCode:

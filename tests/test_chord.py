@@ -18,6 +18,7 @@ from dessinlink.chord import (
     char_poly,
     chords_to_text,
     counts_from_char_poly,
+    interlacement_determinant,
     intersection_matrix,
     parse_chords,
     quasi_counts_and_det,
@@ -27,8 +28,8 @@ from dessinlink.chord import (
     unit_principal_minors,
 )
 from dessinlink.dessin import build_dessin, dessin_counts
-from dessinlink.diagram import reduce_to_one_vertex, twist_pd
-from dessinlink.errors import InternalError
+from dessinlink.diagram import knot_table, reduce_to_one_vertex, table_pd, twist_pd
+from dessinlink.errors import DiagramError, InternalError
 from dessinlink.poly import LaurentPoly
 
 FIG8_WORD = "1 2 3 4 5 2 1 5 4 3"
@@ -96,6 +97,19 @@ def test_intersection_matrix_antisymmetric():
         for i in range(cd.m):
             for j in range(cd.m):
                 assert m[i][j] == -m[j][i]
+
+
+def test_intersection_matrix_is_the_endpoint_order():
+    rng = random.Random(7)
+    for _ in range(30):
+        cd = random_word(rng, rng.randint(1, 12))
+        pos = [[k for k, lab in enumerate(cd.word) if lab == i] for i in range(cd.m)]
+        want = [
+            [(i > j) - (i < j) if a0 < b0 < a1 < b1 or b0 < a0 < b1 < a1 else 0
+             for j, (b0, b1) in enumerate(pos)]
+            for i, (a0, a1) in enumerate(pos)
+        ]
+        assert intersection_matrix(cd) == want, cd
 
 
 # ==========================================================================
@@ -199,6 +213,61 @@ def test_quasi_counts_frozen():
     s2, det2 = quasi_counts_and_det(parse_chords("1 2 1 2"))
     assert s2 == (1, 1)
     assert det2 == 0
+
+
+# ==========================================================================
+# the determinant by one modular elimination
+# ==========================================================================
+
+
+def test_determinant_moduli_are_proth_primes_with_a_root_of_minus_one():
+    sizes = []
+    for k, s, a in chord._PROTH:
+        p = (k << s) + 1
+        assert k % 2 == 1 and k < 1 << s and p % 4 == 1
+        assert pow(a, (p - 1) // 2, p) == p - 1  # Proth's theorem: p is prime
+        root, iota = chord._proth_root(k, s, a)
+        assert root == p and iota * iota % p == p - 1
+        if p.bit_length() < 1100:
+            assert sympy.isprime(p)
+        sizes.append(p.bit_length())
+    assert sizes == sorted(sizes) and sizes[0] == 64 and sizes[-1] > 4096
+
+
+def test_interlacement_determinant_frozen():
+    assert interlacement_determinant(parse_chords(FIG8_WORD)) == 5
+    assert interlacement_determinant(parse_chords("1 2 1 2")) == 0
+    assert interlacement_determinant(parse_chords("1 1")) == 1
+
+
+@pytest.mark.parametrize("plant", ["off_by_one", "out_of_bound"])
+def test_interlacement_determinant_checks_itself(monkeypatch, plant):
+    real = chord._det_mod
+
+    def planted(rows, p):
+        return (real(rows, p) + 1) % p if plant == "off_by_one" else p // 3
+
+    monkeypatch.setattr(chord, "_det_mod", planted)
+    with pytest.raises(InternalError):
+        interlacement_determinant(parse_chords(FIG8_WORD))
+
+
+def test_interlacement_determinant_past_the_table_is_a_diagram_error(monkeypatch):
+    monkeypatch.setattr(chord, "_PROTH", chord._PROTH[:1])  # the 64-bit prime alone
+    assert interlacement_determinant(parse_chords(FIG8_WORD)) == 5
+    with pytest.raises(DiagramError, match="no determinant modulus"):
+        interlacement_determinant(random_word(random.Random(5), 40))
+
+
+def test_interlacement_determinant_is_the_char_poly_determinant():
+    cds = [
+        to_chord_diagram(build_dessin(reduce_to_one_vertex(table_pd(name)), 0))
+        for name in sorted(knot_table())
+    ]
+    rng = random.Random(43)
+    cds += [random_word(rng, m) for m in range(1, 41) for _ in range(2)]
+    for cd in cds:
+        assert interlacement_determinant(cd) == quasi_counts_and_det(cd)[1], cd
 
 
 # ==========================================================================

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
-from dessinlink import dessin, diagram, invariants
+from dessinlink import chord, dessin, diagram, invariants
 from dessinlink.chord import (
     ChordDiagram,
     bareiss_det,
@@ -53,10 +53,18 @@ from dessinlink.invariants import (
     top_coefficient_closed_form,
     weighted_bracket,
 )
-from dessinlink.poly import LaurentPoly
+from dessinlink.poly import DELTA, LaurentPoly
 from dessinlink.table import knot_table
 
-from helpers import braid_pd, corpus, genus_0_loop_sum, random_braid_word, shuffled
+from helpers import (
+    braid_pd,
+    ceiling_closures,
+    corpus,
+    genus_0_loop_sum,
+    goeritz_determinant,
+    random_braid_word,
+    shuffled,
+)
 
 KINK = parse_pd("X[1,1,2,2]")
 HOPF_PLUS = parse_pd("X[1,3,2,4] X[3,1,4,2] S[+,+]")
@@ -477,6 +485,29 @@ def test_determinant_of_a_120_crossing_braid_knot():
     assert sum(c for _, c in jones.terms()) == 1
     assert abs(sum(c * (-1) ** e for e, c in jones.terms())) == rep.value
     assert jones_polynomial(shuffled(pd, random.Random(121))).poly == jones
+
+
+def test_determinant_at_the_ceiling_is_the_goeritz_determinant():
+    for pd in ceiling_closures((4, 6)):
+        rep = determinant(pd)
+        assert {"charpoly", "jones_eval"} <= set(rep.methods)
+        assert rep.value == goeritz_determinant(pd)
+
+
+def test_delta_bracket_digits_fit_the_contraction_width_at_the_ceiling():
+    # the contraction packs the digits of delta <P> n + 5 bits wide
+    for pd in ceiling_closures((4, 6, 8)):
+        top = max(abs(c) for _, c in (bracket_via_dessin(pd) * DELTA).terms())
+        assert top < 2 ** (pd.n + 3)
+
+
+def test_the_charpoly_route_computes_no_char_poly(monkeypatch):
+    calls = []
+    real = chord.char_poly
+    monkeypatch.setattr(chord, "char_poly", lambda source: calls.append(source) or real(source))
+    rep = determinant(table_pd("8_21"))
+    assert rep.methods["charpoly"] == DETS["8_21"]
+    assert calls == []
 
 
 def test_disagreeing_determinant_methods_are_internal_errors(monkeypatch):

@@ -12,10 +12,12 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
+from dessinlink.chord import interlacement_determinant, quasi_counts_and_det, to_chord_diagram
 from dessinlink.dessin import build_dessin, dessin_counts, dual, quasi_tree_counts
 from dessinlink.diagram import (
     PDCode,
     mirror,
+    reduce_to_one_vertex,
     state_circle_count,
     state_sum_bracket,
     strand_components,
@@ -27,11 +29,12 @@ from dessinlink.invariants import (
     jones_polynomial,
     top_coefficient_closed_form,
 )
-from dessinlink.poly import LaurentPoly
+from dessinlink.poly import DELTA, LaurentPoly
 
 from helpers import (
     bfs_component_count,
     genus_0_loop_sum,
+    goeritz_determinant,
     nugatory_join,
     random_decorated_diagram,
     random_diagram,
@@ -99,7 +102,21 @@ def test_mirror_inverts_the_variable(pd: PDCode):
 def test_determinant_routes_agree(pd: PDCode):
     rep = determinant(pd)
     assert {"quasitree", "jones_eval", "charpoly"} <= set(rep.methods)
-    assert set(rep.methods.values()) == {rep.value}
+    assert set(rep.methods.values()) == {rep.value} == {goeritz_determinant(pd)}
+
+
+@checked
+@given(diagrams)
+def test_interlacement_determinant_is_the_char_poly_determinant(pd: PDCode):
+    cd = to_chord_diagram(build_dessin(reduce_to_one_vertex(pd), 0))
+    assert interlacement_determinant(cd) == quasi_counts_and_det(cd)[1]
+
+
+@checked
+@given(diagrams)
+def test_delta_bracket_digits_fit_the_contraction_width(pd: PDCode):
+    # the contraction packs the digits of delta <P> n + 5 bits wide
+    assert all(abs(c) < 2 ** (pd.n + 3) for _, c in (bracket_via_dessin(pd) * DELTA).terms())
 
 
 @checked

@@ -84,3 +84,20 @@ def test_the_scan_plan_is_built_once_and_stays_out_of_equality_and_pickling():
     assert pickle.dumps(d) == pickle.dumps(fresh)
     assert dessin._scan_plan(pickle.loads(pickle.dumps(d))) == dessin._scan_plan(d)
     assert pickle.loads(pickle.dumps(d)).n_edges == d.n_edges == 3  # a slot set by __init__
+
+
+HASHABLE = [(value, names) for value, names, hashable in EXAMPLES if hashable]
+
+
+@pytest.mark.parametrize("value, names", HASHABLE, ids=[type(v).__name__ for v, _ in HASHABLE])
+def test_the_hash_is_cached_out_of_equality_repr_and_pickling(value, names):
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in names)
+    fresh = cls(*fields)
+    assert hash(value) == hash(fields) == hash(fresh)
+    assert value._hash == hash(fields)  # kept by the first call
+    assert value == fresh and repr(value) == repr(fresh)
+    assert pickle.dumps(value) == pickle.dumps(cls(*fields))
+    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert not hasattr(twin, "_hash")  # built anew, hashed afresh
+        assert hash(twin) == hash(fields)
