@@ -450,16 +450,23 @@ def _traced_signs(pd: PDCode) -> Tuple[int, List[Tuple[int, int, int]]]:
     """Component count, and per crossing (sign, under component, over component)
     under the orientation `strand_components` traces.
 
-    Each dart holds the component entering there, if any.  Crossing c's
-    under-strand enters at 4c or 4c+2, its over-strand at 4c+1 or 4c+3, and
-    c is positive exactly when the over-entry is three positions
+    One dart walk, the one `strand_components` makes, marks the component
+    entering at each entry dart and -2 at each exit dart.  Crossing c's
+    under-strand enters at 4c or 4c+2, its over-strand at 4c+1 or 4c+3,
+    and c is positive exactly when the over-entry is three positions
     counterclockwise of the under-entry.
     """
-    comps = strand_components(pd)
-    entering = [-1] * len(pd.alpha)
-    for ci, walk in enumerate(comps):
-        for c, p in walk:
-            entering[4 * c + p] = ci
+    alpha = pd.alpha
+    entering = [-1] * len(alpha)
+    n_comps = 0
+    for d in range(len(alpha)):
+        if entering[d] != -1:
+            continue
+        while entering[d] == -1:
+            entering[d] = n_comps
+            entering[d ^ 2] = -2  # a strand entering at p leaves at p + 2
+            d = alpha[d ^ 2]
+        n_comps += 1
     out = []
     for c in range(pd.n):
         pu = 0 if entering[4 * c] >= 0 else 2
@@ -468,7 +475,7 @@ def _traced_signs(pd: PDCode) -> Tuple[int, List[Tuple[int, int, int]]]:
         if cu < 0 or co < 0:
             raise InternalError(f"internal error: no under- or over-entry traced at crossing {c}")
         out.append((1 if (po - pu) % 4 == 3 else -1, cu, co))
-    return len(comps), out
+    return n_comps, out
 
 
 def _check_signs(pd: PDCode, n_comps: int, traced: List[Tuple[int, int, int]]) -> None:
@@ -619,8 +626,9 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
     crossing stays skippable, and the clasp crossings, later in index
     order, are never needed while an original one joins two circles.  A
     clasp at t reads the far ends of t's slots 1 and 2 from a working copy
-    of alpha, rewires 6 dart pairs and takes 4 fresh labels.  One circle
-    count of the result checks the whole reduction.
+    of alpha, rewires 6 dart pairs and takes 4 fresh labels.  The result's
+    all-A dessin, memoized for the caller that reads it next, must have one
+    vertex: that checks the whole reduction.
     """
     from .dessin import build_dessin
 
@@ -661,7 +669,7 @@ def reduce_to_one_vertex(pd: PDCode) -> PDCode:
                      (fx, m + 5), (fy, m + 6)):
             alpha[a], alpha[b] = b, a
     out = PDCode(tuple(tuple(t) for t in crossings))
-    if out.n != pd.n + 2 * (d.n_vertices - 1) or state_circle_count(out, 0) != 1:
+    if out.n != pd.n + 2 * (d.n_vertices - 1) or build_dessin(out, 0).n_vertices != 1:
         raise InternalError("internal error: clasp insertion did not reduce to one circle")
     return out
 

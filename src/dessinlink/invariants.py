@@ -282,20 +282,24 @@ class JonesResult(Record):
 
 
 def jones_polynomial(pd: PDCode, cap: int = 24) -> JonesResult:
-    """V(P) = (-A)^(-3w) <P>, re-expressed in q = A^-2 (t = q^2 for knots)."""
+    """V(P) = (-A)^(-3w) <P>, re-expressed in q = A^-2 (t = q^2 for knots):
+    one pass over the bracket's terms gives q's, and one over q's gives t's."""
     w, n_comps = _writhe_and_components(pd)
-    br = bracket_via_dessin(pd, cap)
-    va = br.shift(-3 * w)
-    if w % 2:
-        va = -va
-    if any(e % 2 for e, _ in va.terms()):
-        raise InternalError("internal error: odd exponent after writhe normalization")
-    q_poly = LaurentPoly({-(e // 2): c for e, c in va.terms()})
+    shift, sign = -3 * w, -1 if w & 1 else 1
+    q_terms: Dict[int, int] = {}
+    for e, c in bracket_via_dessin(pd, cap)._terms.items():
+        e += shift
+        if e & 1:
+            raise InternalError("internal error: odd exponent after writhe normalization")
+        q_terms[-(e >> 1)] = sign * c
+    q_poly = LaurentPoly._of(q_terms)
     if n_comps == 1:
-        if any(e % 2 for e, _ in q_poly.terms()):
-            raise InternalError("internal error: odd q-exponent for a knot")
-        t_poly = LaurentPoly({e // 2: c for e, c in q_poly.terms()})
-        return JonesResult("t", q_poly, t_poly, w)
+        t_terms: Dict[int, int] = {}
+        for e, c in q_terms.items():
+            if e & 1:
+                raise InternalError("internal error: odd q-exponent for a knot")
+            t_terms[e >> 1] = c
+        return JonesResult("t", q_poly, LaurentPoly._of(t_terms), w)
     return JonesResult("q", q_poly, None, w)
 
 
@@ -517,20 +521,40 @@ def top_coefficient_closed_form(d: Dessin) -> int:
     signed count of non-interlaced chord sets within ends i..j-1:
     N(i, i) = 1, N(i, j) = N(i+1, j) - [i < p < j] N(i+1, p) N(p+1, j) for
     p the partner of end i (its chord left out, or taken with sign -1 and
-    every other chord wholly inside or after it).  O(sum L^2), no cap.
+    every other chord wholly inside or after it).
+
+    A row is one integer, row(i) = sum_j N(i, j) 2^(b j) over j >= i, so
+    the step is row(i) = row(i+1) + 2^(b i) - N(i+1, p) row(p+1): a few
+    big-integer operations, with row(p+1) kept from when the walk down
+    passed p.  N(i, j) counts sets of at most L/2 chords, L the loop ends
+    at the vertex, so |N| <= 2^(L/2) = 2^(b-3) for digits of b =
+    floor(L/2) + 3 bits: the digits below p then total less than a quarter
+    of 2^(b p), so rounding row(i+1) / 2^(b p) leaves N(i+1, p) as its
+    lowest signed digit.  O(L) operations on O(L^2)-bit integers per
+    vertex, and no cap.
     """
     vert_of = d.vertex_of
-    total = (-1) ** (d.n_vertices - 1)
-    loops = ([h for h in rot if vert_of[h ^ 1] == vert_of[h]] for rot in d.rotations)
-    for ends in filter(None, loops):  # a vertex with no loops has N(0, 0) = 1
-        pos = {h: i for i, h in enumerate(ends)}
-        size = len(ends)
-        n = [[1] * (size + 1)] * (size + 1)  # rows are replaced, never changed in place
-        for i in range(size - 1, -1, -1):
-            p, up = pos[ends[i] ^ 1], n[i + 1]
-            n[i] = up if p < i else (
-                up[: p + 1] + [a - up[p] * b for a, b in zip(up[p + 1 :], n[p + 1][p + 1 :])])
-        total *= n[0][size]
+    total = 1 if d.n_vertices & 1 else -1
+    rotations = d.rotations
+    # a vertex with no loops has N(0, 0) = 1
+    for v in {x for x, y in zip(vert_of[::2], vert_of[1::2]) if x == y}:
+        ends = [h for h in rotations[v] if vert_of[h ^ 1] == v]
+        b = (len(ends) >> 1) + 3
+        mask, half = (1 << b) - 1, 1 << (b - 1)
+        at = top = b * len(ends)
+        row = 1 << top  # row(L)
+        later = {}  # end p whose partner the walk has not reached -> (b p, row(p+1))
+        for h in reversed(ends):
+            at -= b  # b i
+            got = later.pop(h ^ 1, None)
+            if got is None:
+                later[h] = at, row
+                row += 1 << at
+            else:
+                bp, up = got
+                c = (((row + (1 << bp - 1)) >> bp) + half & mask) - half  # N(i+1, p)
+                row += (1 << at) - c * up
+        total *= (row + (1 << top - 1)) >> top  # N(0, L), the top digit
     return total
 
 

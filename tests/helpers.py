@@ -2,11 +2,10 @@
 
 import random
 from functools import lru_cache
-from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from dessinlink.chord import bareiss_det
-from dessinlink.dessin import Dessin, _scan, _subset_profile, build_dessin, dessin_counts
+from dessinlink.dessin import Dessin, _counts, _scan, _subset_profile, build_dessin
 from dessinlink.diagram import (
     PDCode,
     mirror,
@@ -52,16 +51,16 @@ def braid_pd(word: Sequence[int], n_strands: int) -> PDCode:
 
 def genus_0_loop_sum(d: Dessin) -> int:
     """a[0] by walking the subsets of the loops: sum of (-1)^(v + e(H) - 1)
-    over the genus-0 sets H of loops."""
+    over the genus-0 sets H of loops.  A set of loops joins no two
+    vertices, so it has v components and genus (v + e(H) - f(H)) / 2, and
+    the scan's kernel `_counts` gives each subset's e(H) and f(H)."""
     vert_of = d.vertex_of
-    loops = [i for i in range(d.n_edges) if vert_of[2 * i] == vert_of[2 * i + 1]]
-    total = 0
-    for size in range(len(loops) + 1):
-        for sub in combinations(loops, size):
-            c = dessin_counts(d, sub)
-            if c.g == 0:
-                total += (-1) ** (c.v + c.e - 1)
-    return total
+    masks = [0]
+    for i in range(d.n_edges):
+        if vert_of[2 * i] == vert_of[2 * i + 1]:
+            masks += [mask | 1 << i for mask in masks]
+    v = d.n_vertices
+    return sum((-1) ** (v + eh - 1) for _, eh, f in _counts(d, masks) if f == v + eh)
 
 
 def scan_profile(d: Dessin) -> Dict[Tuple[int, int], int]:
@@ -315,6 +314,60 @@ def random_decorated_diagram(rng: random.Random, max_crossings: int = 10) -> PDC
             continue
         if len(strand_components(pd)) >= 3:
             return pd
+
+
+def space_polygon_pd(rng: random.Random, max_crossings: int = 14) -> PDCode:
+    """The plane projection of a random closed space polygon, the "random
+    jump" model of knot sampling: 6-12 points drawn in the unit cube,
+    redrawn until the projection has 1 to `max_crossings` crossings.
+
+    Two edges that cross in the xy-plane make a crossing, the one higher
+    there over.  Walking the polygon meets every crossing twice; the arc
+    after the i-th meeting is labelled i + 1, so the arc into the first
+    meeting is the last label.  A crossing's tuple starts at its incoming
+    under-arc and runs counterclockwise, so the over-strand's outgoing arc
+    comes second exactly when the over-strand crosses the under-strand
+    from its left to its right.  Unlike a braid closure, nothing bounds
+    the width of its crossing order.
+    """
+    while True:
+        m = rng.randint(6, 12)
+        pts = [(rng.random(), rng.random(), rng.random()) for _ in range(m)]
+        edges = [(pts[k], pts[(k + 1) % m]) for k in range(m)]
+        meetings = []  # (position along the polygon, crossing, over?, x, y of the edge)
+        for k in range(m):
+            (ax, ay, az), (bx, by, bz) = edges[k]
+            ux, uy = bx - ax, by - ay
+            for l in range(k + 2, m - (k == 0)):  # no edge crosses its neighbours
+                (cx, cy, cz), (dx, dy, dz) = edges[l]
+                vx, vy = dx - cx, dy - cy
+                den = ux * vy - uy * vx
+                if den == 0:
+                    continue
+                wx, wy = cx - ax, cy - ay
+                t, u = (wx * vy - wy * vx) / den, (wx * uy - wy * ux) / den
+                if 0 < t < 1 and 0 < u < 1:
+                    k_over = az + t * (bz - az) > cz + u * (dz - cz)
+                    c = len(meetings) // 2
+                    meetings.append((k + t, c, k_over, ux, uy))
+                    meetings.append((l + u, c, not k_over, vx, vy))
+        n = len(meetings) // 2
+        if 1 <= n <= max_crossings:
+            break
+    meetings.sort()
+    under: Dict[int, Tuple[int, int, float, float]] = {}
+    over: Dict[int, Tuple[int, int, float, float]] = {}
+    for i, (_, c, is_over, x, y) in enumerate(meetings):
+        (over if is_over else under)[c] = (i or 2 * n, i + 1, x, y)
+    crossings = []
+    for c in range(n):
+        u_in, u_out, ux, uy = under[c]
+        o_in, o_out, ox, oy = over[c]
+        if ux * oy - uy * ox < 0:  # from the under-strand's left to its right
+            crossings.append((u_in, o_out, u_out, o_in))
+        else:
+            crossings.append((u_in, o_in, u_out, o_out))
+    return PDCode(crossings)
 
 
 def corpus(seed: int, count: int, max_crossings: int = 10) -> List[PDCode]:

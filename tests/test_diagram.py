@@ -370,7 +370,11 @@ def test_reduce_smooths_once(monkeypatch):
     monkeypatch.setattr(diagram, "smooth_state", counting)
     red = reduce_to_one_vertex(pd)
     assert red.n == pd.n + 12
-    assert len(calls) == 1
+    # the all-A state of the diagram, then that of the result, whose
+    # memoized dessin the reduction's one-circle check leaves to its caller
+    assert [args[0] for args in calls] == [pd, red]
+    assert build_dessin(red, 0).n_vertices == 1
+    assert len(calls) == 2
 
 
 # ==========================================================================

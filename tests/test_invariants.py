@@ -174,22 +174,35 @@ def test_jones_identifies_twist_diagrams():
 
 def test_jones_walks_the_strands_once(monkeypatch):
     # the writhe's strand walk also gives the component count, for a knot,
-    # a signed link and an unsigned link, which still needs its signs
-    real = diagram.strand_components
+    # a signed link and an unsigned link, which still needs its signs; the
+    # walk fills the signs' entering array itself, with no strand lists
+    real = diagram._traced_signs
     walks = []
 
     def counting(pd):
         walks.append(pd)
         return real(pd)
 
-    monkeypatch.setattr(diagram, "strand_components", counting)
-    # and where `invariants` would look it up, had it imported the name
-    monkeypatch.setattr(invariants, "strand_components", counting, raising=False)
+    monkeypatch.setattr(diagram, "_traced_signs", counting)
+    lists = []
+    monkeypatch.setattr(diagram, "strand_components", lambda pd: lists.append(pd))
     assert jones_polynomial(table_pd("3_1")).variable == "t"
     assert jones_polynomial(HOPF_PLUS).variable == "q"
     with pytest.raises(dessinlink.OrientationError):
         jones_polynomial(parse_pd("X[1,3,2,4] X[3,1,4,2]"))
     assert len(walks) == 3
+    assert lists == []
+
+
+def test_jones_rejects_signs_and_brackets_no_diagram_has(monkeypatch):
+    with pytest.raises(DiagramError, match="fits no orientation"):
+        jones_polynomial(PDCode(HOPF_PLUS.crossings, [1, -1]))
+    trefoil = table_pd("3_1")  # writhe 3: V = -A^-9 <P>
+    for exponent, message in ((2, "odd exponent after writhe"), (7, "odd q-exponent for a knot")):
+        monkeypatch.setattr(
+            invariants, "bracket_via_dessin", lambda pd, cap=24: LaurentPoly({exponent: 1}))
+        with pytest.raises(InternalError, match=message):
+            jones_polynomial(trefoil)
 
 
 # ==========================================================================
@@ -306,6 +319,18 @@ def test_top_coefficient_closed_form_is_the_genus_0_loop_sum():
         rng.shuffle(word)
         d = to_dessin(ChordDiagram(word))
         assert top_coefficient_closed_form(d) == genus_0_loop_sum(d), word
+    # 11-14 chords, up to the 17-bit digits of 28 loop ends; and 14 chords
+    # in parallel blocks of 4, 4, 4 and 2 mutually interlaced chords, whose
+    # sum is (1 - 4)^3 (1 - 2) = 27
+    words = [[0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7, 4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 11,
+              12, 13, 12, 13]]
+    rng = random.Random(1414)
+    for size in (11, 12, 13, 14, 14):
+        words.append(rng.sample(list(range(size)) * 2, 2 * size))
+    for word in words:
+        d = to_dessin(ChordDiagram(word))
+        assert top_coefficient_closed_form(d) == genus_0_loop_sum(d), word
+    assert top_coefficient_closed_form(to_dessin(ChordDiagram(words[0]))) == 27
 
 
 @pytest.mark.parametrize("p, q", [(20, 9), (16, 15), (30, 3)])
@@ -318,6 +343,47 @@ def test_top_coefficient_closed_form_past_the_cap(p, q):
     table = coefficient_table(pd)
     top = weighted_bracket(contract_parallel(d)).coefficient(d.n_edges + 2 * d.n_vertices - 2)
     assert table.coefficient(0) == top_coefficient_closed_form(d) == top
+
+
+def adequate_braid_closures(count: int) -> list:
+    """Seeded homogeneous braid closures of 24-60 crossings on 3-6 strands,
+    built of syllables sigma_i^(+-k), k = 2 or 3, with one sign per
+    generator: both of their extreme states are adequate."""
+    rng = random.Random(4060)
+    out = []
+    while len(out) < count:
+        strands = rng.randint(3, 6)
+        signs = [rng.choice((1, -1)) for _ in range(strands - 1)]
+        target = rng.randint(24, 57)
+        word = []
+        while len(word) < target:
+            gen = rng.randint(1, strands - 1)
+            word += [signs[gen - 1] * gen] * rng.randint(2, 3)
+        try:
+            out.append(braid_pd(word, strands))
+        except ValueError:  # a generator left out: the closure splits
+            pass
+    return out
+
+
+def test_adequate_diagrams_have_the_span_of_their_extreme_states():
+    # Lickorish-Thistlethwaite (Comment. Math. Helv. 63, 1988): when the
+    # all-A and all-B dessins have no loops, the bracket spans exactly
+    # 2n + 2 v_A + 2 v_B - 4 and both extreme coefficients are +-1
+    mixed = 0
+    for pd in adequate_braid_closures(40):
+        assert 24 <= pd.n <= 60
+        sides = build_dessin(pd, 0), build_dessin(pd, (1 << pd.n) - 1)
+        for d in sides:
+            vert_of = d.vertex_of
+            assert all(vert_of[2 * i] != vert_of[2 * i + 1] for i in range(d.n_edges)), pd
+        terms = bracket_via_dessin(pd).terms()
+        (top, c_top), (bottom, c_bottom) = terms[0], terms[-1]
+        assert top - bottom == 2 * pd.n + 2 * sides[0].n_vertices + 2 * sides[1].n_vertices - 4
+        assert abs(c_top) == abs(c_bottom) == 1
+        # a span below 4n: a diagram that is not alternating
+        mixed += top - bottom < 4 * pd.n
+    assert mixed >= 20
 
 
 def test_one_vertex_coefficients():
@@ -508,6 +574,18 @@ def test_the_charpoly_route_computes_no_char_poly(monkeypatch):
     rep = determinant(table_pd("8_21"))
     assert rep.methods["charpoly"] == DETS["8_21"]
     assert calls == []
+
+
+def test_the_charpoly_route_traces_each_all_a_state_once(monkeypatch):
+    # the diagram's all-A circles and the reduction's; the route reads the
+    # reduced dessin that the reduction's one-circle check memoized
+    calls = []
+    real = diagram._trace_circles
+    monkeypatch.setattr(
+        diagram, "_trace_circles", lambda *args: calls.append(args) or real(*args))
+    rep = determinant(pretzel_pd([2, 3, -6]), methods="charpoly")
+    assert rep.value == pretzel_determinant([2, 3], [6])
+    assert len(calls) == 2
 
 
 def test_disagreeing_determinant_methods_are_internal_errors(monkeypatch):

@@ -3,7 +3,9 @@
 Hypothesis draws the seed; `helpers.random_decorated_diagram` turns it into
 a connected diagram: a braid closure, one with Reidemeister-I curls, two
 joined through a nugatory crossing, or a link of 3 or more components.
-The connected-sum law draws two knots of at most 5 crossings instead.
+The connected-sum law draws two knots of at most 5 crossings instead, and
+the last tests draw projections of random space polygons of at most 14
+crossings (`helpers.space_polygon_pd`), which are not braid closures.
 Runs are derandomized so the suite stays reproducible, and example counts
 are small so it stays fast.
 """
@@ -40,6 +42,7 @@ from helpers import (
     random_diagram,
     scan_bracket,
     shuffled,
+    space_polygon_pd,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -210,3 +213,21 @@ def test_jones_is_multiplicative_under_connected_sum(p: PDCode, q: PDCode):
     # the nugatory join of two knot diagrams is a diagram of their connected sum
     joined = jones_polynomial(nugatory_join(p, q)).poly
     assert joined == jones_polynomial(p).poly * jones_polynomial(q).poly
+
+
+polygons = seeds.map(lambda seed: space_polygon_pd(random.Random(seed)))
+
+
+@checked
+@given(polygons, seeds)
+def test_space_polygon_brackets_are_state_sums(pd: PDCode, seed: int):
+    # the same bracket from a twin with its crossings and labels shuffled
+    br = bracket_via_dessin(pd)
+    assert br == state_sum_bracket(pd)
+    assert bracket_via_dessin(shuffled(pd, random.Random(seed))) == br
+
+
+@checked
+@given(polygons)
+def test_space_polygon_determinant_is_the_goeritz_determinant(pd: PDCode):
+    assert determinant(pd).value == goeritz_determinant(pd)
