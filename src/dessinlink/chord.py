@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from operator import mul
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._record import Record
-from .errors import DiagramError, InternalError
+from .errors import DiagramError, InternalError, PreconditionError
 from .dessin import Dessin
 from .poly import LaurentPoly
 
@@ -163,36 +162,6 @@ def intersection_matrix(cd: ChordDiagram) -> List[List[int]]:
     return _interlacement_rows(_interlacement_masks(cd), range(cd.m), 0, 1)
 
 
-MatrixLike = Union[ChordDiagram, Sequence[Sequence[int]]]
-
-
-def _as_matrix(source: MatrixLike) -> List[List[int]]:
-    if isinstance(source, ChordDiagram):
-        return intersection_matrix(source)
-    rows = [[int(x) for x in row] for row in source]
-    if any(len(row) != len(rows) for row in rows):
-        raise DiagramError("matrix must be square")
-    return rows
-
-
-# Exponents q of the Mersenne primes 2^q - 1, the moduli of char_poly.
-_MERSENNE_EXPONENTS = (
-    13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
-    4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503,
-    132049, 216091,
-)
-
-
-def _coefficient_bound(mat: Sequence[Sequence[int]]) -> int:
-    """prod_i (1 + ceil(|row_i|_2)), a bound on every coefficient of det(M - xI).
-
-    The coefficient of x^(m-k) is a signed sum of the k x k principal
-    minors, and by Hadamard each minor on rows S is at most
-    prod_{i in S} |row_i|_2; summing over all S gives the product.
-    """
-    return _hadamard_bound(sum(map(mul, row, row)) for row in mat)
-
-
 def _hadamard_bound(squares: Iterable[int]) -> int:
     """prod (1 + ceil(sqrt(q))) over the squared row norms q."""
     bound = 1
@@ -220,19 +189,21 @@ def _hessenberg_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
             for row in h:
                 row[piv], row[k1] = row[k1], row[piv]
         inv = pow(h[k1][k], -1, p)
-        tail = h[k1][k1:]
+        tail = [(j, b) for j, b in enumerate(h[k1][k1:], k1) if b]
         # row_i -= u_i row_(k+1) clears column k below the subdiagonal ...
         us = []
-        for ri in h[k + 2 :]:
-            u = ri[k] * inv % p
-            us.append(u)
-            if u:
+        for i in range(k + 2, m):
+            ri = h[i]
+            if ri[k]:
+                u = ri[k] * inv % p
+                us.append((i, u))
                 ri[k] = 0
-                ri[k1:] = [(a - u * b) % p for a, b in zip(ri[k1:], tail)]
+                for j, b in tail:
+                    ri[j] = (ri[j] - u * b) % p
         # ... and column_(k+1) += sum_i u_i column_i completes the similarity
-        if any(us):
+        if us:
             for row in h:
-                row[k1] = (row[k1] + sum(map(mul, row[k + 2 :], us))) % p
+                row[k1] = (row[k1] + sum([row[i] * u for i, u in us])) % p
     polys = [[1]]
     for k in range(m):
         nxt = [0] + polys[k]
@@ -250,28 +221,25 @@ def _hessenberg_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
     return polys[m]
 
 
-def char_poly(source: MatrixLike) -> LaurentPoly:
-    """det(M - xI) as an exact integer polynomial in x, in O(m^3).
+def char_poly(cd: ChordDiagram) -> LaurentPoly:
+    """det(M - xI) for the interlacement matrix M of cd, exact, in O(m^3).
 
     Hessenberg reduction and recurrence over Z/p (H. Cohen, A Course in
-    Computational Algebraic Number Theory, 2.2), with p the smallest
-    Mersenne prime above twice the Hadamard bound of `_coefficient_bound`,
-    so the symmetric lift of every coefficient is exact for any integer
-    matrix.  Each call checks p(1) against bareiss_det(M - I).
+    Computational Algebraic Number Theory, 2.2), with p the `_modulus` of
+    twice the Hadamard bound B over the chord degrees (|row_i|^2 counts the
+    chords i crosses).  The coefficient of x^(m-k) is a signed sum of the
+    k x k principal minors, and by Hadamard each minor on rows S is at most
+    prod_{i in S} |row_i|_2; summing over all S gives B, so the symmetric
+    lift of every coefficient is exact.  Each call checks p(1) against
+    bareiss_det(M - I).
     """
-    mat = _as_matrix(source)
-    m = len(mat)
-    need = 2 * _coefficient_bound(mat)
-    q = next((q for q in _MERSENNE_EXPONENTS if (1 << q) - 1 > need), None)
-    if q is None:
-        raise DiagramError("matrix entries too large: no char_poly modulus covers them")
-    p = (1 << q) - 1
-    sign = -1 if m % 2 else 1
-    poly = LaurentPoly(
-        {e: sign * (c - p if c > p // 2 else c)
-         for e, c in enumerate(_hessenberg_char_poly(mat, p)) if c}
-    )
-    at_one = bareiss_det([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat)])
+    masks = _interlacement_masks(cd)
+    order = range(cd.m)
+    p = _modulus(2 * _hadamard_bound(mask.bit_count() for mask in masks))[0]
+    sign = -1 if cd.m % 2 else 1
+    coeffs = _hessenberg_char_poly(_interlacement_rows(masks, order, 0, 1), p)
+    poly = LaurentPoly({e: sign * (c - p if c > p // 2 else c) for e, c in enumerate(coeffs) if c})
+    at_one = bareiss_det(_interlacement_rows(masks, order, -1, 1))
     if sum(c for _, c in poly.terms()) != at_one:
         raise InternalError(f"internal error: char_poly(1) != det(M - I) = {at_one}")
     return poly
@@ -306,7 +274,8 @@ def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
 # Proth primes p = k 2^s + 1, k odd and below 2^s, of 64 to 4099 bits, each
 # about 1.5 times as wide as the one before, with a quadratic non-residue a:
 # a^((p-1)/2) = -1 proves p prime (Proth's theorem), and iota = a^((p-1)/4)
-# is a square root of -1.
+# is a square root of -1.  They are the moduli of both char_poly and
+# interlacement_determinant.
 _PROTH = (
     (175, 56, 3), (175, 88, 3), (231, 120, 5), (301, 184, 3), (207, 248, 5),
     (291, 376, 5), (745, 504, 3), (291, 760, 5), (715, 1016, 3), (193, 1528, 3),
@@ -322,6 +291,18 @@ def _proth_root(k: int, s: int, a: int) -> Tuple[int, int]:
     if iota * iota % p != p - 1:
         raise InternalError(f"internal error: {k}*2^{s}+1 fails its Proth test with {a}")
     return p, iota
+
+
+def _modulus(bound: int) -> Tuple[int, int]:
+    """The first `_PROTH` prime p with p - 1 >= bound, and its iota.
+
+    A chord word past the table is valid input that the modular routes do
+    not cover, so it is a precondition error.
+    """
+    entry = next((e for e in _PROTH if e[0] << e[1] >= bound), None)
+    if entry is None:
+        raise PreconditionError("interlacement matrix too large: no determinant modulus covers it")
+    return _proth_root(*entry)
 
 
 def _det_mod(rows: List[List[int]], p: int) -> int:
@@ -374,21 +355,18 @@ def interlacement_determinant(cd: ChordDiagram) -> int:
 
     det(I + iM) sums i^|S| det(M_S) over the principal minors, and the odd
     ones of the antisymmetric M vanish.  One elimination over Z/p gives it,
-    for p the first `_PROTH` prime above 2^32 times twice the Hadamard bound
-    B of `_coefficient_bound` (|row_i|^2 counts the chords i crosses), which
-    bounds it too; so its symmetric lift is exact.  Chords crossing fewer
-    others come first, a reordering of rows and columns alike that keeps the
-    determinant and cuts the fill-in.  Each call checks the lift: it must
-    lie within B, where a wrong residue lands with chance below 2^-32, and
-    be det(I + M) mod 2, the same minors summed without signs.
+    for p the `_modulus` of 2^32 times twice the Hadamard bound B of
+    `char_poly`, which bounds it too; so its symmetric lift is exact.
+    Chords crossing fewer others come first, a reordering of rows and
+    columns alike that keeps the determinant and cuts the fill-in.  Each
+    call checks the lift: it must lie within B, where a wrong residue lands
+    with chance below 2^-32, and be det(I + M) mod 2, the same minors
+    summed without signs.
     """
     masks = _interlacement_masks(cd)
     degrees = [mask.bit_count() for mask in masks]
     bound = _hadamard_bound(degrees)
-    entry = next((e for e in _PROTH if e[0] << e[1] >= bound << 33), None)
-    if entry is None:
-        raise DiagramError("interlacement matrix too large: no determinant modulus covers it")
-    p, iota = _proth_root(*entry)
+    p, iota = _modulus(bound << 33)
     order = sorted(range(cd.m), key=degrees.__getitem__)
     det = _det_mod(_interlacement_rows(masks, order, 1, iota), p)
     if det > p >> 1:
@@ -433,7 +411,8 @@ def unit_principal_minors(cd: ChordDiagram) -> Dict[int, int]:
     """Map each chord subset (bitmask) to its principal minor, all 0 or 1.
 
     Even-size minors are exact Bareiss determinants; odd-size minors of
-    an antisymmetric matrix vanish identically.
+    an antisymmetric matrix vanish identically.  Any other value is a
+    fault of the program, so it raises InternalError.
     """
     mat = intersection_matrix(cd)
     out: Dict[int, int] = {}
@@ -444,8 +423,8 @@ def unit_principal_minors(cd: ChordDiagram) -> Dict[int, int]:
             continue
         minor = bareiss_det([[mat[i][j] for j in idx] for i in idx])
         if minor not in (0, 1):
-            raise DiagramError(
-                f"principal minor {minor} for subset {mask:#x} is not 0 or 1"
+            raise InternalError(
+                f"internal error: principal minor {minor} for subset {mask:#x} is not 0 or 1"
             )
         out[mask] = minor
     return out

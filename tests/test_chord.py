@@ -29,7 +29,7 @@ from dessinlink.chord import (
 )
 from dessinlink.dessin import build_dessin, dessin_counts
 from dessinlink.diagram import knot_table, reduce_to_one_vertex, table_pd, twist_pd
-from dessinlink.errors import DiagramError, InternalError
+from dessinlink.errors import InternalError, PreconditionError
 from dessinlink.poly import LaurentPoly
 
 FIG8_WORD = "1 2 3 4 5 2 1 5 4 3"
@@ -136,42 +136,15 @@ def test_char_poly_matches_sympy():
         assert [int(c) for c in want] == coeffs
 
 
-def sympy_char_poly(mat):
-    """Coefficients of det(M - xI) = (-1)^m det(xI - M) from x^0 up, by sympy."""
-    sign = (-1) ** len(mat)
-    return [sign * int(c) for c in reversed(sympy.Matrix(mat).charpoly().all_coeffs())]
-
-
-def test_char_poly_matches_sympy_on_general_matrices():
-    rng = random.Random(23)
-    largest = 0
-    for trial in range(30):
-        n = 1 + trial % 10
-        mat = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
-        got = char_poly(mat)
-        want = sympy_char_poly(mat)
-        assert [got.coefficient(e) for e in range(n + 1)] == want, mat
-        assert max(map(abs, want)) <= chord._coefficient_bound(mat)
-        largest = max(largest, *map(abs, want))
-    assert largest > 2**127  # needs a modulus beyond 2^127 - 1
-
-
 def test_char_poly_matches_bareiss_on_interlacement_matrices():
     rng = random.Random(41)
     for m in (20, 27, 33, 40):
-        mat = intersection_matrix(random_word(rng, m))
-        p = char_poly(mat)
+        cd = random_word(rng, m)
+        mat = intersection_matrix(cd)
+        p = char_poly(cd)
         for x in range(-(m // 2), m // 2 + 2):  # m + 1 or more points
             shifted = [[a - x * (i == j) for j, a in enumerate(row)] for i, row in enumerate(mat)]
             assert sum(c * x**e for e, c in p.terms()) == bareiss_det(shifted), (m, x)
-
-
-def test_char_poly_moduli_are_mersenne_primes():
-    exps = chord._MERSENNE_EXPONENTS
-    assert list(exps) == sorted(set(exps))
-    for q in exps:
-        if q < 3000:
-            assert sympy.isprime(2**q - 1), q
 
 
 def test_char_poly_checks_itself_at_one(monkeypatch):
@@ -255,8 +228,11 @@ def test_interlacement_determinant_checks_itself(monkeypatch, plant):
 def test_interlacement_determinant_past_the_table_is_a_diagram_error(monkeypatch):
     monkeypatch.setattr(chord, "_PROTH", chord._PROTH[:1])  # the 64-bit prime alone
     assert interlacement_determinant(parse_chords(FIG8_WORD)) == 5
-    with pytest.raises(DiagramError, match="no determinant modulus"):
-        interlacement_determinant(random_word(random.Random(5), 40))
+    assert char_poly(parse_chords(FIG8_WORD)) == LaurentPoly({5: -1, 3: -6})
+    too_large = random_word(random.Random(5), 40)
+    for route in (interlacement_determinant, char_poly):
+        with pytest.raises(PreconditionError, match="no determinant modulus"):
+            route(too_large)
 
 
 def test_interlacement_determinant_is_the_char_poly_determinant():
@@ -273,6 +249,13 @@ def test_interlacement_determinant_is_the_char_poly_determinant():
 # ==========================================================================
 # principal minors
 # ==========================================================================
+
+
+def test_unit_principal_minors_reject_a_minor_outside_0_1_as_internal(monkeypatch):
+    real = chord.bareiss_det
+    monkeypatch.setattr(chord, "bareiss_det", lambda rows: 2 if len(rows) == 2 else real(rows))
+    with pytest.raises(InternalError, match="principal minor 2"):
+        unit_principal_minors(parse_chords(FIG8_WORD))
 
 
 def test_unit_principal_minors_match_face_counts():

@@ -5,6 +5,7 @@ import copy
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
-from dessinlink import cli, dessin, diagram, invariants
+from dessinlink import chord, cli, dessin, diagram, invariants
 from dessinlink.errors import InternalError
 from dessinlink.dessin import build_dessin, dessin_counts
 from dessinlink.poly import LaurentPoly
@@ -347,6 +348,19 @@ def test_tree_difference_precondition(capsys):
     assert json.loads(err)["error"] == {
         "kind": "precondition",
         "message": "tree_difference needs an all-A dessin of genus 1",
+    }
+
+
+def test_charpoly_past_every_modulus_is_a_precondition(capsys, monkeypatch):
+    # a valid chord word that no modulus covers is not bad input
+    monkeypatch.setattr(chord, "_PROTH", chord._PROTH[:1])  # the 64-bit prime alone
+    word = list(range(40)) * 2
+    random.Random(5).shuffle(word)
+    code, _, err = run_json(capsys, "charpoly", "--chords", " ".join(str(lab + 1) for lab in word))
+    assert code == EXIT_PRECONDITION
+    assert json.loads(err)["error"] == {
+        "kind": "precondition",
+        "message": "interlacement matrix too large: no determinant modulus covers it",
     }
 
 
