@@ -39,6 +39,8 @@ __all__ = [
 
 
 def _canonical_word(word: Sequence[int]) -> Tuple[int, ...]:
+    if not word:
+        raise DiagramError("a chord diagram needs at least one chord")
     relabel: Dict[int, int] = {}
     out: List[int] = []
     for lab in word:

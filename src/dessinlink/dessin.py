@@ -33,7 +33,7 @@ from typing import (
 
 from ._pool import pooled_tally
 from ._record import Record
-from .errors import CapExceededError, DiagramError, InternalError
+from .errors import CapExceededError, DiagramError, InternalError, _integers
 
 if TYPE_CHECKING:
     from .diagram import PDCode, StateLike
@@ -57,7 +57,7 @@ __all__ = [
 def _canonical(rotations: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
     verts = []
     for rot in rotations:
-        rot = tuple(int(h) for h in rot)
+        rot = _integers(rot, "half-edge ids")
         if not rot:
             raise DiagramError("isolated vertices are not representable")
         lo = rot.index(min(rot))
@@ -432,7 +432,7 @@ class WeightedDessin(Record):
     def __init__(self, dessin: Dessin, weights: Sequence[int]):
         if dessin.n_vertices != 1:
             raise DiagramError("a weighted dessin needs one vertex")
-        weights = tuple(int(w) for w in weights)
+        weights = _integers(weights, "weights")
         if len(weights) != dessin.n_edges:
             raise DiagramError("one weight per edge required")
         if any(w < 1 for w in weights):

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._pool import pooled_tally
 from ._record import Record
-from .errors import CapExceededError, DiagramError, InternalError, OrientationError
+from .errors import CapExceededError, DiagramError, InternalError, OrientationError, _integers
 from .poly import LaurentPoly, delta_spread
 from .table import knot_table
 
@@ -79,7 +79,7 @@ class PDCode(Record):
     __slots__ = ("crossings", "signs", "_alpha", "_flip")
 
     def __init__(self, crossings: Sequence[Sequence[int]], signs: Optional[Sequence[int]] = None):
-        crossings = tuple(tuple(int(x) for x in tup) for tup in crossings)
+        crossings = tuple(_integers(tup, "arc labels") for tup in crossings)
         if not crossings:
             raise DiagramError("a PD code needs at least one crossing")
         seen: Dict[int, int] = {}
@@ -94,7 +94,7 @@ class PDCode(Record):
         if bad:
             raise DiagramError(f"arc labels must occur exactly twice, got {bad}")
         if signs is not None:
-            signs = tuple(int(s) for s in signs)
+            signs = _integers(signs, "crossing signs")
             if len(signs) != len(crossings):
                 raise DiagramError("sign list length differs from crossing count")
             if any(s not in (-1, 1) for s in signs):
@@ -542,7 +542,7 @@ def pretzel_pd(params: Sequence[int]) -> PDCode:
     the column crossings, so A-smoothing is horizontal.  Column tops are
     chained cyclically left to right, as are the bottoms.
     """
-    cols = [int(q) for q in params]
+    cols = _integers(params, "pretzel parameters")
     if not cols:
         raise DiagramError("pretzel needs at least one column")
     if any(q == 0 for q in cols):
@@ -576,6 +576,7 @@ def twist_pd(p: int, q: int) -> PDCode:
     p twists of the two east endpoints, then q twists of the two south
     endpoints, closed by joining the two west ends and the two east ends.
     """
+    p, q = _integers((p, q), "twist parameters")
     if p < 1 or q < 1:
         raise DiagramError("twist parameters must be >= 1")
     # Frozen orientation of the two twist regions and the closure; calibrated

@@ -1,8 +1,11 @@
-"""Exception types shared by every layer and by the command-line front end.
+"""Exception types shared by every layer and by the command-line front end,
+and the integer check every constructor applies to its input.
 
 Kept free of any math import so the CLI can name them in its `except`
 clauses without loading a computation module.
 """
+
+from operator import index
 
 __all__ = [
     "DiagramError",
@@ -31,3 +34,13 @@ class CapExceededError(RuntimeError):
 
 class InternalError(RuntimeError):
     """A consistency check inside a computation failed: a bug, not bad input."""
+
+
+def _integers(values, what: str) -> tuple:
+    """`values` as a tuple of ints by `operator.index`: ints and bools pass,
+    and anything else, a float or a string, raises `DiagramError` rather
+    than being truncated or parsed."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DiagramError(f"{what} must be integers, got {values!r}") from None

@@ -30,8 +30,8 @@ from .dessin import (
     quasi_tree_counts,
 )
 from .diagram import _PARTNER, PDCode, _writhe_and_components, reduce_to_one_vertex
-from .errors import CapExceededError, DiagramError, InternalError, PreconditionError
-from .poly import LaurentPoly, PolyError, _signed_digits, delta_spread
+from .errors import CapExceededError, DiagramError, InternalError, PreconditionError, _integers
+from .poly import LaurentPoly, _signed_digits, delta_spread
 
 __all__ = [
     "JonesResult",
@@ -589,39 +589,34 @@ def one_vertex_coefficients(d: Dessin, l: int, cap: int = 24) -> int:
 def weighted_bracket(wd: WeightedDessin, cap: int = 24) -> LaurentPoly:
     """Bracket of the expanded diagram from its parallel-contracted dessin.
 
-    <P> = sum over chord subsets H of
-          A^(e - 4 g(H)) (-1 - A^-4)^(-2 g(H)) prod_{c in H} ((-A^-4)^mu(c) - 1)
-    with e the weighted edge total.  Each chord factor is the binomial
-    telescope of its mu parallel copies, sum_j C(mu,j) (-1 - A^-4)^j; for
-    odd mu it reduces to -1 - A^(-4 mu).  The negative genus powers are
-    cleared globally by (1 + A^-4)^(2 g(D)) and divided back out, the
-    zero remainder asserted.  The dessin has one vertex, so every H is
-    connected, of genus (1 + e(H) - f(H)) / 2.
+    Chord c stands for mu(c) parallel copies.  A chord subset H that keeps
+    j_c >= 1 copies of each of its chords (C(mu(c), j_c) ways) is a
+    sub-dessin of the expanded one-vertex dessin with one more edge and one
+    more face per copy past the first, each closing a bigon.  So H puts the
+    coefficient of x^t in prod over c in H of ((1 + x)^mu(c) - 1) / x at
+    (e(H) + t, f(H) + t) of the expanded profile, and `delta_spread` reads
+    <P> = sum_l a[l] A^(E - 4l) off it at v = 1, E the weighted edge total.
+    The scan runs over the 2^m contracted subsets: `cap` bounds m, not E.
     """
-    d = wd.dessin
     e_total = sum(wd.weights)
-    g_max = dessin_counts(d).g
-    one_plus_u = LaurentPoly({0: 1, -4: 1})
-    upow = [LaurentPoly.one()]
-    for _ in range(2 * g_max):
-        upow.append(upow[-1] * one_plus_u)
-    chord_factor = [
-        LaurentPoly({0: -1, -4 * mu: (-1) ** mu}) for mu in wd.weights
-    ]
-    acc = LaurentPoly()
-    for mask, eh, f in _scan(d, cap=cap):
-        g = (1 + eh - f) // 2
-        term = upow[2 * (g_max - g)].shift(e_total - 4 * g)
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            term = term * chord_factor[low.bit_length() - 1]
-        acc = acc + term
-    try:
-        return acc.divide_exact(upow[2 * g_max])
-    except PolyError as exc:
-        raise InternalError(f"internal error: weighted sum not cleared: {exc}") from None
+    bits = e_total + 1  # each digit is below prod over H of 2^mu(c) <= 2^E
+    digit = (1 << bits) - 1
+    # ((1 + x)^mu - 1) / x at x = 2^bits: C(mu, j) in digit j - 1
+    rows = [((1 << bits) + 1) ** mu >> bits for mu in wd.weights]
+    tally: Dict[Tuple[int, int], int] = {}
+    for mask, eh, f in _scan(wd.dessin, cap=cap):
+        ways = 1
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            ways *= rows[low.bit_length() - 1]
+        while ways:
+            tally[eh, f] = tally.get((eh, f), 0) + (ways & digit)
+            ways >>= bits
+            eh += 1
+            f += 1
+    levels = delta_spread(tally, 1, e_total)
+    return LaurentPoly({e_total - 4 * l: c for l, c in enumerate(levels)})
 
 
 def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
@@ -651,8 +646,8 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
 
 def pretzel_determinant(p_seq: Sequence[int], q_seq: Sequence[int]) -> int:
     """det K(p_1..p_n, -q_1..-q_m) = |prod p prod q (sum 1/p - sum 1/q)|."""
-    ps = [int(p) for p in p_seq]
-    qs = [int(q) for q in q_seq]
+    ps = _integers(p_seq, "pretzel column magnitudes")
+    qs = _integers(q_seq, "pretzel column magnitudes")
     if not ps or not qs:
         raise DiagramError("pretzel closed form needs both positive and negative columns")
     if any(x < 1 for x in ps + qs):

@@ -4,7 +4,10 @@ Everything here is integer arithmetic: coefficients are Python ints, so
 state sums with thousands of terms stay exact.  The variable is called A
 by convention (the Kauffman bracket variable) but nothing below depends
 on that; renderers accept any variable name.  `delta_spread` sums the
-powers of the loop value delta by Horner's rule on packed signed digits.
+powers of the loop value delta by Horner's rule on packed signed digits;
+it reads the subset profile of a dessin (the coefficient levels and their
+checks), the state-sum oracle's tally, and the weighted expansion's
+profile of the expanded one-vertex dessin.
 """
 
 from __future__ import annotations
@@ -136,38 +139,6 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by A^k."""
         return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
-
-    def divide_exact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises PolyError on a nonzero remainder."""
-        if not other:
-            raise PolyError("division by zero polynomial")
-        if not self:
-            return LaurentPoly()
-        rem = dict(self._terms)
-        div = other._terms
-        dmax = max(div)
-        lead = div[dmax]
-        # exact quotients cannot reach below this exponent, which bounds
-        # the otherwise endless descent of an inexact Laurent division
-        min_shift = min(self._terms) - min(div)
-        quot: Dict[int, int] = {}
-        while rem:
-            rmax = max(rem)
-            shift = rmax - dmax
-            if shift < min_shift:
-                raise PolyError("inexact division (nonzero remainder)")
-            q, r = divmod(rem[rmax], lead)
-            if r:
-                raise PolyError("inexact division (leading coefficient)")
-            quot[shift] = q
-            for e, c in div.items():
-                ee = e + shift
-                s = rem.get(ee, 0) - q * c
-                if s:
-                    rem[ee] = s
-                else:
-                    rem.pop(ee, None)
-        return LaurentPoly(quot)
 
     # ---- comparison / hashing ----
 

@@ -215,7 +215,12 @@ def delta_power(k: int) -> LaurentPoly:
 
 def scan_bracket(pd: PDCode) -> LaurentPoly:
     """<P> summed from the subset scan's profile of the all-A dessin."""
-    d = build_dessin(pd, 0)
+    return profile_bracket(build_dessin(pd, 0))
+
+
+def profile_bracket(d: Dessin) -> LaurentPoly:
+    """sum over edge subsets H of A^(e - 2 e(H)) delta^(f(H) - 1), summed
+    term by term from the subset scan's profile of `d`."""
     return sum(
         (
             delta_power(f - 1).shift(d.n_edges - 2 * eh) * cnt

@@ -29,7 +29,7 @@ from dessinlink.chord import (
 )
 from dessinlink.dessin import build_dessin, dessin_counts
 from dessinlink.diagram import knot_table, reduce_to_one_vertex, table_pd, twist_pd
-from dessinlink.errors import InternalError, PreconditionError
+from dessinlink.errors import DiagramError, InternalError, PreconditionError
 from dessinlink.poly import LaurentPoly
 
 FIG8_WORD = "1 2 3 4 5 2 1 5 4 3"
@@ -58,6 +58,12 @@ def test_parse_rejects_bad_words():
         parse_chords("1 2 1")
     with pytest.raises(ValueError):
         parse_chords("1 1 2 2 2 2")
+
+
+def test_empty_chord_word_is_rejected():
+    # an empty word has no basepoint to rotate and no vertex to build
+    with pytest.raises(DiagramError, match="at least one chord"):
+        ChordDiagram(())
 
 
 def test_round_trip_through_dessin():

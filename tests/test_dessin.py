@@ -132,6 +132,12 @@ def test_rejects_isolated_vertex():
         Dessin(rotations=((0, 1), ()))
 
 
+def test_dessin_rejects_non_integer_half_edges():
+    # truncated, 1.2 would name half-edge 1 and give a valid dessin
+    with pytest.raises(DiagramError, match="half-edge ids must be integers"):
+        Dessin([(0, 1.2)])
+
+
 # ==========================================================================
 # sub-dessin scans
 # ==========================================================================
@@ -352,6 +358,12 @@ def test_weighted_validation():
     # the trefoil's all-A dessin has two vertices
     with pytest.raises(DiagramError, match="one vertex"):
         WeightedDessin(build_dessin(table_pd("3_1"), 0), (1, 1, 1))
+
+
+def test_weighted_dessin_rejects_non_integer_weights():
+    # truncated, 2.9 would weigh the chord 2
+    with pytest.raises(DiagramError, match="weights must be integers"):
+        WeightedDessin(Dessin([(0, 1)]), [2.9])
 
 
 # ==========================================================================

@@ -88,6 +88,22 @@ def test_parse_rejects_arc_label_zero():
         PDCode(((0, 1, 1, 0),))
 
 
+def test_pd_code_rejects_non_integer_labels():
+    # truncated, 1.9 would name arc 1: a different diagram, with no error
+    with pytest.raises(DiagramError, match="arc labels must be integers"):
+        PDCode([(1, 1.9, 2, 2)])
+    with pytest.raises(DiagramError, match="arc labels must be integers"):
+        PDCode([("1", "1", "2", "2")])
+
+
+def test_pd_code_rejects_non_integer_signs():
+    # truncated, 1.5 would read as +1; "+" is text form, not a sign value
+    for signs in ([1.5], ["+"], ["1"]):
+        with pytest.raises(DiagramError, match="crossing signs must be integers"):
+            PDCode([(1, 1, 2, 2)], signs=signs)
+    assert PDCode([(1, 1, 2, 2)], signs=[True]).signs == (1,)
+
+
 def test_alpha_pairs_the_two_ends_of_each_arc():
     rng = random.Random(7)
     trefoil = parse_pd(TREFOIL)
@@ -287,6 +303,19 @@ def test_pretzel_counts_frozen():
 def test_pretzel_rejects_bad_params():
     with pytest.raises(DiagramError):
         pretzel_pd((2, 0, 3))
+
+
+def test_pretzel_rejects_non_integer_params():
+    # truncated, 2.5 would build a two-crossing column
+    with pytest.raises(DiagramError, match="pretzel parameters must be integers"):
+        pretzel_pd([2.5, 3, -5])
+
+
+def test_twist_rejects_non_integer_params():
+    with pytest.raises(DiagramError, match="twist parameters must be integers"):
+        twist_pd(2.5, 3)
+    with pytest.raises(DiagramError, match="twist parameters must be integers"):
+        twist_pd(2, "3")
 
 
 def test_twist_one_vertex():

@@ -20,6 +20,7 @@ from dessinlink.chord import (
     to_dessin,
 )
 from dessinlink.dessin import (
+    WeightedDessin,
     build_dessin,
     contract_parallel,
     dessin_counts,
@@ -62,6 +63,7 @@ from helpers import (
     corpus,
     genus_0_loop_sum,
     goeritz_determinant,
+    profile_bracket,
     random_braid_word,
     shuffled,
 )
@@ -427,10 +429,45 @@ def test_weighted_bracket_matches_bracket():
         assert weighted_bracket(wd) == bracket_via_dessin(pd), name
 
 
-def test_inexact_weighted_sum_is_internal(monkeypatch):
-    # every subset weighed at the full genus leaves a sum that the cleared
-    # genus powers do not divide: the planted scan gives each subset the
-    # face count of genus g
+def _expanded(cd: ChordDiagram, weights) -> ChordDiagram:
+    """The word with chord c as c_1..c_mu at its first end, c_mu..c_1 at its
+    second: mu parallel chords, each pair nested-adjacent."""
+    seen = set()
+    out = []
+    for c in cd.word:
+        copies = [(c, k) for k in range(weights[c])]
+        out += reversed(copies) if c in seen else copies
+        seen.add(c)
+    return ChordDiagram(out)
+
+
+def test_weighted_bracket_matches_the_expanded_profile(monkeypatch):
+    rng = random.Random(3011)
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        word = list(range(m)) * 2
+        rng.shuffle(word)
+        cd = ChordDiagram(word)
+        weights = [rng.randint(1, 3) for _ in range(m)]
+        got = weighted_bracket(WeightedDessin(to_dessin(cd), weights))
+        assert got == profile_bracket(to_dessin(_expanded(cd, weights))), (cd.word, weights)
+    # the cap bounds the m contracted chords, not the expanded edge total
+    cd = ChordDiagram((0, 1, 0, 1))
+    wd = WeightedDessin(to_dessin(cd), (3, 2))
+    assert weighted_bracket(wd, cap=2) == profile_bracket(to_dessin(_expanded(cd, (3, 2))))
+
+    def no_scan(d, masks):
+        raise AssertionError("the scan ran past the cap")
+
+    monkeypatch.setattr(dessin, "_counts", no_scan)
+    with pytest.raises(CapExceededError):
+        weighted_bracket(wd, cap=1)
+
+
+def test_planted_genus_faults_reach_the_spread(monkeypatch):
+    # the planted scan gives every subset the face count of the full genus
+    # g = 1, so the empty subset arrives with f = -1, and `delta_spread`
+    # finds no start level for it
     wd = contract_parallel(build_dessin(twist_pd(2, 3), 0))
     g = dessin_counts(wd.dessin).g
     real = dessin._scan
@@ -439,7 +476,7 @@ def test_inexact_weighted_sum_is_internal(monkeypatch):
         return ((mask, eh, 1 + eh - 2 * g) for mask, eh, _ in real(d, cap))
 
     monkeypatch.setattr(invariants, "_scan", full_genus)
-    with pytest.raises(InternalError, match="^internal error: weighted sum"):
+    with pytest.raises(InternalError, match="^internal error: no start level for v=1 e=0 f=-1$"):
         weighted_bracket(wd)
 
 
@@ -466,6 +503,12 @@ def test_pretzel_determinant():
         pretzel_determinant((2, 3), ())
     with pytest.raises(DiagramError):
         pretzel_determinant((2, 0), (1,))
+
+
+def test_pretzel_determinant_rejects_non_integers():
+    # truncated, 2.5 would give the determinant of column 2
+    with pytest.raises(DiagramError, match="pretzel column magnitudes must be integers"):
+        pretzel_determinant((2.5, 3), (5,))
 
 
 def test_zero_bracket_is_internal(monkeypatch):

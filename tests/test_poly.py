@@ -147,15 +147,6 @@ def test_shift_inverse_and_reciprocal():
     assert LaurentPoly({-e: c for e, c in p}) == LaurentPoly({-2: 1, 1: 5})
 
 
-def test_divide_exact_and_remainder_error():
-    quotient = (DELTA * DELTA + LaurentPoly.one()).divide_exact(LaurentPoly.one())
-    assert quotient == DELTA * DELTA + LaurentPoly.one()
-    with pytest.raises(PolyError):
-        LaurentPoly({1: 1, 0: 1}).divide_exact(LaurentPoly({1: 1, 0: -1}))
-    with pytest.raises(PolyError):
-        LaurentPoly.one().divide_exact(LaurentPoly())
-
-
 def test_ring_properties_random():
     rng = random.Random(1207)
     x = Fraction(3, 2)
@@ -164,8 +155,6 @@ def test_ring_properties_random():
         assert eval_at(p + q, x) == eval_at(p, x) + eval_at(q, x)
         assert eval_at(p * q, x) == eval_at(p, x) * eval_at(q, x)
         assert eval_at(-p, x) == -eval_at(p, x)
-        if q:
-            assert (p * q).divide_exact(q) == p
 
 
 # ==========================================================================
