@@ -4,10 +4,12 @@ A chord diagram is a circular word in which every chord label occurs
 twice, read from a basepoint; chords are numbered 0.. by first
 appearance.  Chords i and j are interlaced when their endpoints
 alternate around the circle, and the interlacement matrix records
-sign(i - j) for interlaced pairs.  Its characteristic polynomial
-det(M - xI) collects the spanning quasi-tree counts of the dessin in
-its coefficients, and their alternating sum, the determinant of the link,
-is det(I + iM): one modular elimination, with no polynomial.
+sign(i - j) for interlaced pairs.  The spanning quasi-tree counts s(j) of
+the dessin are the coefficients of R(x) = sum_j s(j) x^j, and
+det(I + wM) = R(w^2).  Both readings are modular eliminations of I + wM:
+the determinant of the link, |sum_j (-1)^j s(j)|, is one at w = i, and the
+characteristic polynomial det(M - xI) = (-1)^m x^m R(x^-2) interpolates
+R from m//2 + 2 of them, at w = 1, 2, ...
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import isqrt
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._record import Record
-from .errors import DiagramError, InternalError, PreconditionError
+from .errors import DiagramError, InternalError, PreconditionError, _integers
 from .dessin import Dessin
 from .poly import LaurentPoly
 
@@ -114,7 +116,7 @@ def chords_to_text(cd: ChordDiagram) -> str:
 def rotate(cd: ChordDiagram, k: int) -> ChordDiagram:
     """Move the basepoint k endpoints along the circle."""
     w = cd.word
-    k %= len(w)
+    k = _integers((k,), "rotation offsets")[0] % len(w)
     return ChordDiagram(w[k:] + w[:k])
 
 
@@ -172,76 +174,47 @@ def _hadamard_bound(squares: Iterable[int]) -> int:
     return bound
 
 
-def _hessenberg_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
-    """det(xI - M) mod the prime p, coefficients from x^0 up to x^m.
+def _quasi_tree_residues(masks: Sequence[int], p: int) -> List[int]:
+    """R(x) = sum_j s(j) x^j mod the prime p, coefficients from x^0 up to x^(m//2).
 
-    M is brought to upper-Hessenberg form H by similarity transforms over
-    Z/p, then det(xI - H) follows column by column from
-    p_(k+1) = (x - h_kk) p_k - sum_(i<k) h_ik (h_(i+1,i) .. h_(k,k-1)) p_i.
+    det(I + wM) sums w^|S| det M[S] over the principal minors, and the odd
+    ones of the antisymmetric M vanish, so it is R(w^2).  One `_det_mod` at
+    each w = 1 .. m//2 + 1, rows by chord degree, gives R by Newton
+    interpolation in x = w^2; one more, at w = m//2 + 2, checks it.
     """
-    m = len(mat)
-    h = [[x % p for x in row] for row in mat]
-    for k in range(m - 2):
-        k1 = k + 1
-        piv = next((i for i in range(k1, m) if h[i][k]), None)
-        if piv is None:
-            continue
-        if piv != k1:
-            h[piv], h[k1] = h[k1], h[piv]
-            for row in h:
-                row[piv], row[k1] = row[k1], row[piv]
-        inv = pow(h[k1][k], -1, p)
-        tail = [(j, b) for j, b in enumerate(h[k1][k1:], k1) if b]
-        # row_i -= u_i row_(k+1) clears column k below the subdiagonal ...
-        us = []
-        for i in range(k + 2, m):
-            ri = h[i]
-            if ri[k]:
-                u = ri[k] * inv % p
-                us.append((i, u))
-                ri[k] = 0
-                for j, b in tail:
-                    ri[j] = (ri[j] - u * b) % p
-        # ... and column_(k+1) += sum_i u_i column_i completes the similarity
-        if us:
-            for row in h:
-                row[k1] = (row[k1] + sum([row[i] * u for i, u in us])) % p
-    polys = [[1]]
-    for k in range(m):
-        nxt = [0] + polys[k]
-        terms = [(h[k][k], polys[k])]
-        lead = 1
-        for i in range(k - 1, -1, -1):
-            lead = lead * h[i + 1][i] % p
-            if not lead:
-                break
-            terms.append((lead * h[i][k], polys[i]))
-        for c, poly in terms:
-            if c:
-                nxt[: len(poly)] = [a - c * b for a, b in zip(nxt, poly)]
-        polys.append([a % p for a in nxt])
-    return polys[m]
+    n = len(masks) // 2
+    order = sorted(range(len(masks)), key=lambda i: masks[i].bit_count())
+    xs = [w * w for w in range(1, n + 3)]
+    ys = [_det_mod(_interlacement_rows(masks, order, 1, w), p) for w in range(1, n + 3)]
+    c = ys[: n + 1]
+    for k in range(1, n + 1):  # divided differences, in place
+        for i in range(n, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * pow(xs[i] - xs[i - k], -1, p) % p
+    r = [c[n]]
+    for i in range(n - 1, -1, -1):  # r = r (x - xs[i]) + c[i]
+        r = [(a - xs[i] * b) % p for a, b in zip([c[i]] + r, r + [0])]
+    if sum(a * pow(xs[-1], j, p) for j, a in enumerate(r)) % p != ys[-1]:
+        raise InternalError(f"internal error: det(I + wM) at the spare point w = {n + 2} is off R")
+    return r
 
 
 def char_poly(cd: ChordDiagram) -> LaurentPoly:
-    """det(M - xI) for the interlacement matrix M of cd, exact, in O(m^3).
+    """det(M - xI) = (-1)^m sum_j s(j) x^(m-2j) for the interlacement matrix
+    M of cd, exact, from the quasi-tree polynomial R of `_quasi_tree_residues`.
 
-    Hessenberg reduction and recurrence over Z/p (H. Cohen, A Course in
-    Computational Algebraic Number Theory, 2.2), with p the `_modulus` of
-    twice the Hadamard bound B over the chord degrees (|row_i|^2 counts the
-    chords i crosses).  The coefficient of x^(m-k) is a signed sum of the
-    k x k principal minors, and by Hadamard each minor on rows S is at most
-    prod_{i in S} |row_i|_2; summing over all S gives B, so the symmetric
-    lift of every coefficient is exact.  Each call checks p(1) against
+    R is interpolated modulo p, the `_modulus` of twice the Hadamard bound B
+    over the chord degrees (|row_i|^2 counts the chords i crosses).  s(j)
+    sums the 2j x 2j principal minors, and by Hadamard each minor on rows S
+    is at most prod_{i in S} |row_i|_2; summing over all S gives B, so the
+    symmetric lift of every s(j) is exact.  Each call checks p(1) against
     bareiss_det(M - I).
     """
     masks = _interlacement_masks(cd)
-    order = range(cd.m)
     p = _modulus(2 * _hadamard_bound(mask.bit_count() for mask in masks))[0]
     sign = -1 if cd.m % 2 else 1
-    coeffs = _hessenberg_char_poly(_interlacement_rows(masks, order, 0, 1), p)
-    poly = LaurentPoly({e: sign * (c - p if c > p // 2 else c) for e, c in enumerate(coeffs) if c})
-    at_one = bareiss_det(_interlacement_rows(masks, order, -1, 1))
+    r = _quasi_tree_residues(masks, p)
+    poly = LaurentPoly({cd.m - 2 * j: sign * (c - p if c > p // 2 else c) for j, c in enumerate(r) if c})
+    at_one = bareiss_det(_interlacement_rows(masks, range(cd.m), -1, 1))
     if sum(c for _, c in poly.terms()) != at_one:
         raise InternalError(f"internal error: char_poly(1) != det(M - I) = {at_one}")
     return poly
@@ -276,8 +249,9 @@ def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
 # Proth primes p = k 2^s + 1, k odd and below 2^s, of 64 to 4099 bits, each
 # about 1.5 times as wide as the one before, with a quadratic non-residue a:
 # a^((p-1)/2) = -1 proves p prime (Proth's theorem), and iota = a^((p-1)/4)
-# is a square root of -1.  They are the moduli of both char_poly and
-# interlacement_determinant.
+# is a square root of -1.  They are the moduli of the chord layer's one
+# elimination, `_det_mod` of I + wM: at w = iota for interlacement_determinant,
+# and at w = 1 .. m//2 + 2 for char_poly, which interpolates R(w^2) from them.
 _PROTH = (
     (175, 56, 3), (175, 88, 3), (231, 120, 5), (301, 184, 3), (207, 248, 5),
     (291, 376, 5), (745, 504, 3), (291, 760, 5), (715, 1016, 3), (193, 1528, 3),

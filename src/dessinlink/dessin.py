@@ -62,6 +62,8 @@ def _canonical(rotations: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...
             raise DiagramError("isolated vertices are not representable")
         lo = rot.index(min(rot))
         verts.append(rot[lo:] + rot[:lo])
+    if not verts:
+        raise DiagramError("a dessin needs at least one vertex")
     verts.sort(key=lambda r: r[0])
     return tuple(verts)
 

@@ -66,6 +66,13 @@ def test_empty_chord_word_is_rejected():
         ChordDiagram(())
 
 
+def test_rotate_rejects_a_non_integer_offset():
+    cd = parse_chords(FIG8_WORD)
+    assert rotate(cd, True) == rotate(cd, 1)  # bools pass operator.index, as elsewhere
+    with pytest.raises(DiagramError, match="rotation offsets must be integers"):
+        rotate(cd, 1.5)
+
+
 def test_round_trip_through_dessin():
     cd = parse_chords(FIG8_WORD)
     assert to_chord_diagram(to_dessin(cd)) == cd
@@ -153,16 +160,30 @@ def test_char_poly_matches_bareiss_on_interlacement_matrices():
             assert sum(c * x**e for e, c in p.terms()) == bareiss_det(shifted), (m, x)
 
 
+def _plant_in_det_mod(monkeypatch, off):
+    """Add off(w) to every det(I + wM) that `chord._det_mod` returns."""
+    real = chord._det_mod
+
+    def planted(rows, p):
+        w = max(abs(x) for row in rows for x in row)
+        return (real(rows, p) + off(w)) % p
+
+    monkeypatch.setattr(chord, "_det_mod", planted)
+
+
+@pytest.mark.parametrize("plant", ["interpolation_value", "spare_value"])
+def test_char_poly_checks_its_spare_point(monkeypatch, plant):
+    # m = 5: R is interpolated from w = 1, 2, 3 and checked at w = 4
+    spoiled = 1 if plant == "interpolation_value" else 4
+    _plant_in_det_mod(monkeypatch, lambda w: w == spoiled)
+    with pytest.raises(InternalError, match="spare point"):
+        char_poly(parse_chords(FIG8_WORD))
+
+
 def test_char_poly_checks_itself_at_one(monkeypatch):
-    real = chord._hessenberg_char_poly
-
-    def off_by_one(mat, p):
-        coeffs = real(mat, p)
-        coeffs[0] = (coeffs[0] + 1) % p
-        return coeffs
-
-    monkeypatch.setattr(chord, "_hessenberg_char_poly", off_by_one)
-    with pytest.raises(InternalError):
+    # every value off by w^2 is R + x, which the spare point cannot see
+    _plant_in_det_mod(monkeypatch, lambda w: w * w)
+    with pytest.raises(InternalError, match="det\\(M - I\\)"):
         char_poly(parse_chords(FIG8_WORD))
 
 

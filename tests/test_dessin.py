@@ -132,6 +132,12 @@ def test_rejects_isolated_vertex():
         Dessin(rotations=((0, 1), ()))
 
 
+def test_empty_dessin_is_rejected():
+    # accepted, it had 0 vertices and 0 edges, and its counts were "impossible"
+    with pytest.raises(DiagramError, match="at least one vertex"):
+        Dessin(())
+
+
 def test_dessin_rejects_non_integer_half_edges():
     # truncated, 1.2 would name half-edge 1 and give a valid dessin
     with pytest.raises(DiagramError, match="half-edge ids must be integers"):

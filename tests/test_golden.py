@@ -11,6 +11,7 @@ output change only, with
 import contextlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -25,7 +26,8 @@ GOLDEN = Path(__file__).parent / "golden" / "cli.jsonl"
 def golden_commands():
     """The recorded argv lists: verify, the per-diagram commands on every
     table entry (with the all-A and all-B dessins and the reduced chord
-    word's char poly), and the two family commands."""
+    word's char poly), the two family commands, and the char poly of one
+    seeded chord word at each of m = 12, 16, 20, 24 and 30 chords."""
     commands = [["verify"], ["verify", "--plain"]]
     for name in sorted(knot_table()):
         for command in ("quasitrees", "coeffs", "det", "bracket", "jones", "reduce"):
@@ -38,6 +40,10 @@ def golden_commands():
             ["charpoly", "--name", name],
         ]
     commands += [["twist", "3", "4"], ["pretzel", "2", "3", "-5", "--det"]]
+    for m in (12, 16, 20, 24, 30):
+        word = list(range(1, m + 1)) * 2
+        random.Random(m).shuffle(word)
+        commands.append(["charpoly", "--chords", " ".join(map(str, word))])
     return commands
 
 
