@@ -328,7 +328,7 @@ def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
         mask = (1 << e) - 1
     else:
         mask = 0
-        for ei in sub:
+        for ei in _integers(sub, "edge indices"):
             if not 0 <= ei < e:
                 raise DiagramError(f"edge index {ei} out of range")
             mask |= 1 << ei
@@ -374,7 +374,7 @@ def mixed_state_face_count(pd: PDCode, edges: Iterable[int]) -> int:
     from .diagram import state_circle_count
 
     mask = 0
-    for c in edges:
+    for c in _integers(edges, "crossing indices"):
         if not 0 <= c < len(pd.crossings):
             raise DiagramError(f"crossing index {c} out of range")
         mask |= 1 << c

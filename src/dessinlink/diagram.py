@@ -247,6 +247,9 @@ def _planar_map(crossings: Tuple[Crossing, ...]) -> Tuple[Tuple[int, ...], Tuple
     return tuple(alpha), tuple(flip)
 
 
+_STATE_BITS = {"A": 0, "a": 0, "0": 0, 0: 0, "B": 1, "b": 1, "1": 1, 1: 1}
+
+
 def _state_mask(pd: PDCode, s: StateLike) -> int:
     """Normalize a state (bitmask, 'AABB' string, or sequence) to a bitmask."""
     n = len(pd.crossings)
@@ -254,16 +257,17 @@ def _state_mask(pd: PDCode, s: StateLike) -> int:
         if not 0 <= s < (1 << n):
             raise DiagramError(f"state mask {s} out of range for {n} crossings")
         return s
-    entries = list(s)
-    if len(entries) != n:
-        raise DiagramError(f"state has {len(entries)} entries for {n} crossings")
+    if not isinstance(s, str):
+        try:
+            s = list(s)
+        except TypeError:  # not a sequence, so a bitmask: a float is an error
+            return _state_mask(pd, _integers((s,), "state masks")[0])
+    if len(s) != n:
+        raise DiagramError(f"state has {len(s)} entries for {n} crossings")
     mask = 0
-    for i, ch in enumerate(entries):
-        if ch in ("A", "a", 0, "0"):
-            bit = 0
-        elif ch in ("B", "b", 1, "1"):
-            bit = 1
-        else:
+    for i, ch in enumerate(s):
+        bit = _STATE_BITS.get(ch if isinstance(ch, str) else _integers((ch,), "state entries")[0])
+        if bit is None:
             raise DiagramError(f"state entry {ch!r} is neither A nor B")
         mask |= bit << i
     return mask

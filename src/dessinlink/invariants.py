@@ -434,8 +434,7 @@ class CoefficientTable(Record):
         self._set(top_exponent, coeffs)
 
     def coefficient(self, l: int) -> int:
-        if l < 0:
-            raise DiagramError("coefficient level must be >= 0")
+        l = _level(l)
         return self.coeffs[l] if l < len(self.coeffs) else 0
 
     def as_poly(self) -> LaurentPoly:
@@ -477,6 +476,14 @@ def coefficient_table(pd: PDCode, cap: int = 24, check: bool = True) -> Coeffici
     return table
 
 
+def _level(l) -> int:
+    """A coefficient level as an int: a float or a negative level is `DiagramError`."""
+    (l,) = _integers((l,), "coefficient levels")
+    if l < 0:
+        raise DiagramError("coefficient level must be >= 0")
+    return l
+
+
 def _spread(d: Dessin, bound: int, cap: int) -> Tuple[int, ...]:
     """a[0..bound] without the bracket: the binomial spread of the profile."""
     return delta_spread(_subset_profile(d, cap), d.n_vertices, bound)
@@ -507,8 +514,7 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
     Locality of the coefficient: subsets of higher starting level cannot
     reach down to level l, so the restricted sum must match the table.
     """
-    if l < 0:
-        raise DiagramError("coefficient level must be >= 0")
+    l = _level(l)
     return _spread(build_dessin(pd, 0), l, cap)[l]
 
 
@@ -576,8 +582,7 @@ def one_vertex_coefficients(d: Dessin, l: int, cap: int = 24) -> int:
     (-1)^e(H) C(e(H) - 2 g(H), l - g(H)), the spread term at v = 1."""
     if d.n_vertices != 1:
         raise DiagramError("one_vertex_coefficients needs a one-vertex dessin")
-    if l < 0:
-        raise DiagramError("coefficient level must be >= 0")
+    l = _level(l)
     return _spread(d, l, cap)[l]
 
 

@@ -177,35 +177,24 @@ class LaurentPoly:
 
     @classmethod
     def parse(cls, text: str, var: str = "A") -> "LaurentPoly":
-        """Parse the to_string format; term order does not matter."""
+        """Parse the to_string format; term order does not matter.
+
+        A term is a magnitude, or `var` with an optional `mag*` before it
+        and `^exp` after it; a sign stands between any two terms.
+        """
         src = text.strip()
-        if src == "0":
-            return cls()
         v = re.escape(var)
-        term_re = re.compile(
-            rf"([+-]?)\s*(?:(\d+)\s*\*?\s*)?(?:{v}(?:\^(-?\d+))?)?"
-        )
+        term_re = re.compile(rf"([+-]?)\s*(?:(?:(\d+)\*)?({v})(?:\^(-?\d+))?|(\d+))\s*")
         pos = 0
         terms = []
-        while pos < len(src):
+        while pos < len(src) or not terms:
             m = term_re.match(src, pos)
-            if not m or m.end() == pos:
+            if not m or (pos and not m.group(1)):
                 raise PolyError(f"cannot parse polynomial at: {src[pos:]!r}")
-            sign, mag, exp = m.groups()
-            has_var = var in m.group(0)
-            if mag is None and not has_var:
-                raise PolyError(f"empty term in {text!r}")
-            coeff = int(mag) if mag is not None else 1
-            if sign == "-":
-                coeff = -coeff
-            if has_var:
-                e = int(exp) if exp is not None else 1
-            else:
-                e = 0
-            terms.append((e, coeff))
+            sign, mag, has_var, exp, const = m.groups()
+            coeff = int(const or mag or 1)
+            terms.append((int(exp or 1) if has_var else 0, -coeff if sign == "-" else coeff))
             pos = m.end()
-            while pos < len(src) and src[pos].isspace():
-                pos += 1
         return cls(terms)
 
 

@@ -536,6 +536,15 @@ def test_repeated_table_entry_is_bad_input(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_chords_and_a_diagram_together_are_a_usage_error(capsys):
+    code, payload, err = run_json(capsys, "charpoly", "--chords", "1 2 1 2", "--name", "3_1")
+    assert (code, payload) == (EXIT_USAGE, None)
+    assert json.loads(err)["error"] == {
+        "kind": "usage",
+        "message": "give either --chords or a diagram, not both",
+    }
+
+
 def test_cache_directory_is_a_file_error(tmp_path, capsys):
     code, _, err = run_json(capsys, "det", "--name", "3_1", "--cache", str(tmp_path))
     assert code == EXIT_IO
@@ -816,14 +825,16 @@ except SystemExit as exc:
 sys.stderr.write(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
-# Imports the package, then resolves every public name through it.
+# Imports the package, then resolves every public name through it: each must
+# be the object of the first module that lists it, and defined there.
 _NAMES = """
 import importlib, json, sys, types
 import dessinlink
 loaded = sorted(m for m in sys.modules if m.startswith("dessinlink."))
+modules = [importlib.import_module("dessinlink." + m) for m in dessinlink._MODULES]
 wrong = []
 for name in dessinlink.__all__[:-1]:  # all but __version__
-    module = importlib.import_module("dessinlink." + dessinlink._MODULE_OF[name])
+    module = next(m for m in modules if name in m.__all__)
     obj = getattr(dessinlink, name)
     defined_here = not isinstance(obj, (type, types.FunctionType)) or (
         obj.__module__ == module.__name__
@@ -831,6 +842,16 @@ for name in dessinlink.__all__[:-1]:  # all but __version__
     if obj is not getattr(module, name) or not defined_here:
         wrong.append(name)
 sys.stderr.write(json.dumps({"loaded": loaded, "wrong": wrong}))
+"""
+
+# Runs one statement after `import dessinlink`; reports its `result` and the
+# package modules loaded.
+_AFTER_IMPORT = """
+import json, sys
+import dessinlink
+{}
+loaded = sorted(m for m in sys.modules if m.startswith("dessinlink."))
+sys.stderr.write(json.dumps({{"result": result, "loaded": loaded}}))
 """
 
 
@@ -944,12 +965,35 @@ def test_public_names_resolve_lazily():
     assert set(dessinlink.__all__) <= set(dir(dessinlink))
 
 
-def test_exported_names_are_in_their_modules_all():
-    # the package's export table and each module's own list must not drift
-    missing = [
-        (module, name)
-        for module, names in dessinlink._EXPORTS.items()
-        for name in names
-        if name not in importlib.import_module(f"dessinlink.{module}").__all__
-    ]
-    assert missing == []
+def test_package_all_is_the_union_of_the_module_lists():
+    lists = [importlib.import_module(f"dessinlink.{m}").__all__ for m in dessinlink._MODULES]
+    assert dessinlink.__all__ == [*dict.fromkeys(n for names in lists for n in names), "__version__"]
+
+
+@pytest.mark.parametrize("module", dessinlink._MODULES)
+def test_module_all_names_exist(module):
+    mod = importlib.import_module(f"dessinlink.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_no_two_modules_export_different_objects_under_one_name():
+    seen = {}
+    clashes = []
+    for module in dessinlink._MODULES:
+        mod = importlib.import_module(f"dessinlink.{module}")
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if seen.setdefault(name, obj) is not obj:
+                clashes.append((module, name))
+    assert clashes == []
+
+
+def test_submodule_import_loads_only_that_module():
+    report = run_python(_AFTER_IMPORT.format("from dessinlink import diagram; result = diagram.__name__"))
+    assert report["result"] == "dessinlink.diagram"
+    assert not set(report["loaded"]) & {"dessinlink.invariants", "dessinlink.chord"}
+
+
+def test_private_lookup_loads_nothing():
+    report = run_python(_AFTER_IMPORT.format('result = hasattr(dessinlink, "__wrapped__")'))
+    assert report == {"result": False, "loaded": []}

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from dessinlink import dessin, diagram
-from dessinlink.chord import ChordDiagram, to_dessin
+from dessinlink.chord import ChordDiagram, parse_chords, to_dessin
 from dessinlink.diagram import (
     CapExceededError,
     DiagramError,
@@ -157,6 +157,18 @@ def test_sub_counts_frozen():
     assert (one.v, one.e, one.k, one.g) == (2, 1, 1, 0)
 
 
+def test_dessin_counts_rejects_non_integer_edge_indices():
+    d = build_dessin(parse_pd(TREFOIL), 0)
+    for sub in ([1.5], ["1"]):
+        with pytest.raises(DiagramError, match="edge indices must be integers"):
+            dessin_counts(d, sub)
+
+
+def test_build_dessin_rejects_a_non_integer_state():
+    with pytest.raises(DiagramError, match="state masks must be integers"):
+        build_dessin(parse_pd(TREFOIL), 1.5)
+
+
 def test_quasi_tree_counts_frozen():
     assert quasi_tree_counts(build_dessin(parse_pd(TREFOIL), 0)) == (3,)
     assert quasi_tree_counts(build_dessin(twist_pd(2, 3), 0)) == (1, 6)
@@ -252,6 +264,11 @@ def test_mixed_state_face_count_matches_scan():
         for sub in range(1 << d.n_edges):
             edges = [i for i in range(d.n_edges) if sub >> i & 1]
             assert dessin_counts(d, edges).f == mixed_state_face_count(pd, edges)
+
+
+def test_mixed_state_face_count_rejects_non_integer_crossing_indices():
+    with pytest.raises(DiagramError, match="crossing indices must be integers"):
+        mixed_state_face_count(parse_pd(TREFOIL), [1.5])
 
 
 def test_kernel_faces_are_the_medial_circles_of_each_mask():
@@ -353,6 +370,13 @@ def test_contract_parallel_identity_when_spread():
     # not a one-vertex dessin: contraction requires the reduced form
     with pytest.raises(ValueError):
         contract_parallel(d)
+
+
+@pytest.mark.parametrize("word", ["1 1", "1 1 2 3 2 3"])
+def test_contract_parallel_keeps_a_word_with_nothing_to_merge(word):
+    # "1 1" is too short to merge; in "1 1 2 3 2 3" the loop 1 flanks itself
+    d = to_dessin(parse_chords(word))
+    assert contract_parallel(d) == WeightedDessin(d, (1,) * d.n_edges)
 
 
 def test_weighted_validation():

@@ -148,6 +148,19 @@ def test_state_string_and_mask_agree():
         state_circle_count(pd, "AA")
 
 
+def test_a_state_reads_integer_entries_only():
+    # 0.0 == 0, so a float entry used to read as A
+    pd = parse_pd(TREFOIL)
+    with pytest.raises(DiagramError, match="state entries must be integers"):
+        state_circle_count(pd, [0.0] * pd.n)
+    assert state_circle_count(pd, [0, False, True]) == state_circle_count(pd, "AAB")
+
+
+def test_smooth_state_rejects_a_non_integer_mask():
+    with pytest.raises(DiagramError, match="state masks must be integers"):
+        smooth_state(parse_pd(TREFOIL), 2.0)
+
+
 def test_smooth_state_structure():
     pd = parse_pd(TREFOIL)
     circles = smooth_state(pd, 0)
@@ -434,6 +447,15 @@ def test_table_pd_frozen():
     assert table_pd("3_1") == parse_pd(TREFOIL)
     with pytest.raises(DiagramError):
         table_pd("9_99")
+
+
+def test_a_table_line_without_a_colon_is_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "table.txt"
+    path.write_text("uk X[1,1,2,2]\n")
+    monkeypatch.setenv("DESSINLINK_TABLE", str(path))
+    with pytest.raises(DiagramError) as info:
+        knot_table()
+    assert str(info.value) == "bad table line 'uk X[1,1,2,2]'"
 
 
 def test_table_env_override(tmp_path, monkeypatch):

@@ -290,6 +290,16 @@ def test_coefficient_restricted_rejects_a_negative_level():
         coefficient_restricted(table_pd("8_21"), -1)
 
 
+def test_coefficient_restricted_rejects_a_non_integer_level():
+    with pytest.raises(DiagramError, match="coefficient levels must be integers"):
+        coefficient_restricted(table_pd("8_21"), 1.5)
+
+
+def test_coefficient_table_rejects_a_non_integer_level():
+    with pytest.raises(DiagramError, match="coefficient levels must be integers"):
+        coefficient_table(table_pd("3_1")).coefficient(1.5)
+
+
 def test_top_coefficient_forms():
     for name in BRACKETS:
         pd = table_pd(name)
@@ -403,6 +413,12 @@ def test_one_vertex_coefficients_reject_a_negative_level():
     d = build_dessin(reduce_to_one_vertex(table_pd("8_21")), 0)
     with pytest.raises(DiagramError, match="coefficient level must be >= 0"):
         one_vertex_coefficients(d, -1)
+
+
+def test_one_vertex_coefficients_reject_a_non_integer_level():
+    d = build_dessin(reduce_to_one_vertex(table_pd("8_21")), 0)
+    with pytest.raises(DiagramError, match="coefficient levels must be integers"):
+        one_vertex_coefficients(d, 1.5)
 
 
 def test_one_vertex_coefficients_after_reduction():

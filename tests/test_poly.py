@@ -179,8 +179,25 @@ def test_parse_round_trip():
     assert LaurentPoly.parse("-x^5 - 6*x^3", var="x") == LaurentPoly({5: -1, 3: -6})
 
 
+def test_parse_reads_the_terms_in_any_order():
+    rng = random.Random(89)
+    for _ in range(100):
+        p = random_poly(rng)
+        terms = p.to_string().replace(" - ", " + -").split(" + ")
+        rng.shuffle(terms)
+        shuffled = " + ".join(terms).replace("+ -", "- ")
+        assert LaurentPoly.parse(shuffled) == p, shuffled
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(PolyError):
         LaurentPoly.parse("A^^2")
     with pytest.raises(PolyError):
         LaurentPoly.parse("B^2")
+
+
+@pytest.mark.parametrize("text", ["A A", "3 4", "2*", "", "  "])
+def test_parse_rejects_what_to_string_never_writes(text):
+    # "A A" read as 2A, "3 4" as 7, "2*" as 2 and "" as 0
+    with pytest.raises(PolyError):
+        LaurentPoly.parse(text)

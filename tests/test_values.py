@@ -1,4 +1,5 @@
-"""The value types' contract: construction, equality, hash, immutability, repr."""
+"""The value types' contract: construction, equality, hash, immutability,
+repr; and the exact message of each rejected input."""
 
 import copy
 import pickle
@@ -6,6 +7,7 @@ import pickle
 import pytest
 
 from dessinlink import chord, dessin, diagram, invariants
+from dessinlink.errors import DiagramError
 
 TREFOIL = diagram.table_pd("3_1")
 
@@ -101,3 +103,30 @@ def test_the_hash_is_cached_out_of_equality_repr_and_pickling(value, names):
     for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
         assert not hasattr(twin, "_hash")  # built anew, hashed afresh
         assert hash(twin) == hash(fields)
+
+
+TREFOIL_TEXT = diagram.pd_to_text(TREFOIL)
+REJECTIONS = [
+    (lambda: diagram.parse_pd("S[+] X[1,2,3,4]"), "S[...] must come after all crossings"),
+    (lambda: diagram.parse_pd(f"{TREFOIL_TEXT} S[+,+,+] S[+,+,+]"), "duplicate S[...] token"),
+    (lambda: diagram.parse_pd(f"{TREFOIL_TEXT} S[x]"), "bad sign entry in 'S[x]'"),
+    (lambda: diagram.parse_pd("S[+]"), "no crossings in PD input"),
+    (lambda: diagram.PDCode([]), "a PD code needs at least one crossing"),
+    (lambda: diagram.PDCode([(1, 2, 3)]), "crossing (1, 2, 3) is not a 4-tuple"),
+    (lambda: diagram.PDCode([(1, 1, 2, 2)], signs=[2]), "crossing signs must be +1 or -1"),
+    (lambda: dessin.Dessin([(0, 2)]), "half-edges must be exactly 0..2e-1, each once"),
+    (lambda: dessin.dessin_counts(dessin.build_dessin(TREFOIL, 0), [3]), "edge index 3 out of range"),
+    (lambda: dessin.mixed_state_face_count(TREFOIL, [3]), "crossing index 3 out of range"),
+    (lambda: chord.parse_chords("  "), "empty chord input"),
+    (lambda: chord.parse_chords("1 a 1 a"), "chord labels must be integers: '1 a 1 a'"),
+    (lambda: chord.bareiss_det([[1, 2]]), "matrix must be square"),
+    (lambda: diagram.pretzel_pd([]), "pretzel needs at least one column"),
+    (lambda: diagram.twist_pd(0, 3), "twist parameters must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", REJECTIONS, ids=[m for _, m in REJECTIONS])
+def test_rejected_input_names_its_fault(call, message):
+    with pytest.raises(DiagramError) as info:
+        call()
+    assert str(info.value) == message
