@@ -8,8 +8,8 @@ sign(i - j) for interlaced pairs.  The spanning quasi-tree counts s(j) of
 the dessin are the coefficients of R(x) = sum_j s(j) x^j, and
 det(I + wM) = R(w^2).  Both readings are modular eliminations of I + wM:
 the determinant of the link, |sum_j (-1)^j s(j)|, is one at w = i, and the
-characteristic polynomial det(M - xI) = (-1)^m x^m R(x^-2) interpolates
-R from m//2 + 2 of them, at w = 1, 2, ...
+counts interpolate R from m//2 + 2 of them, at w = 1, 2, ...; the
+characteristic polynomial det(M - xI) = (-1)^m x^m R(x^-2) renders them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "to_dessin",
     "intersection_matrix",
     "char_poly",
-    "counts_from_char_poly",
     "quasi_counts_and_det",
     "interlacement_determinant",
     "bareiss_det",
@@ -198,52 +197,34 @@ def _quasi_tree_residues(masks: Sequence[int], p: int) -> List[int]:
     return r
 
 
-def char_poly(cd: ChordDiagram) -> LaurentPoly:
-    """det(M - xI) = (-1)^m sum_j s(j) x^(m-2j) for the interlacement matrix
-    M of cd, exact, from the quasi-tree polynomial R of `_quasi_tree_residues`.
+def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
+    """Quasi-tree counts s(0..m//2) of cd and the determinant |sum_j (-1)^j s(j)|.
 
-    R is interpolated modulo p, the `_modulus` of twice the Hadamard bound B
-    over the chord degrees (|row_i|^2 counts the chords i crosses).  s(j)
-    sums the 2j x 2j principal minors, and by Hadamard each minor on rows S
-    is at most prod_{i in S} |row_i|_2; summing over all S gives B, so the
-    symmetric lift of every s(j) is exact.  Each call checks p(1) against
-    bareiss_det(M - I).
+    R = sum_j s(j) x^j comes from `_quasi_tree_residues` modulo p, the
+    `_modulus` of twice the Hadamard bound B over the chord degrees
+    (|row_i|^2 counts the chords i crosses).  s(j) sums the 2j x 2j
+    principal minors, and by Hadamard each minor on rows S is at most
+    prod_{i in S} |row_i|_2; summing over all S gives B, so the symmetric
+    lift of every s(j) is exact.  Each call checks s(0) = 1, that no count
+    is negative, and (-1)^m sum_j s(j) = det(M - I) by Bareiss.
     """
     masks = _interlacement_masks(cd)
     p = _modulus(2 * _hadamard_bound(mask.bit_count() for mask in masks))[0]
-    sign = -1 if cd.m % 2 else 1
-    r = _quasi_tree_residues(masks, p)
-    poly = LaurentPoly({cd.m - 2 * j: sign * (c - p if c > p // 2 else c) for j, c in enumerate(r) if c})
+    s = tuple(c - p if c > p // 2 else c for c in _quasi_tree_residues(masks, p))
+    if s[0] != 1 or min(s) < 0:
+        raise InternalError(f"internal error: quasi-tree counts {s}: s(0) != 1 or an s(j) < 0")
     at_one = bareiss_det(_interlacement_rows(masks, range(cd.m), -1, 1))
-    if sum(c for _, c in poly.terms()) != at_one:
+    if (-1 if cd.m % 2 else 1) * sum(s) != at_one:
         raise InternalError(f"internal error: char_poly(1) != det(M - I) = {at_one}")
-    return poly
+    return s, abs(sum(-c if j % 2 else c for j, c in enumerate(s)))
 
 
-def counts_from_char_poly(p: LaurentPoly, m: int) -> Tuple[Tuple[int, ...], int]:
-    """Quasi-tree counts s(0..m//2) and the determinant read off p = char_poly(cd).
-
-    For the antisymmetric interlacement matrix of m chords, det(M - xI)
-    equals (-1)^m sum_j s(j) x^(m-2j) with every s(j) >= 0 and s(0) = 1;
-    the determinant is |sum_j (-1)^j s(j)|.
-    """
-    sign = -1 if m % 2 else 1
-    s: List[int] = []
-    for j in range(m // 2 + 1):
-        s.append(sign * p.coefficient(m - 2 * j))
-    if sum(abs(c) for _, c in p.terms()) != sum(abs(x) for x in s):
-        raise InternalError(f"internal error: odd-degree terms in {p.to_string('x')}")
-    if s and s[0] != 1:
-        raise InternalError("internal error: leading quasi-tree count is not 1")
-    if any(x < 0 for x in s):
-        raise InternalError(f"internal error: negative quasi-tree count in {s}")
-    det = abs(sum((-1) ** j * sj for j, sj in enumerate(s)))
-    return tuple(s), det
-
-
-def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
-    """Quasi-tree counts s(0..m//2) and the determinant from char_poly."""
-    return counts_from_char_poly(char_poly(cd), cd.m)
+def char_poly(cd: ChordDiagram) -> LaurentPoly:
+    """det(M - xI) = (-1)^m sum_j s(j) x^(m-2j) for the interlacement matrix
+    M of cd, from the checked counts of `quasi_counts_and_det`."""
+    sign = -1 if cd.m % 2 else 1
+    s = quasi_counts_and_det(cd)[0]
+    return LaurentPoly({cd.m - 2 * j: sign * c for j, c in enumerate(s) if c})
 
 
 # Proth primes p = k 2^s + 1, k odd and below 2^s, of 64 to 4099 bits, each
@@ -251,7 +232,7 @@ def quasi_counts_and_det(cd: ChordDiagram) -> Tuple[Tuple[int, ...], int]:
 # a^((p-1)/2) = -1 proves p prime (Proth's theorem), and iota = a^((p-1)/4)
 # is a square root of -1.  They are the moduli of the chord layer's one
 # elimination, `_det_mod` of I + wM: at w = iota for interlacement_determinant,
-# and at w = 1 .. m//2 + 2 for char_poly, which interpolates R(w^2) from them.
+# and at w = 1 .. m//2 + 2 for the quasi-tree counts, which interpolate R(w^2).
 _PROTH = (
     (175, 56, 3), (175, 88, 3), (231, 120, 5), (301, 184, 3), (207, 248, 5),
     (291, 376, 5), (745, 504, 3), (291, 760, 5), (715, 1016, 3), (193, 1528, 3),
@@ -327,12 +308,12 @@ def _gf2_det(masks: Sequence[int]) -> int:
 
 def interlacement_determinant(cd: ChordDiagram) -> int:
     """|det(I + iM)| for M the interlacement matrix: the determinant
-    |sum_j (-1)^j s(j)| of `quasi_counts_and_det`, without char_poly.
+    |sum_j (-1)^j s(j)| of `quasi_counts_and_det`, without the counts.
 
     det(I + iM) sums i^|S| det(M_S) over the principal minors, and the odd
     ones of the antisymmetric M vanish.  One elimination over Z/p gives it,
     for p the `_modulus` of 2^32 times twice the Hadamard bound B of
-    `char_poly`, which bounds it too; so its symmetric lift is exact.
+    `quasi_counts_and_det`, which bounds it too; so its symmetric lift is exact.
     Chords crossing fewer others come first, a reordering of rows and
     columns alike that keeps the determinant and cuts the fill-in.  Each
     call checks the lift: it must lie within B, where a wrong residue lands

@@ -233,9 +233,9 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
     from .chord import (
         char_poly,
         chords_to_text,
-        counts_from_char_poly,
         intersection_matrix,
         parse_chords,
+        quasi_counts_and_det,
         to_chord_diagram,
     )
 
@@ -254,12 +254,11 @@ def _cmd_charpoly(args) -> Dict[str, Any]:
         red = reduce_to_one_vertex(pd)
         cd = to_chord_diagram(build_dessin(red, 0))
         source = {"pd": pd_to_text(pd), "chords": chords_to_text(cd)}
-    poly = char_poly(cd)
-    s, det = counts_from_char_poly(poly, cd.m)
+    s, det = quasi_counts_and_det(cd)
     payload = dict(source)
     payload.update(
         {
-            "char_poly": _poly_fields(poly, "x"),
+            "char_poly": _poly_fields(char_poly(cd), "x"),
             "s": list(s),
             "determinant": det,
             "intersection_matrix": intersection_matrix(cd),
@@ -323,7 +322,7 @@ def _cmd_twist(args) -> Dict[str, Any]:
 
 
 def _verify_checks(cap: int) -> List[Dict[str, Any]]:
-    from .chord import char_poly, counts_from_char_poly, to_chord_diagram
+    from .chord import char_poly, quasi_counts_and_det, to_chord_diagram
     from .dessin import _scan, build_dessin, contract_parallel, dual, quasi_tree_counts
     from .diagram import (
         parse_pd,
@@ -372,10 +371,8 @@ def _verify_checks(cap: int) -> List[Dict[str, Any]]:
             add(f"det_{name}", rep.value == want)
 
     cd = to_chord_diagram(build_dessin(reduce_to_one_vertex(twist_pd(2, 3)), 0))
-    poly = char_poly(cd)
-    s, det = counts_from_char_poly(poly, cd.m)
-    add("figure8_charpoly", poly == LaurentPoly({5: -1, 3: -6}))
-    add("figure8_det", det == 5)
+    add("figure8_charpoly", char_poly(cd) == LaurentPoly({5: -1, 3: -6}))
+    add("figure8_det", quasi_counts_and_det(cd)[1] == 5)
 
     pd = pretzel_pd((2, 3, -5))
     rep = determinant(pd, cap=cap)
@@ -549,7 +546,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("bracket", parents=scans_diagram)
-    p.add_argument("--oracle", action="store_true", help="cross-check by state sum")
+    p.add_argument(
+        "--oracle", action="store_true",
+        help="cross-check by state sum (20-crossing cap, not --cap)",
+    )
     sub.add_parser("jones", parents=scans_diagram)
     p = sub.add_parser("det", parents=scans_diagram)
     p.add_argument(

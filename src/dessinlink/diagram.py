@@ -118,10 +118,6 @@ class PDCode(Record):
     def n(self) -> int:
         return len(self.crossings)
 
-    @property
-    def n_arcs(self) -> int:
-        return 2 * len(self.crossings)
-
     def __str__(self) -> str:
         return pd_to_text(self)
 
@@ -134,7 +130,7 @@ def parse_pd(text: str) -> PDCode:
     """Parse whitespace-separated `X[a,b,c,d]` tokens, optionally `S[+,-,..]`.
 
     Arc labels must be positive, as in `PDCode`; they are normalized to
-    1..n_arcs preserving their relative order.
+    1..2n, for n crossings, preserving their relative order.
     """
     tokens = text.split()
     if not tokens:

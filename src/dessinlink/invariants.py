@@ -354,9 +354,9 @@ def _det_charpoly(pd: PDCode) -> int:
     reduction, by one elimination mod a prime (`chord.interlacement_determinant`).
 
     The route is named `charpoly`, in `--method`, the `det` payloads and
-    `verify`, after the polynomial det(M - xI) whose coefficients are the
-    quasi-tree counts: their alternating sum is det(I + iM), and
-    `chord.quasi_counts_and_det` still reads it off char_poly(M).
+    `verify`, after det(M - xI), which `chord.char_poly` renders from the
+    quasi-tree counts of `chord.quasi_counts_and_det`: their alternating
+    sum is det(I + iM).
     """
     from .chord import interlacement_determinant, to_chord_diagram
 

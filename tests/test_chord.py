@@ -17,7 +17,6 @@ from dessinlink.chord import (
     bareiss_det,
     char_poly,
     chords_to_text,
-    counts_from_char_poly,
     interlacement_determinant,
     intersection_matrix,
     parse_chords,
@@ -27,7 +26,7 @@ from dessinlink.chord import (
     to_dessin,
     unit_principal_minors,
 )
-from dessinlink.dessin import build_dessin, dessin_counts
+from dessinlink.dessin import build_dessin, dessin_counts, quasi_tree_counts
 from dessinlink.diagram import knot_table, reduce_to_one_vertex, table_pd, twist_pd
 from dessinlink.errors import DiagramError, InternalError, PreconditionError
 from dessinlink.poly import LaurentPoly
@@ -187,14 +186,23 @@ def test_char_poly_checks_itself_at_one(monkeypatch):
         char_poly(parse_chords(FIG8_WORD))
 
 
-def test_counts_from_char_poly_rejects_impossible_polys():
-    for poly in (
-        LaurentPoly({2: 2, 0: 1}),  # s(0) = 2
-        LaurentPoly({2: 1, 0: -1}),  # s(1) = -1
-        LaurentPoly({2: 1, 1: 3, 0: 1}),  # odd-degree term
-    ):
-        with pytest.raises(InternalError):
-            counts_from_char_poly(poly, 2)
+@pytest.mark.parametrize("plant", ["s0_is_2", "s1_is_minus_1"])
+def test_quasi_counts_check_their_lift(monkeypatch, plant):
+    # R is patched after its spare point passed: s(0) = 2, or s(1) = -1 as residue p - 1
+    real = chord._quasi_tree_residues
+
+    def planted(masks, p):
+        r = real(masks, p)
+        if plant == "s0_is_2":
+            r[0] = 2
+        else:
+            r[1] = p - 1
+        return r
+
+    monkeypatch.setattr(chord, "_quasi_tree_residues", planted)
+    for route in (quasi_counts_and_det, char_poly):
+        with pytest.raises(InternalError, match="s\\(0\\) != 1 or an s\\(j\\) < 0"):
+            route(parse_chords(FIG8_WORD))
 
 
 def test_char_poly_basepoint_invariance():
@@ -213,6 +221,17 @@ def test_quasi_counts_frozen():
     s2, det2 = quasi_counts_and_det(parse_chords("1 2 1 2"))
     assert s2 == (1, 1)
     assert det2 == 0
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_quasi_counts_are_the_scan_counts_padded_to_m_halves(m):
+    # s runs to m//2 whatever the genus: zeros past it, as the `charpoly` payload prints
+    rng = random.Random(100 + m)
+    for _ in range(3):
+        cd = random_word(rng, m)
+        scan = quasi_tree_counts(to_dessin(cd))
+        assert len(scan) <= m // 2 + 1
+        assert quasi_counts_and_det(cd)[0] == scan + (0,) * (m // 2 + 1 - len(scan)), cd
 
 
 # ==========================================================================

@@ -3,6 +3,7 @@
 import argparse
 import copy
 import importlib
+import inspect
 import json
 import os
 import random
@@ -333,6 +334,14 @@ def test_the_state_sum_oracle_keeps_its_own_crossing_bound(capsys):
         "kind": "cap-exceeded",
         "message": "21 crossings exceeds the state-sum cap 20",
     }
+
+
+def test_oracle_help_names_the_state_sum_cap():
+    # the help states the bound the test above pins, and the state sum's default
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    help_text = " ".join(sub.choices["bracket"].format_help().split())
+    cap = inspect.signature(diagram.state_sum_bracket).parameters["cap"].default
+    assert f"cross-check by state sum ({cap}-crossing cap, not --cap)" in help_text
 
 
 def test_orientation_precondition(capsys):

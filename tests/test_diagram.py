@@ -54,7 +54,6 @@ def test_parse_normalizes_labels():
     pd = parse_pd("X[10,30,20,40] X[30,10,40,20]")
     assert pd.crossings == ((1, 3, 2, 4), (3, 1, 4, 2))
     assert pd.n == 2
-    assert pd.n_arcs == 4
 
 
 def test_parse_round_trip():
