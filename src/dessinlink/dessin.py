@@ -5,10 +5,17 @@ Half-edges are numbered 0..2e-1 and edge i pairs half-edges 2i and 2i+1.
 Faces are the orbits of h -> successor-at-vertex of the mate of h; genus
 comes from Euler's relation v - e + f = 2k - 2g per component count k.
 
-Sub-dessins keep every vertex and a subset of edges.  `_counts` is the
-kernel of the production (e, f) profile and of every sub-dessin count
-here; `diagram._bracket_counts`, the state-sum oracle's kernel, tallies
-the same profile from the PD code (`test_state_sum_tally_is_the_subset_profile`).
+Sub-dessins keep every vertex and a subset of edges, named by an int
+bitmask whose bit i keeps edge i; no other selector is read.  Edge c of
+the all-A dessin of a PD code is crossing c, so the same mask is the
+state that B-smooths exactly those crossings, and the bridge between
+state sums and subset scans is
+`dessin_counts(d, m).f == diagram.state_circle_count(pd, m)`.
+
+`_counts` is the kernel of the production (e, f) profile and of every
+sub-dessin count here; `diagram._bracket_counts`, the state-sum
+oracle's kernel, tallies the same profile from the PD code
+(`test_state_sum_tally_is_the_subset_profile`).
 A subset costs `_counts` one AND per vertex plus work at the half-edges
 the subset holds, none at the others.  It counts no components: the
 profile needs none, because a one-face sub-dessin is connected.
@@ -21,7 +28,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -46,9 +52,7 @@ __all__ = [
     "dessin_counts",
     "faces",
     "dual",
-    "scan_subdessins",
     "quasi_tree_counts",
-    "mixed_state_face_count",
     "contract_parallel",
     "dessin_to_text",
 ]
@@ -273,8 +277,8 @@ def _check_cap(d: Dessin, cap: int) -> None:
 
 def _scan(d: Dessin, cap: int = 24) -> Iterator[Tuple[int, int, int]]:
     """Yield (mask, edges, faces) for every edge subset of `d`, masks
-    0 .. 2^e - 1 in increasing order, which `scan_subdessins` promises.
-    The cap is checked before the first subset."""
+    0 .. 2^e - 1 in increasing order.  The cap is checked before the
+    first subset."""
     _check_cap(d, cap)
     return _counts(d, range(1 << d.n_edges))
 
@@ -315,33 +319,20 @@ def _genus_of(v: int, eh: int, k: int, f: int) -> int:
     return g2 // 2
 
 
-def _counts_from_efk(d: Dessin, eh: int, k: int, f: int) -> Counts:
-    v = d.n_vertices
-    return Counts(v, eh, f, k, _genus_of(v, eh, k, f), eh - v + k)
-
-
-def dessin_counts(d: Dessin, sub: Optional[Iterable[int]] = None) -> Counts:
-    """Counts of the whole dessin, or of the sub-dessin on the given edges,
-    from the scan's kernel applied to that one subset and its components."""
-    e = d.n_edges
-    if sub is None:
-        mask = (1 << e) - 1
+def dessin_counts(d: Dessin, mask: Optional[int] = None) -> Counts:
+    """Counts of the whole dessin, or of the sub-dessin on the edges of the
+    int bitmask `mask`, from the scan's kernel applied to that one subset
+    and its components."""
+    full = (1 << d.n_edges) - 1
+    if mask is None:
+        mask = full
     else:
-        mask = 0
-        for ei in _integers(sub, "edge indices"):
-            if not 0 <= ei < e:
-                raise DiagramError(f"edge index {ei} out of range")
-            mask |= 1 << ei
+        (mask,) = _integers((mask,), "sub-dessin masks")
+        if not 0 <= mask <= full:
+            raise DiagramError(f"sub-dessin mask {mask} out of range for {d.n_edges} edges")
     _, eh, f = next(_counts(d, (mask,)))
-    return _counts_from_efk(d, eh, _components(d, mask), f)
-
-
-def scan_subdessins(d: Dessin, visitor: Callable[[int, Counts], None], cap: int = 24) -> None:
-    """Call visitor(mask, counts) for every sub-dessin, masks 0 .. 2^e - 1
-    ascending; a dessin of more than `cap` edges raises
-    `CapExceededError` before the first call."""
-    for mask, eh, f in _scan(d, cap):
-        visitor(mask, _counts_from_efk(d, eh, _components(d, mask), f))
+    v, k = d.n_vertices, _components(d, mask)
+    return Counts(v, eh, f, k, _genus_of(v, eh, k, f), eh - v + k)
 
 
 def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
@@ -363,22 +354,6 @@ def quasi_tree_counts(d: Dessin, cap: int = 24) -> Tuple[int, ...]:
             raise InternalError("internal error: quasi-tree genus out of range")
         s[g] += cnt
     return tuple(s)
-
-
-def mixed_state_face_count(pd: PDCode, edges: Iterable[int]) -> int:
-    """Circles of the state that B-smooths exactly the listed crossings.
-
-    Equals the face count of the corresponding sub-dessin of the all-A
-    dessin, which is the bridge between state sums and subset scans.
-    """
-    from .diagram import state_circle_count
-
-    mask = 0
-    for c in _integers(edges, "crossing indices"):
-        if not 0 <= c < len(pd.crossings):
-            raise DiagramError(f"crossing index {c} out of range")
-        mask |= 1 << c
-    return state_circle_count(pd, mask)
 
 
 # ============================================================

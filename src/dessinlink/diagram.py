@@ -17,6 +17,9 @@ is one colour and the two sides of every circle differ.
 `PDCode` builds this map once, when it is made, and rejects a code that is
 disconnected or not planar there; the smoothing walks, the state sum, the
 strand walk and the bracket's contraction read its `alpha` and `flip`.
+
+A state is an int bitmask, bit c set when crossing c is B-smoothed, or
+an 'AABB' string; no other form is read.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ __all__ = [
 
 
 Crossing = Tuple[int, int, int, int]
-StateLike = Union[int, Sequence[int], Sequence[str], str]
+StateLike = Union[int, str]
 
 # Smoothing pairings by tuple position: A joins (a,b) and (c,d), B joins
 # (b,c) and (d,a).  _PARTNER[bit][p] is the position joined to p under
@@ -243,30 +246,28 @@ def _planar_map(crossings: Tuple[Crossing, ...]) -> Tuple[Tuple[int, ...], Tuple
     return tuple(alpha), tuple(flip)
 
 
-_STATE_BITS = {"A": 0, "a": 0, "0": 0, 0: 0, "B": 1, "b": 1, "1": 1, 1: 1}
+_STATE_BITS = {"A": 0, "a": 0, "0": 0, "B": 1, "b": 1, "1": 1}
 
 
 def _state_mask(pd: PDCode, s: StateLike) -> int:
-    """Normalize a state (bitmask, 'AABB' string, or sequence) to a bitmask."""
+    """Normalize a state, an int bitmask or an 'AABB' string, to a bitmask;
+    anything else, a list of entries included, raises `DiagramError`."""
     n = len(pd.crossings)
-    if isinstance(s, int):
-        if not 0 <= s < (1 << n):
-            raise DiagramError(f"state mask {s} out of range for {n} crossings")
-        return s
-    if not isinstance(s, str):
-        try:
-            s = list(s)
-        except TypeError:  # not a sequence, so a bitmask: a float is an error
-            return _state_mask(pd, _integers((s,), "state masks")[0])
-    if len(s) != n:
-        raise DiagramError(f"state has {len(s)} entries for {n} crossings")
-    mask = 0
-    for i, ch in enumerate(s):
-        bit = _STATE_BITS.get(ch if isinstance(ch, str) else _integers((ch,), "state entries")[0])
-        if bit is None:
-            raise DiagramError(f"state entry {ch!r} is neither A nor B")
-        mask |= bit << i
-    return mask
+    if isinstance(s, str):
+        if len(s) != n:
+            raise DiagramError(f"state has {len(s)} entries for {n} crossings")
+        mask = 0
+        for i, ch in enumerate(s):
+            bit = _STATE_BITS.get(ch)
+            if bit is None:
+                raise DiagramError(f"state entry {ch!r} is neither A nor B")
+            mask |= bit << i
+        return mask
+    if not isinstance(s, int):
+        (s,) = _integers((s,), "state masks")
+    if not 0 <= s < (1 << n):
+        raise DiagramError(f"state mask {s} out of range for {n} crossings")
+    return s
 
 
 # ============================================================
@@ -303,7 +304,11 @@ def _trace_circles(alpha, n, mask):
 
 
 def state_circle_count(pd: PDCode, s: StateLike) -> int:
-    """Number of circles of the smoothed diagram (no orientation work)."""
+    """Number of circles of the smoothed diagram (no orientation work).
+
+    For a bitmask `s` this is the face count of the sub-dessin of the
+    all-A dessin on the edges of `s`, the bridge between state sums and
+    subset scans: `dessin_counts(build_dessin(pd, 0), s).f`."""
     return len(_trace_circles(pd.alpha, pd.n, _state_mask(pd, s)))
 
 

@@ -379,7 +379,9 @@ def determinant(
     With methods=None every applicable route runs and inapplicable ones
     are reported as skipped; an explicitly requested route (a str names
     one) that does not apply raises instead, and so does requesting none.
-    All computed values must agree.
+    All computed values must agree.  When every route is skipped, which on
+    a valid diagram only a cap on the scan routes brings about, it raises
+    `CapExceededError` naming each skip.
     """
     if methods is None:
         requested = set(DET_METHODS)
@@ -410,7 +412,7 @@ def determinant(
     attempt("charpoly", lambda: _det_charpoly(pd))
     attempt("tree_difference", lambda: _det_tree_difference(pd))
     if not values:
-        raise DiagramError(f"no determinant method applied: {skipped}")
+        raise CapExceededError(f"no determinant method applied: {skipped}")
     if len(set(values.values())) != 1:
         raise InternalError(f"internal error: determinant methods disagree: {values}")
     return DeterminantReport(next(iter(values.values())), values, skipped)
@@ -633,8 +635,6 @@ def jones_at_minus_two(pd: PDCode, cap: int = 24) -> Tuple[int, int]:
     """
     pd = reduce_to_one_vertex(pd)
     d = build_dessin(pd, 0)
-    if d.n_vertices != 1:
-        raise InternalError(f"internal error: reduced dessin has {d.n_vertices} vertices")
     # at v = 1, M = e: A^(-e) <P> = sum_l a[l] A^(-4l)
     table = coefficient_table(pd, cap, check=False)
     lhs = sum(c * (-2) ** l for l, c in enumerate(table.coeffs))

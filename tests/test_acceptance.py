@@ -29,15 +29,14 @@ from dessinlink.dessin import (
     contract_parallel,
     dessin_counts,
     dual,
-    mixed_state_face_count,
     quasi_tree_counts,
-    scan_subdessins,
 )
 from dessinlink.diagram import (
     DiagramError,
     knot_table,
     pretzel_pd,
     reduce_to_one_vertex,
+    state_circle_count,
     state_sum_bracket,
     strand_components,
     table_pd,
@@ -362,9 +361,7 @@ def test_criterion_09_chord_coherence():
             bad += 1
             continue
         minors = unit_principal_minors(cd)
-        faces = {}
-        scan_subdessins(d, lambda mask, c: faces.__setitem__(mask, c.f))
-        if any((minors[mask] == 1) != (faces[mask] == 1) for mask in minors):
+        if any((minors[mask] == 1) != (dessin_counts(d, mask).f == 1) for mask in range(1 << m)):
             bad += 1
             continue
         if any(char_poly(rotate(cd, k)) != p for k in range(1, 2 * m)):
@@ -392,8 +389,7 @@ def test_criterion_10_master_face_crosscheck(corpus200):
     for pd in corpus200:
         d = build_dessin(pd, 0)
         for mask in range(1 << d.n_edges):
-            edges = [i for i in range(d.n_edges) if mask >> i & 1]
-            if dessin_counts(d, edges).f != mixed_state_face_count(pd, edges):
+            if dessin_counts(d, mask).f != state_circle_count(pd, mask):
                 bad += 1
                 break
     dt = time.perf_counter() - t0

@@ -72,6 +72,13 @@ def test_rotate_rejects_a_non_integer_offset():
         rotate(cd, 1.5)
 
 
+def test_a_multi_vertex_dessin_has_no_chord_word():
+    d = build_dessin(table_pd("3_1"), 0)
+    assert d.n_vertices == 2
+    with pytest.raises(DiagramError, match="^chord diagrams come from one-vertex dessins$"):
+        to_chord_diagram(d)
+
+
 def test_round_trip_through_dessin():
     cd = parse_chords(FIG8_WORD)
     assert to_chord_diagram(to_dessin(cd)) == cd
@@ -311,8 +318,7 @@ def test_unit_principal_minors_match_face_counts():
         d = to_dessin(cd)
         minors = unit_principal_minors(cd)
         for mask, value in minors.items():
-            edges = [i for i in range(cd.m) if mask >> i & 1]
-            c = dessin_counts(d, edges)
+            c = dessin_counts(d, mask)
             assert value in (0, 1)
             assert (value == 1) == (c.f == 1)
 
@@ -321,11 +327,11 @@ _MINORS_WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # any numpy import now raises ImportError
 from dessinlink.chord import parse_chords, to_dessin, unit_principal_minors
-from dessinlink.dessin import scan_subdessins
+from dessinlink.dessin import dessin_counts
 cd = parse_chords(sys.argv[1])
 minors = unit_principal_minors(cd)
-one_face = {}
-scan_subdessins(to_dessin(cd), lambda mask, c: one_face.__setitem__(mask, int(c.f == 1)))
+d = to_dessin(cd)
+one_face = {mask: int(dessin_counts(d, mask).f == 1) for mask in range(1 << cd.m)}
 print(json.dumps({"equal": minors == one_face, "subsets": len(minors)}))
 """
 

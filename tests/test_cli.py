@@ -34,7 +34,7 @@ from dessinlink.cli import (
     run_cli,
 )
 
-from helpers import braid_pd
+from helpers import braid_pd, random_braid_word
 
 HOPF_UNSIGNED = "X[1,3,2,4] X[3,1,4,2]"
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"  # the bundled 3_1, writhe +3
@@ -121,6 +121,21 @@ def test_dessin_states_and_quasitrees(capsys):
     assert payload["genus"] == 1
 
 
+def test_dessin_of_a_per_crossing_state(capsys):
+    # character c of --state smooths crossing c: "ABA" is the mask 0b010
+    # and "AAB" the mask 0b100, whose dessins differ
+    pd = diagram.table_pd("3_1")
+    for state, mask in (("ABA", 0b010), ("AAB", 0b100)):
+        code, payload, _ = run_json(capsys, "dessin", "--name", "3_1", "--state", state)
+        assert code == EXIT_OK
+        d = build_dessin(pd, mask)
+        c = dessin_counts(d)
+        assert payload["state"] == state
+        assert payload["counts"] == {"v": c.v, "e": c.e, "f": c.f, "g": c.g, "k": c.k}
+        assert payload["dessin"] == dessin.dessin_to_text(d)
+        assert payload["dual"] == dessin.dessin_to_text(dessin.dual(d))
+
+
 @pytest.mark.parametrize("name", sorted(knot_table()))
 def test_coeffs_are_the_bracket_read_by_level(capsys, name):
     pd = diagram.table_pd(name)
@@ -155,6 +170,22 @@ def test_det_past_the_scan_cap_reads_the_contracted_bracket(capsys):
     assert payload["value"] == invariants.pretzel_determinant((10, 9), (8,))
     assert sorted(payload["methods"]) == ["charpoly", "jones_eval", "tree_difference"]
     assert payload["skipped"] == {"quasitree": "scan over 27 edges exceeds the cap 24"}
+
+
+def test_det_with_every_route_skipped_exits_cap_exceeded(capsys, monkeypatch):
+    # a valid 22-crossing diagram of genus 4: --cap 2 skips both scan
+    # routes, the one modulus left covers no reduction of it, and
+    # tree_difference needs genus 1; only the cap stood between the
+    # diagram and an answer, so the exit is cap-exceeded, naming each skip
+    monkeypatch.setattr(chord, "_PROTH", chord._PROTH[:1])
+    pd = braid_pd(random_braid_word(random.Random(5), 4, 22), 4)
+    assert pd.n == 22 and dessin_counts(build_dessin(pd, 0)).g == 4
+    code, _, err = run_json(capsys, "det", "--pd", diagram.pd_to_text(pd), "--cap", "2")
+    assert code == EXIT_CAP
+    error = json.loads(err)["error"]
+    assert error["kind"] == "cap-exceeded"
+    assert error["message"].startswith("no determinant method applied: ")
+    assert all(f"'{name}': " in error["message"] for name in invariants.DET_METHODS)
 
 
 def test_reduce_and_twist(capsys):
@@ -695,12 +726,19 @@ def test_undecodable_cache_lines_are_misses(tmp_path, capsys):
 
 def test_cache_entries_of_another_payload_are_misses(tmp_path, capsys):
     # an entry under the right key whose payload is not this command's
-    # output under this schema is not served: the command recomputes
+    # output under this schema, or whose line was cut short, is not
+    # served: the command recomputes
     cache = tmp_path / "cache.jsonl"
     key = _cache_key("det", _build_parser().parse_args(["det", "--name", "3_1"]))
     _, jones, _ = run_json(capsys, "jones", "--name", "3_1")
-    for stale in ({}, jones, {**jones, "command": "det", "schema": "dessinlink/0"}):
-        cache.write_text(json.dumps({"key": key, "payload": stale}) + "\n")
+    _, det, _ = run_json(capsys, "det", "--name", "3_1")
+    stale_lines = [
+        json.dumps({"key": key, "payload": stale})
+        for stale in ({}, jones, {**jones, "command": "det", "schema": "dessinlink/0"})
+    ]
+    truncated = json.dumps({"key": key, "payload": det}, sort_keys=True)[:-2]
+    for line in (*stale_lines, truncated):
+        cache.write_text(line + "\n")
         code, payload, _ = run_json(capsys, "det", "--name", "3_1", "--cache", str(cache))
         assert code == EXIT_OK
         assert (payload["command"], payload["value"]) == ("det", 3)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, and the
+README's library quick start prints what its comments say."""
 
 import os
 import subprocess
@@ -25,3 +26,38 @@ def test_demo_exits_0(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+README = SRC.parent / "README.md"
+
+
+def leading_value(comment: str) -> str:
+    """A quick-start comment up to its first comma outside brackets."""
+    depth = 0
+    for i, ch in enumerate(comment):
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and not depth:
+            return comment[:i]
+    return comment
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    # a public name gone from the package, or an output that drifted from
+    # the README, fails here
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(prints)
+    commented = [(p.split("#", 1)[1].strip(), out) for p, out in zip(prints, lines) if "#" in p]
+    assert len(commented) >= 3
+    for comment, out in commented:
+        assert out.startswith(leading_value(comment)), (comment, out)

@@ -13,6 +13,7 @@ from dessinlink.diagram import (
     parse_pd,
     reduce_to_one_vertex,
     smooth_state,
+    state_circle_count,
     strand_components,
     table_pd,
     twist_pd,
@@ -27,9 +28,7 @@ from dessinlink.dessin import (
     dessin_to_text,
     dual,
     faces,
-    mixed_state_face_count,
     quasi_tree_counts,
-    scan_subdessins,
 )
 from dessinlink.errors import InternalError
 from dessinlink.table import knot_table
@@ -90,7 +89,7 @@ def test_build_dessin_memo_matches_a_direct_smoothing():
     # every spelling of a state shares one entry, and a key that dropped
     # the state would return a stale dessin here
     pd = table_pd("8_21")
-    for forms in ([0, "A" * pd.n, [0] * pd.n], [0b10110101, "BABABBAB"]):
+    for forms in ([0, "A" * pd.n], [0b10110101, "BABABBAB"]):
         direct = Dessin(smooth_state(pd, forms[0]))
         built = [build_dessin(pd, state) for state in forms]
         assert built[0] == direct
@@ -151,17 +150,35 @@ def test_dessin_rejects_non_integer_half_edges():
 
 def test_sub_counts_frozen():
     d = build_dessin(parse_pd(TREFOIL), 0)
-    empty = dessin_counts(d, [])
+    empty = dessin_counts(d, 0)
     assert (empty.v, empty.e, empty.f, empty.k) == (2, 0, 2, 2)
-    one = dessin_counts(d, [0])
+    one = dessin_counts(d, 0b001)
     assert (one.v, one.e, one.k, one.g) == (2, 1, 1, 0)
 
 
 def test_dessin_counts_rejects_non_integer_edge_indices():
+    # a sub-dessin is an int bitmask: a float or a string, alone or in a
+    # list, is refused, and so is a mask past the edges
     d = build_dessin(parse_pd(TREFOIL), 0)
-    for sub in ([1.5], ["1"]):
-        with pytest.raises(DiagramError, match="edge indices must be integers"):
+    for sub in ([1.5], ["1"], 1.5, "1"):
+        with pytest.raises(DiagramError, match="sub-dessin masks must be integers"):
             dessin_counts(d, sub)
+    for mask in (-1, 8):
+        with pytest.raises(DiagramError, match=f"^sub-dessin mask {mask} out of range for 3 edges"):
+            dessin_counts(d, mask)
+
+
+def test_a_list_is_never_read_as_a_mask_or_a_state():
+    pd = parse_pd(TREFOIL)
+    d = build_dessin(pd, 0)
+    for call in (
+        lambda: dessin_counts(d, [0]),
+        lambda: state_circle_count(pd, [0, 1, 1]),
+        lambda: build_dessin(pd, [0, 0, 0]),
+        lambda: smooth_state(pd, ["A", "B", "B"]),
+    ):
+        with pytest.raises(DiagramError, match="masks must be integers, got"):
+            call()
 
 
 def test_build_dessin_rejects_a_non_integer_state():
@@ -182,19 +199,12 @@ def test_scan_cap():
 
 
 def test_scan_visits_all_subsets():
-    # every mask 0 .. 2^e - 1, ascending; past the cap, an error before
-    # any visit
+    # every mask 0 .. 2^e - 1, ascending; past the cap, an error at the
+    # call, before any subset
     for d in (build_dessin(parse_pd(TREFOIL), 0), build_dessin(table_pd("6_2"), 0)):
-        every = list(range(1 << d.n_edges))
-        seen = []
-        scan_subdessins(d, lambda mask, c: seen.append(mask))
-        assert seen == every
-        assert [mask for mask, _, _ in dessin._scan(d)] == every
-        with pytest.raises(CapExceededError, match=f"^scan over {d.n_edges} edges"):
-            scan_subdessins(d, lambda mask, c: seen.append(mask), cap=d.n_edges - 1)
+        assert [mask for mask, _, _ in dessin._scan(d)] == list(range(1 << d.n_edges))
         with pytest.raises(CapExceededError, match=f"^scan over {d.n_edges} edges"):
             dessin._scan(d, d.n_edges - 1)
-        assert seen == every
 
 
 def random_ribbon_graph(rng: random.Random, e: int) -> Dessin:
@@ -217,11 +227,9 @@ def test_component_counts_match_a_bfs():
     seen = set()
     for d in dessins:
         for dd in (d, dual(d)):
-            scanned = {}
-            scan_subdessins(dd, lambda mask, c: scanned.__setitem__(mask, c.k))
-            for mask, k in scanned.items():
-                edges = [i for i in range(dd.n_edges) if mask >> i & 1]
-                assert k == dessin_counts(dd, edges).k == bfs_component_count(dd, mask)
+            for mask in range(1 << dd.n_edges):
+                k = dessin_counts(dd, mask).k
+                assert k == bfs_component_count(dd, mask)
                 seen.add(k)
     assert {1, 2, 3, 4} <= seen
 
@@ -258,17 +266,13 @@ def test_faces_partition_half_edges():
 
 
 def test_mixed_state_face_count_matches_scan():
+    # the bridge: one mask is both a sub-dessin of the all-A dessin and the
+    # state that B-smooths exactly its crossings, and faces = circles
     for text in [TREFOIL, "X[1,1,2,2]"]:
         pd = parse_pd(text)
         d = build_dessin(pd, 0)
-        for sub in range(1 << d.n_edges):
-            edges = [i for i in range(d.n_edges) if sub >> i & 1]
-            assert dessin_counts(d, edges).f == mixed_state_face_count(pd, edges)
-
-
-def test_mixed_state_face_count_rejects_non_integer_crossing_indices():
-    with pytest.raises(DiagramError, match="crossing indices must be integers"):
-        mixed_state_face_count(parse_pd(TREFOIL), [1.5])
+        for mask in range(1 << d.n_edges):
+            assert dessin_counts(d, mask).f == state_circle_count(pd, mask)
 
 
 def test_kernel_faces_are_the_medial_circles_of_each_mask():

@@ -147,12 +147,14 @@ def test_state_string_and_mask_agree():
         state_circle_count(pd, "AA")
 
 
-def test_a_state_reads_integer_entries_only():
-    # 0.0 == 0, so a float entry used to read as A
+def test_a_state_is_a_mask_or_an_ab_string():
+    # a sequence of entries is no state, whatever its entries: [0.0] * n
+    # once read as all-A, and [0, False, True] as "AAB"
     pd = parse_pd(TREFOIL)
-    with pytest.raises(DiagramError, match="state entries must be integers"):
-        state_circle_count(pd, [0.0] * pd.n)
-    assert state_circle_count(pd, [0, False, True]) == state_circle_count(pd, "AAB")
+    for state in ([0.0] * pd.n, [0, False, True], (0, 0, 1), ["A", "A", "B"]):
+        with pytest.raises(DiagramError, match="state masks must be integers"):
+            state_circle_count(pd, state)
+    assert state_circle_count(pd, "aa1") == state_circle_count(pd, "AAB")
 
 
 def test_smooth_state_rejects_a_non_integer_mask():

@@ -40,6 +40,18 @@ def test_zero_drops_coefficients():
     assert len(LaurentPoly({2: 1, 0: 1})) == 2
 
 
+def test_non_integer_exponents_and_coefficients_are_refused():
+    for terms in ({1.0: 1}, {1: 1.0}, {"1": 1}, [(0, 2), (1, 0.5)]):
+        with pytest.raises(PolyError, match="exponents and coefficients must be integers"):
+            LaurentPoly(terms)
+
+
+def test_duplicate_exponents_add_and_cancel_to_nothing():
+    assert LaurentPoly([(2, 3), (2, -3)]) == LaurentPoly()
+    assert not LaurentPoly([(2, 3), (0, 1), (2, -3), (0, -1)]).terms()
+    assert LaurentPoly([(2, 3), (2, -3), (2, 4)]).terms() == ((2, 4),)
+
+
 def test_terms_descending():
     p = LaurentPoly({-3: 1, 5: -1, 0: 2})
     assert p.terms() == ((5, -1), (0, 2), (-3, 1))

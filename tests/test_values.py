@@ -115,8 +115,11 @@ REJECTIONS = [
     (lambda: diagram.PDCode([(1, 2, 3)]), "crossing (1, 2, 3) is not a 4-tuple"),
     (lambda: diagram.PDCode([(1, 1, 2, 2)], signs=[2]), "crossing signs must be +1 or -1"),
     (lambda: dessin.Dessin([(0, 2)]), "half-edges must be exactly 0..2e-1, each once"),
-    (lambda: dessin.dessin_counts(dessin.build_dessin(TREFOIL, 0), [3]), "edge index 3 out of range"),
-    (lambda: dessin.mixed_state_face_count(TREFOIL, [3]), "crossing index 3 out of range"),
+    (
+        lambda: dessin.dessin_counts(dessin.build_dessin(TREFOIL, 0), 8),
+        "sub-dessin mask 8 out of range for 3 edges",
+    ),
+    (lambda: diagram.state_circle_count(TREFOIL, 8), "state mask 8 out of range for 3 crossings"),
     (lambda: chord.parse_chords("  "), "empty chord input"),
     (lambda: chord.parse_chords("1 a 1 a"), "chord labels must be integers: '1 a 1 a'"),
     (lambda: chord.bareiss_det([[1, 2]]), "matrix must be square"),
