@@ -44,7 +44,7 @@ def _canonical_word(word: Sequence[int]) -> Tuple[int, ...]:
         raise DiagramError("a chord diagram needs at least one chord")
     relabel: Dict[int, int] = {}
     out: List[int] = []
-    for lab in word:
+    for lab in _integers(word, "chord labels"):
         if lab not in relabel:
             relabel[lab] = len(relabel)
         out.append(relabel[lab])
@@ -340,7 +340,7 @@ def interlacement_determinant(cd: ChordDiagram) -> int:
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by fraction-free Gaussian elimination."""
-    a = [[int(x) for x in row] for row in rows]
+    a = [list(_integers(row, "matrix entries")) for row in rows]
     n = len(a)
     if any(len(row) != n for row in a):
         raise DiagramError("matrix must be square")

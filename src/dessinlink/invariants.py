@@ -44,7 +44,6 @@ __all__ = [
     "coefficient_restricted",
     "top_coefficient_closed_form",
     "a1_adequate",
-    "one_vertex_coefficients",
     "weighted_bracket",
     "jones_at_minus_two",
     "pretzel_determinant",
@@ -515,6 +514,9 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
 
     Locality of the coefficient: subsets of higher starting level cannot
     reach down to level l, so the restricted sum must match the table.
+    When the all-A dessin has one vertex (as after `reduce_to_one_vertex`),
+    l0(H) is the genus g(H), and a[l] is the sum over the subsets with
+    g(H) <= l of (-1)^e(H) C(e(H) - 2 g(H), l - g(H)).
     """
     l = _level(l)
     return _spread(build_dessin(pd, 0), l, cap)[l]
@@ -577,15 +579,6 @@ def a1_adequate(d: Dessin) -> int:
         pairs.add(frozenset((a, b)))
     v = d.n_vertices
     return (-1) ** v * (len(pairs) - v + 1)
-
-
-def one_vertex_coefficients(d: Dessin, l: int, cap: int = 24) -> int:
-    """a[l] of a one-vertex dessin: sum over subsets with g(H) <= l of
-    (-1)^e(H) C(e(H) - 2 g(H), l - g(H)), the spread term at v = 1."""
-    if d.n_vertices != 1:
-        raise DiagramError("one_vertex_coefficients needs a one-vertex dessin")
-    l = _level(l)
-    return _spread(d, l, cap)[l]
 
 
 # ============================================================

@@ -1,13 +1,17 @@
 """Exact Laurent polynomials in one variable.
 
-Everything here is integer arithmetic: coefficients are Python ints, so
-state sums with thousands of terms stay exact.  The variable is called A
-by convention (the Kauffman bracket variable) but nothing below depends
-on that; renderers accept any variable name.  `delta_spread` sums the
-powers of the loop value delta by Horner's rule on packed signed digits;
-it reads the subset profile of a dessin (the coefficient levels and their
-checks), the state-sum oracle's tally, and the weighted expansion's
-profile of the expanded one-vertex dessin.
+`LaurentPoly` is a value type: it is built from integer terms, compared,
+hashed, read term by term, rendered and parsed, and nothing else; it has
+no ring arithmetic.  Coefficients are Python ints, so state sums with
+thousands of terms stay exact.  The variable is called A by convention
+(the Kauffman bracket variable) but nothing below depends on that;
+renderers accept any variable name.  `delta_spread` is the only delta
+arithmetic here (the bracket contraction in `invariants` applies its loop
+factor on packed integers of its own): it sums the powers of the loop
+value delta by Horner's rule on packed signed digits, and reads the
+subset profile of a dessin (the coefficient levels and their checks), the
+state-sum oracle's tally, and the weighted expansion's profile of the
+expanded one-vertex dessin.
 """
 
 from __future__ import annotations
@@ -20,14 +24,13 @@ from .errors import InternalError
 
 __all__ = [
     "LaurentPoly",
-    "DELTA",
     "delta_spread",
     "PolyError",
 ]
 
 
 class PolyError(ValueError):
-    """Raised for malformed polynomial input or unsupported operations."""
+    """Raised for malformed polynomial input."""
 
 
 # ============================================================
@@ -40,7 +43,9 @@ _TermsLike = Union[Mapping[int, int], Iterable[Tuple[int, int]]]
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients.
 
-    Stored as a dict mapping exponent -> nonzero coefficient.
+    A value, not a ring element: equal terms make equal, equally hashed
+    polynomials, and no operator derives a new one.  Stored as a dict
+    mapping exponent -> nonzero coefficient.
     """
 
     __slots__ = ("_terms",)
@@ -60,10 +65,6 @@ class LaurentPoly:
         self._terms = acc
 
     # ---- constructors ----
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
 
     @classmethod
     def _of(cls, terms: Dict[int, int]) -> "LaurentPoly":
@@ -89,56 +90,6 @@ class LaurentPoly:
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(self.terms())
-
-    # ---- arithmetic ----
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        return LaurentPoly._of(acc)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._of({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["LaurentPoly", int]) -> "LaurentPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            return LaurentPoly._of({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        acc: Dict[int, int] = {}
-        # iterate over the smaller factor for speed
-        a, b = (self._terms, other._terms)
-        if len(a) > len(b):
-            a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-        return LaurentPoly._of(acc)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by A^k."""
-        return LaurentPoly._of({e + k: c for e, c in self._terms.items()})
 
     # ---- comparison / hashing ----
 
@@ -196,10 +147,6 @@ class LaurentPoly:
             terms.append((int(exp or 1) if has_var else 0, -coeff if sign == "-" else coeff))
             pos = m.end()
         return cls(terms)
-
-
-# Kauffman circle weight: removing one circle multiplies the bracket by this.
-DELTA = LaurentPoly({2: -1, -2: -1})
 
 
 def delta_spread(profile: Mapping[Tuple[int, int], int], v: int, bound: int) -> Tuple[int, ...]:

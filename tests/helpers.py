@@ -1,8 +1,8 @@
 """Shared test utilities: braid-closure diagrams and seeded random corpora."""
 
 import random
-from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from dessinlink.chord import bareiss_det
 from dessinlink.dessin import Dessin, _counts, _scan, _subset_profile, build_dessin
@@ -13,7 +13,7 @@ from dessinlink.diagram import (
     state_circle_count,
     strand_components,
 )
-from dessinlink.poly import DELTA, LaurentPoly
+from dessinlink.poly import LaurentPoly
 
 # One line per acceptance criterion, echoed after the pytest run summary.
 ACCEPTANCE_LINES: List[str] = []
@@ -207,10 +207,21 @@ def shuffled(pd: PDCode, rng: random.Random) -> PDCode:
     return PDCode(crossings, None if pd.signs is None else [pd.signs[c] for c in order])
 
 
-@lru_cache(maxsize=None)
-def delta_power(k: int) -> LaurentPoly:
-    """DELTA^k for k >= 0, by repeated multiplication."""
-    return delta_power(k - 1) * DELTA if k else LaurentPoly.one()
+def delta_terms(k: int, shift: int = 0, mult: int = 1) -> Iterator[Tuple[int, int]]:
+    """The terms of mult A^shift delta^k, k >= 0, by the binomial theorem:
+    delta^k = (-A^2 - A^-2)^k = (-1)^k sum_i C(k, i) A^(2k - 4i)."""
+    sign = -mult if k & 1 else mult
+    return ((shift + 2 * k - 4 * i, sign * comb(k, i)) for i in range(k + 1))
+
+
+def delta_power(k: int, shift: int = 0) -> LaurentPoly:
+    """A^shift delta^k for k >= 0, from `delta_terms`."""
+    return LaurentPoly(delta_terms(k, shift))
+
+
+def poly_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """p q, term by term; `LaurentPoly` has no arithmetic of its own."""
+    return LaurentPoly((e + f, c * d) for e, c in p for f, d in q)
 
 
 def scan_bracket(pd: PDCode) -> LaurentPoly:
@@ -221,12 +232,10 @@ def scan_bracket(pd: PDCode) -> LaurentPoly:
 def profile_bracket(d: Dessin) -> LaurentPoly:
     """sum over edge subsets H of A^(e - 2 e(H)) delta^(f(H) - 1), summed
     term by term from the subset scan's profile of `d`."""
-    return sum(
-        (
-            delta_power(f - 1).shift(d.n_edges - 2 * eh) * cnt
-            for (eh, f), cnt in _subset_profile(d, 24).items()
-        ),
-        LaurentPoly(),
+    return LaurentPoly(
+        term
+        for (eh, f), cnt in _subset_profile(d, 24).items()
+        for term in delta_terms(f - 1, d.n_edges - 2 * eh, cnt)
     )
 
 

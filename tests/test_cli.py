@@ -34,7 +34,7 @@ from dessinlink.cli import (
     run_cli,
 )
 
-from helpers import braid_pd, random_braid_word
+from helpers import braid_pd, poly_product, random_braid_word
 
 HOPF_UNSIGNED = "X[1,3,2,4] X[3,1,4,2]"
 TREFOIL = "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"  # the bundled 3_1, writhe +3
@@ -437,8 +437,9 @@ def test_disagreeing_determinants_exit_1(capsys, monkeypatch):
 
 def test_failed_checks_exit_1_and_are_never_cached(tmp_path, capsys, monkeypatch):
     true_sum = diagram.state_sum_bracket
+    doubled = LaurentPoly({0: 2})
     monkeypatch.setattr(
-        diagram, "state_sum_bracket", lambda pd, **kw: true_sum(pd, **kw) * 2
+        diagram, "state_sum_bracket", lambda pd, **kw: poly_product(true_sum(pd, **kw), doubled)
     )
     cache = tmp_path / "cache.jsonl"
     for _ in range(2):  # the second run recomputes: nothing was cached
@@ -487,8 +488,9 @@ def test_failed_closed_form_agreement_exits_1(capsys, monkeypatch):
 
 def test_failed_bracket_oracle_exits_1(capsys, monkeypatch):
     true_sum = diagram.state_sum_bracket
+    doubled = LaurentPoly({0: 2})
     monkeypatch.setattr(
-        diagram, "state_sum_bracket", lambda pd, **kw: true_sum(pd, **kw) * 2
+        diagram, "state_sum_bracket", lambda pd, **kw: poly_product(true_sum(pd, **kw), doubled)
     )
     code, payload, _ = run_json(capsys, "bracket", "--name", "5_2", "--oracle")
     assert code == EXIT_INTERNAL

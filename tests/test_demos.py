@@ -1,7 +1,10 @@
-"""Every demo script runs to completion against the source tree, and the
-README's library quick start prints what its comments say."""
+"""Every demo script runs to completion against the source tree, the
+README's library quick start prints what its comments say, and each line
+of its command-line block prints one JSON payload."""
 
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dessinlink
+from dessinlink import cli
 
 SRC = Path(dessinlink.__file__).resolve().parent.parent
 DEMOS = sorted((SRC.parent / "demos").glob("*.py"))
@@ -61,3 +65,28 @@ def test_readme_quick_start_prints_what_its_comments_say():
     assert len(commented) >= 3
     for comment, out in commented:
         assert out.startswith(leading_value(comment)), (comment, out)
+
+
+def readme_command_lines():
+    """The `dessinlink ...` lines of README's "Command line" block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("dessinlink ")]
+
+
+COMMAND_LINES = readme_command_lines()
+
+
+def test_readme_command_block_is_found():
+    assert len(COMMAND_LINES) >= 8
+    assert {shlex.split(line)[1] for line in COMMAND_LINES} >= {"det", "charpoly", "verify"}
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES)
+def test_readme_command_line_prints_one_payload(line, capsys):
+    code = cli.run_cli(shlex.split(line)[1:])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK, out
+    payload = json.loads(out)  # one JSON object and nothing else
+    assert isinstance(payload, dict) and payload["schema"] == "dessinlink/1"
+    assert payload["command"] == shlex.split(line)[1]

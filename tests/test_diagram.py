@@ -32,7 +32,7 @@ from helpers import (
     add_curl,
     braid_pd,
     corpus,
-    delta_power,
+    delta_terms,
     nugatory_join,
     random_braid_word,
     reduce_by_resmoothing,
@@ -207,12 +207,10 @@ def test_bracket_workers_deterministic(pools):
 
 def per_state_bracket(pd):
     """The bracket from every state traced from scratch."""
-    return sum(
-        (
-            delta_power(state_circle_count(pd, mask) - 1).shift(pd.n - 2 * bin(mask).count("1"))
-            for mask in range(1 << pd.n)
-        ),
-        LaurentPoly(),
+    return LaurentPoly(
+        term
+        for mask in range(1 << pd.n)
+        for term in delta_terms(state_circle_count(pd, mask) - 1, pd.n - 2 * bin(mask).count("1"))
     )
 
 

@@ -48,21 +48,22 @@ from dessinlink.invariants import (
     determinant,
     jones_at_minus_two,
     jones_polynomial,
-    one_vertex_coefficients,
     pretzel_determinant,
     spanning_tree_count,
     top_coefficient_closed_form,
     weighted_bracket,
 )
-from dessinlink.poly import DELTA, LaurentPoly
+from dessinlink.poly import LaurentPoly
 from dessinlink.table import knot_table
 
 from helpers import (
     braid_pd,
     ceiling_closures,
     corpus,
+    delta_power,
     genus_0_loop_sum,
     goeritz_determinant,
+    poly_product,
     profile_bracket,
     random_braid_word,
     shuffled,
@@ -158,7 +159,7 @@ def test_jones_frozen():
 
 
 def test_jones_unknot_and_links():
-    assert jones_polynomial(KINK).t_poly == LaurentPoly.one()
+    assert jones_polynomial(KINK).t_poly == LaurentPoly({0: 1})
     hopf = jones_polynomial(HOPF_PLUS)
     assert hopf.variable == "q"
     assert hopf.t_poly is None
@@ -399,34 +400,21 @@ def test_adequate_diagrams_have_the_span_of_their_extreme_states():
 
 
 def test_one_vertex_coefficients():
+    # on a one-vertex dessin the restricted sum is the genus-binomial form
     for name in ("4_1", "5_2"):
-        pd = table_pd(name)
-        d = build_dessin(pd, 0)
-        table = coefficient_table(pd)
+        red = reduce_to_one_vertex(table_pd(name))
+        assert build_dessin(red, 0).n_vertices == 1
+        table = coefficient_table(red)
         for l in range(len(table.coeffs) + 1):
-            assert one_vertex_coefficients(d, l) == table.coefficient(l), (name, l)
-    with pytest.raises(DiagramError):
-        one_vertex_coefficients(build_dessin(table_pd("3_1"), 0), 0)
-
-
-def test_one_vertex_coefficients_reject_a_negative_level():
-    d = build_dessin(reduce_to_one_vertex(table_pd("8_21")), 0)
-    with pytest.raises(DiagramError, match="coefficient level must be >= 0"):
-        one_vertex_coefficients(d, -1)
-
-
-def test_one_vertex_coefficients_reject_a_non_integer_level():
-    d = build_dessin(reduce_to_one_vertex(table_pd("8_21")), 0)
-    with pytest.raises(DiagramError, match="coefficient levels must be integers"):
-        one_vertex_coefficients(d, 1.5)
+            assert coefficient_restricted(red, l) == table.coefficient(l), (name, l)
 
 
 def test_one_vertex_coefficients_after_reduction():
-    pd = reduce_to_one_vertex(table_pd("3_1"))
-    d = build_dessin(pd, 0)
-    table = coefficient_table(pd)
+    red = reduce_to_one_vertex(table_pd("3_1"))
+    assert build_dessin(red, 0).n_vertices == 1 < build_dessin(table_pd("3_1"), 0).n_vertices
+    table = coefficient_table(red)
     for l in range(len(table.coeffs)):
-        assert one_vertex_coefficients(d, l) == table.coefficient(l)
+        assert coefficient_restricted(red, l) == table.coefficient(l)
 
 
 # ==========================================================================
@@ -447,11 +435,12 @@ def test_weighted_bracket_matches_bracket():
 
 def _expanded(cd: ChordDiagram, weights) -> ChordDiagram:
     """The word with chord c as c_1..c_mu at its first end, c_mu..c_1 at its
-    second: mu parallel chords, each pair nested-adjacent."""
+    second: mu parallel chords, each pair nested-adjacent; c_k is labelled
+    c + m k."""
     seen = set()
     out = []
     for c in cd.word:
-        copies = [(c, k) for k in range(weights[c])]
+        copies = [c + cd.m * k for k in range(weights[c])]
         out += reversed(copies) if c in seen else copies
         seen.add(c)
     return ChordDiagram(out)
@@ -622,7 +611,7 @@ def test_determinant_at_the_ceiling_is_the_goeritz_determinant():
 def test_delta_bracket_digits_fit_the_contraction_width_at_the_ceiling():
     # the contraction packs the digits of delta <P> n + 5 bits wide
     for pd in ceiling_closures((4, 6, 8)):
-        top = max(abs(c) for _, c in (bracket_via_dessin(pd) * DELTA).terms())
+        top = max(abs(c) for _, c in poly_product(bracket_via_dessin(pd), delta_power(1)).terms())
         assert top < 2 ** (pd.n + 3)
 
 
@@ -864,9 +853,10 @@ def test_bracket_readers_call_the_module_attribute(monkeypatch):
     jones = jones_polynomial(pd).poly
     det = invariants._det_jones_eval(pd, 24)
     lhs, rhs = jones_at_minus_two(pd)
-    tripled = bracket_via_dessin(pd) * 3
+    three = LaurentPoly({0: 3})
+    tripled = poly_product(bracket_via_dessin(pd), three)
     monkeypatch.setattr(invariants, "bracket_via_dessin", lambda pd, cap=24: tripled)
-    assert jones_polynomial(pd).poly == jones * 3
+    assert jones_polynomial(pd).poly == poly_product(jones, three)
     assert invariants._det_jones_eval(pd, 24) == 3 * det
     assert coefficient_table(pd, check=False).as_poly() == tripled
     assert jones_at_minus_two(pd) == (3 * lhs, rhs)

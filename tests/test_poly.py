@@ -1,24 +1,19 @@
-"""Integer Laurent polynomial arithmetic."""
+"""Integer Laurent polynomial values, and the delta spread against a
+term-by-term expansion."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from dessinlink import diagram
 from dessinlink.poly import (
-    DELTA,
     LaurentPoly,
     PolyError,
     delta_spread,
 )
 from dessinlink.errors import InternalError
 
-from helpers import delta_power, random_decorated_diagram
-
-
-def eval_at(p: LaurentPoly, x: Fraction) -> Fraction:
-    return sum((Fraction(c) * x**e for e, c in p.terms()), Fraction(0))
+from helpers import delta_power, delta_terms, random_decorated_diagram
 
 
 def random_poly(rng: random.Random, span: int = 6) -> LaurentPoly:
@@ -59,14 +54,36 @@ def test_terms_descending():
 
 def test_monomial_and_one():
     assert LaurentPoly({7: -3}).terms() == ((7, -3),)
-    assert LaurentPoly.one() == LaurentPoly({0: 1})
+    assert LaurentPoly({0: 1}).terms() == ((0, 1),)
     assert LaurentPoly({4: 0}) == LaurentPoly()
 
 
+def test_shift_inverse_and_reciprocal():
+    p = LaurentPoly({2: 1, -1: 5})
+    assert LaurentPoly({-e: c for e, c in p}) == LaurentPoly({-2: 1, 1: 5})
+
+
+def test_a_polynomial_is_a_value_not_a_ring():
+    p = LaurentPoly({1: 1, -1: 1})
+    for derive in (lambda: p + p, lambda: p - p, lambda: -p, lambda: p * p, lambda: 2 * p):
+        with pytest.raises(TypeError):
+            derive()
+
+
+# ==========================================================================
+# delta powers: the term-by-term oracle and the packed spread
+# ==========================================================================
+
+
 def test_delta_is_loop_value():
-    assert DELTA == LaurentPoly({2: -1, -2: -1})
-    assert DELTA.coefficient(2) == -1
-    assert DELTA.coefficient(0) == 0
+    # the expansion the spread is checked against, pinned on its own
+    assert delta_power(1) == LaurentPoly({2: -1, -2: -1})
+    assert delta_power(0) == LaurentPoly({0: 1})
+    assert delta_power(2) == LaurentPoly({4: 1, 0: 2, -4: 1})
+    assert delta_power(3, 1) == LaurentPoly({7: -1, 3: -3, -1: -3, -5: -1})
+    for k in range(9):  # delta = -2 at A = 1
+        assert sum(c for _, c in delta_power(k)) == (-2) ** k
+        assert sum(c for _, c in delta_terms(k, 5, 3)) == 3 * (-2) ** k
 
 
 def spread_inputs():
@@ -112,11 +129,13 @@ def spread_inputs():
 
 def test_delta_spread_matches_term_by_term():
     # levels l of A^(e + 2v - 2 - 4l) against the sum of
-    # cnt * A^(e - 2 e(H)) * DELTA^(f(H) - 1), term by term
+    # cnt * A^(e - 2 e(H)) * delta^(f(H) - 1), term by term
     for profile, v, e in spread_inputs():
-        want = LaurentPoly()
-        for (eh, f), cnt in profile.items():
-            want = want + delta_power(f - 1).shift(e - 2 * eh) * cnt
+        want = LaurentPoly(
+            term
+            for (eh, f), cnt in profile.items()
+            for term in delta_terms(f - 1, e - 2 * eh, cnt)
+        )
         levels = delta_spread(profile, v, e + v - 1)
         got = LaurentPoly({e + 2 * v - 2 - 4 * l: c for l, c in enumerate(levels)})
         assert got == want
@@ -132,41 +151,6 @@ def test_delta_spread_matches_term_by_term():
 def test_delta_spread_rejects_a_bad_start_level(key, v, bound):
     with pytest.raises(InternalError, match="^internal error: no start level"):
         delta_spread({key: 1}, v, bound)
-
-
-# ==========================================================================
-# ring operations
-# ==========================================================================
-
-
-def test_add_sub_cancellation():
-    p = LaurentPoly({2: 1, 0: 3})
-    q = LaurentPoly({2: -1, -1: 4})
-    assert (p + q).terms() == ((0, 3), (-1, 4))
-    assert p - p == LaurentPoly()
-
-
-def test_mul_frozen():
-    p = LaurentPoly({1: 1, -1: 1})
-    assert p * p == LaurentPoly({2: 1, 0: 2, -2: 1})
-    assert p * 0 == LaurentPoly()
-    assert p * -2 == LaurentPoly({1: -2, -1: -2})
-
-
-def test_shift_inverse_and_reciprocal():
-    p = LaurentPoly({2: 1, -1: 5})
-    assert p.shift(3) == LaurentPoly({5: 1, 2: 5})
-    assert LaurentPoly({-e: c for e, c in p}) == LaurentPoly({-2: 1, 1: 5})
-
-
-def test_ring_properties_random():
-    rng = random.Random(1207)
-    x = Fraction(3, 2)
-    for _ in range(200):
-        p, q = random_poly(rng), random_poly(rng)
-        assert eval_at(p + q, x) == eval_at(p, x) + eval_at(q, x)
-        assert eval_at(p * q, x) == eval_at(p, x) * eval_at(q, x)
-        assert eval_at(-p, x) == -eval_at(p, x)
 
 
 # ==========================================================================

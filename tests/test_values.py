@@ -122,7 +122,20 @@ REJECTIONS = [
     (lambda: diagram.state_circle_count(TREFOIL, 8), "state mask 8 out of range for 3 crossings"),
     (lambda: chord.parse_chords("  "), "empty chord input"),
     (lambda: chord.parse_chords("1 a 1 a"), "chord labels must be integers: '1 a 1 a'"),
+    (
+        lambda: chord.ChordDiagram(["a", "b", "a", "b"]),
+        "chord labels must be integers, got ['a', 'b', 'a', 'b']",
+    ),
+    (
+        lambda: chord.ChordDiagram([1.5, 2.5, 1.5, 2.5]),
+        "chord labels must be integers, got [1.5, 2.5, 1.5, 2.5]",
+    ),
     (lambda: chord.bareiss_det([[1, 2]]), "matrix must be square"),
+    (
+        lambda: chord.bareiss_det([[0.5, 0], [0, 2]]),
+        "matrix entries must be integers, got [0.5, 0]",
+    ),
+    (lambda: chord.bareiss_det([["3"]]), "matrix entries must be integers, got ['3']"),
     (lambda: diagram.pretzel_pd([]), "pretzel needs at least one column"),
     (lambda: diagram.twist_pd(0, 3), "twist parameters must be >= 1"),
 ]
