@@ -28,14 +28,12 @@ __all__ = [
     "to_chord_diagram",
     "parse_chords",
     "chords_to_text",
-    "rotate",
     "to_dessin",
     "intersection_matrix",
     "char_poly",
     "quasi_counts_and_det",
     "interlacement_determinant",
     "bareiss_det",
-    "unit_principal_minors",
 ]
 
 
@@ -110,13 +108,6 @@ def parse_chords(text: str) -> ChordDiagram:
 
 def chords_to_text(cd: ChordDiagram) -> str:
     return " ".join(str(lab + 1) for lab in cd.word)
-
-
-def rotate(cd: ChordDiagram, k: int) -> ChordDiagram:
-    """Move the basepoint k endpoints along the circle."""
-    w = cd.word
-    k = _integers((k,), "rotation offsets")[0] % len(w)
-    return ChordDiagram(w[k:] + w[:k])
 
 
 # ============================================================
@@ -334,7 +325,7 @@ def interlacement_determinant(cd: ChordDiagram) -> int:
 
 
 # ============================================================
-# Exact determinants and principal minors
+# Exact determinants
 # ============================================================
 
 
@@ -362,26 +353,3 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def unit_principal_minors(cd: ChordDiagram) -> Dict[int, int]:
-    """Map each chord subset (bitmask) to its principal minor, all 0 or 1.
-
-    Even-size minors are exact Bareiss determinants; odd-size minors of
-    an antisymmetric matrix vanish identically.  Any other value is a
-    fault of the program, so it raises InternalError.
-    """
-    mat = intersection_matrix(cd)
-    out: Dict[int, int] = {}
-    for mask in range(1 << cd.m):
-        idx = [i for i in range(cd.m) if mask >> i & 1]
-        if len(idx) % 2:
-            out[mask] = 0
-            continue
-        minor = bareiss_det([[mat[i][j] for j in idx] for i in idx])
-        if minor not in (0, 1):
-            raise InternalError(
-                f"internal error: principal minor {minor} for subset {mask:#x} is not 0 or 1"
-            )
-        out[mask] = minor
-    return out

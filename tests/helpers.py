@@ -4,7 +4,7 @@ import random
 from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from dessinlink.chord import bareiss_det
+from dessinlink.chord import ChordDiagram, bareiss_det, intersection_matrix
 from dessinlink.dessin import Dessin, _counts, _scan, _subset_profile, build_dessin
 from dessinlink.diagram import (
     PDCode,
@@ -181,6 +181,30 @@ def goeritz_determinant(pd: PDCode) -> int:
                 rows[u][v] = rows[u].get(v, 0) - w
     size = len(rows)
     return abs(bareiss_det([[rows[u].get(v, 0) for v in range(1, size)] for u in range(1, size)]))
+
+
+def unit_principal_minors(cd: ChordDiagram) -> Dict[int, int]:
+    """Map each chord subset (bitmask) to its principal minor of the
+    interlacement matrix, asserted to be 0 or 1.
+
+    Even-size minors are exact Bareiss determinants; odd-size minors of
+    an antisymmetric matrix vanish identically.
+    """
+    mat = intersection_matrix(cd)
+    out: Dict[int, int] = {}
+    for mask in range(1 << cd.m):
+        idx = [i for i in range(cd.m) if mask >> i & 1]
+        minor = 0 if len(idx) % 2 else bareiss_det([[mat[i][j] for j in idx] for i in idx])
+        assert minor in (0, 1), f"principal minor {minor} for subset {mask:#x} is not 0 or 1"
+        out[mask] = minor
+    return out
+
+
+def rotate(cd: ChordDiagram, k: int) -> ChordDiagram:
+    """The same chord diagram with its basepoint moved k endpoints along the circle."""
+    w = cd.word
+    k %= len(w)
+    return ChordDiagram(w[k:] + w[:k])
 
 
 def ceiling_closures(strands: Sequence[int]) -> List[PDCode]:

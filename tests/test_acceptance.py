@@ -12,17 +12,15 @@ import time
 from itertools import product
 
 import helpers
-from helpers import corpus
+from helpers import corpus, rotate, unit_principal_minors
 
 from dessinlink.chord import (
     ChordDiagram,
     char_poly,
     intersection_matrix,
     quasi_counts_and_det,
-    rotate,
     to_chord_diagram,
     to_dessin,
-    unit_principal_minors,
 )
 from dessinlink.dessin import (
     build_dessin,

@@ -21,15 +21,14 @@ from dessinlink.chord import (
     intersection_matrix,
     parse_chords,
     quasi_counts_and_det,
-    rotate,
     to_chord_diagram,
     to_dessin,
-    unit_principal_minors,
 )
 from dessinlink.dessin import build_dessin, dessin_counts, quasi_tree_counts
 from dessinlink.diagram import knot_table, reduce_to_one_vertex, table_pd, twist_pd
 from dessinlink.errors import DiagramError, InternalError, PreconditionError
 from dessinlink.poly import LaurentPoly
+from helpers import rotate, unit_principal_minors
 
 FIG8_WORD = "1 2 3 4 5 2 1 5 4 3"
 
@@ -63,13 +62,6 @@ def test_empty_chord_word_is_rejected():
     # an empty word has no basepoint to rotate and no vertex to build
     with pytest.raises(DiagramError, match="at least one chord"):
         ChordDiagram(())
-
-
-def test_rotate_rejects_a_non_integer_offset():
-    cd = parse_chords(FIG8_WORD)
-    assert rotate(cd, True) == rotate(cd, 1)  # bools pass operator.index, as elsewhere
-    with pytest.raises(DiagramError, match="rotation offsets must be integers"):
-        rotate(cd, 1.5)
 
 
 def test_a_multi_vertex_dessin_has_no_chord_word():
@@ -299,16 +291,29 @@ def test_interlacement_determinant_is_the_char_poly_determinant():
         assert interlacement_determinant(cd) == quasi_counts_and_det(cd)[1], cd
 
 
+_DETERMINANTS_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from dessinlink.chord import interlacement_determinant, parse_chords, quasi_counts_and_det
+cd = parse_chords(sys.argv[1])
+s, det = quasi_counts_and_det(cd)
+print(json.dumps({"s": s, "det": det, "iota_det": interlacement_determinant(cd)}))
+"""
+
+
+def test_chord_determinants_need_no_numpy():
+    src = str(Path(dessinlink.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DETERMINANTS_WITHOUT_NUMPY, FIG8_WORD],
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert json.loads(proc.stdout) == {"s": [1, 6, 0], "det": 5, "iota_det": 5}
+
+
 # ==========================================================================
 # principal minors
 # ==========================================================================
-
-
-def test_unit_principal_minors_reject_a_minor_outside_0_1_as_internal(monkeypatch):
-    real = chord.bareiss_det
-    monkeypatch.setattr(chord, "bareiss_det", lambda rows: 2 if len(rows) == 2 else real(rows))
-    with pytest.raises(InternalError, match="principal minor 2"):
-        unit_principal_minors(parse_chords(FIG8_WORD))
 
 
 def test_unit_principal_minors_match_face_counts():
@@ -323,27 +328,13 @@ def test_unit_principal_minors_match_face_counts():
             assert (value == 1) == (c.f == 1)
 
 
-_MINORS_WITHOUT_NUMPY = """
-import json, sys
-sys.modules["numpy"] = None  # any numpy import now raises ImportError
-from dessinlink.chord import parse_chords, to_dessin, unit_principal_minors
-from dessinlink.dessin import dessin_counts
-cd = parse_chords(sys.argv[1])
-minors = unit_principal_minors(cd)
-d = to_dessin(cd)
-one_face = {mask: int(dessin_counts(d, mask).f == 1) for mask in range(1 << cd.m)}
-print(json.dumps({"equal": minors == one_face, "subsets": len(minors)}))
-"""
-
-
-def test_unit_principal_minors_need_no_numpy():
-    src = str(Path(dessinlink.__file__).resolve().parent.parent)
-    proc = subprocess.run(
-        [sys.executable, "-c", _MINORS_WITHOUT_NUMPY, FIG8_WORD],
-        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
-        capture_output=True, text=True, check=True, timeout=60,
-    )
-    assert json.loads(proc.stdout) == {"equal": True, "subsets": 32}
+def test_principal_minors_and_rotate_are_not_public():
+    # the 2^m minors oracle and the basepoint move live in tests/helpers.py
+    with pytest.raises(ImportError):
+        from dessinlink.chord import unit_principal_minors  # noqa: F401
+    with pytest.raises(ImportError):
+        from dessinlink.chord import rotate  # noqa: F401
+    assert not {"unit_principal_minors", "rotate"} & set(dessinlink.__all__)
 
 
 def test_bareiss_det():

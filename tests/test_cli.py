@@ -971,17 +971,20 @@ def test_charpoly_from_chords_loads_no_diagram_layer():
     assert not modules & {"dessinlink.diagram", "dessinlink.invariants"}
 
 
-_MINORS = """
+_DETERMINANTS = """
 import json, sys
-from dessinlink.chord import parse_chords, unit_principal_minors
-minors = unit_principal_minors(parse_chords("1 2 3 4 5 2 1 5 4 3"))
-sys.stderr.write(json.dumps({"ones": sum(minors.values()), "modules": sorted(sys.modules)}))
+from dessinlink.chord import interlacement_determinant, parse_chords, quasi_counts_and_det
+cd = parse_chords("1 2 3 4 5 2 1 5 4 3")
+s, det = quasi_counts_and_det(cd)
+report = {"s": s, "det": det, "iota_det": interlacement_determinant(cd)}
+sys.stderr.write(json.dumps({**report, "modules": sorted(sys.modules)}))
 """
 
 
-def test_principal_minors_load_no_numpy():
-    report = run_python(_MINORS)
-    assert report["ones"] == 1 + 6 + 0  # s(0) + s(1) + s(2) of the figure-eight
+def test_chord_determinants_load_no_numpy():
+    report = run_python(_DETERMINANTS)
+    assert report["s"] == [1, 6, 0]  # s(0), s(1), s(2) of the figure-eight
+    assert report["det"] == report["iota_det"] == 5
     assert "numpy" not in report["modules"]
 
 
