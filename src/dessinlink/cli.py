@@ -430,8 +430,19 @@ def _emit(payload: Dict[str, Any], args) -> None:
 _UNKEYED = frozenset({"out", "cache", "plain", "allow_large"})
 
 
+def _source_digest() -> str:
+    """sha256 of the package's own `*.py` files, read in name order."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(n for n in os.listdir(here) if n.endswith(".py")):
+        with open(os.path.join(here, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
+
+
 def _cache_key(command: str, args) -> str:
-    """Hash of every option except the `_UNKEYED` ones.
+    """Hash of every option except the `_UNKEYED` ones, the engine version
+    and `_source_digest`, so a payload cached by other code is a miss.
 
     A `--name` is keyed on the PD text it names in the active table, and
     `verify` on the whole table, so pointing DESSINLINK_TABLE elsewhere
@@ -439,7 +450,7 @@ def _cache_key(command: str, args) -> str:
     from the table stays in the key; the command itself reports it.
     """
     relevant = {k: v for k, v in vars(args).items() if k not in _UNKEYED}
-    relevant.update(command=command, engine=__version__)
+    relevant.update(command=command, engine=__version__, source=_source_digest())
     if command == "verify":
         relevant["table"] = knot_table()
     elif relevant.get("name") and not relevant.get("pd"):

@@ -19,8 +19,9 @@ oracle's kernel, tallies the same profile from the PD code
 A subset costs `_counts` one AND per vertex plus work at the half-edges
 the subset holds, none at the others.  It counts no components: the
 profile needs none, because a one-face sub-dessin is connected.
-Components are counted by `_components` only where a genus or a
-`Counts` is built.
+Components are counted, from the spanning forest `_forest` builds, only
+where a genus or a `Counts` is built; the one-vertex reduction clasps at
+the forest of the all-A dessin.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
     assignment; one it holds in part links only its held half-edges.
     Faces are then traced from the held half-edges alone, each walked
     once.  It counts faces only: the profile's readers need no component
-    count, and the few that build a genus ask `_components` for it.
+    count, and the few that build a genus ask `_forest` for it.
     """
     plan = _scan_plan(d)
     # step[p]: the mate of p's successor among the held half-edges at its
@@ -247,11 +248,13 @@ def _counts(d: Dessin, masks: Iterable[int]) -> Iterator[Tuple[int, int, int]]:
         yield mask, mask.bit_count(), f
 
 
-def _components(d: Dessin, mask: int) -> int:
-    """Connected components of the sub-dessin on the edges of `mask`, by
-    union-find over the vertices; every vertex is kept."""
+def _forest(d: Dessin, mask: int) -> int:
+    """The spanning forest of the sub-dessin on the edges of `mask`, as an
+    edge bitmask: each edge, in index order, that joins two components of
+    the edges kept before it, by union-find over the vertices."""
     vert_of = d.vertex_of
     parent = list(range(d.n_vertices))
+    forest = 0
     m = mask
     while m:
         low = m & -m
@@ -267,7 +270,8 @@ def _components(d: Dessin, mask: int) -> int:
             b = parent[b]
         if a != b:
             parent[a] = b
-    return sum(1 for i, p in enumerate(parent) if p == i)
+            forest |= low
+    return forest
 
 
 def _check_cap(d: Dessin, cap: int) -> None:
@@ -322,7 +326,7 @@ def _genus_of(v: int, eh: int, k: int, f: int) -> int:
 def dessin_counts(d: Dessin, mask: Optional[int] = None) -> Counts:
     """Counts of the whole dessin, or of the sub-dessin on the edges of the
     int bitmask `mask`, from the scan's kernel applied to that one subset
-    and its components."""
+    and its spanning forest, which fixes the components."""
     full = (1 << d.n_edges) - 1
     if mask is None:
         mask = full
@@ -331,7 +335,8 @@ def dessin_counts(d: Dessin, mask: Optional[int] = None) -> Counts:
         if not 0 <= mask <= full:
             raise DiagramError(f"sub-dessin mask {mask} out of range for {d.n_edges} edges")
     _, eh, f = next(_counts(d, (mask,)))
-    v, k = d.n_vertices, _components(d, mask)
+    v = d.n_vertices
+    k = v - _forest(d, mask).bit_count()
     return Counts(v, eh, f, k, _genus_of(v, eh, k, f), eh - v + k)
 
 

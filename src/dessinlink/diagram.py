@@ -618,46 +618,31 @@ def twist_pd(p: int, q: int) -> PDCode:
 def reduce_to_one_vertex(pd: PDCode) -> PDCode:
     """Clasp-insert RII pairs until the all-A state has a single circle.
 
-    At each crossing, in index order, whose two smoothing channels lie on
-    distinct all-A circles, one strand slides over the other next to it
-    (two new crossings, both A-smoothing across the old gap), merging those
-    circles.  The link type, hence the bracket, is unchanged; each clasp
-    adds 2 crossings and removes 1 circle; a diagram whose all-A state is
-    one circle comes back as it is.
+    At each crossing of `dessin._forest` of the all-A dessin, in index
+    order, one strand slides over the other next to it (two new crossings,
+    both A-smoothing across the old gap), merging the two circles that
+    crossing joins.  The link type, hence the bracket, is unchanged; each
+    clasp adds 2 crossings and removes 1 circle; a diagram whose all-A
+    state is one circle comes back as it is.
 
-    A union-find over the vertices of the all-A dessin, the one
-    `build_dessin` memoizes for every invariant, picks the crossings that
-    re-smoothing after every clasp would (the lowest-index crossing
-    joining two circles): merges only coarsen the circles, so a skipped
-    crossing stays skippable, and the clasp crossings, later in index
-    order, are never needed while an original one joins two circles.  A
-    clasp at t reads the far ends of t's slots 1 and 2 from a working copy
-    of alpha, rewires 6 dart pairs and takes 4 fresh labels.  The result's
-    all-A dessin, memoized for the caller that reads it next, must have one
-    vertex: that checks the whole reduction.
+    The all-A dessin is the one `build_dessin` memoizes for every
+    invariant.  A clasp at t reads the far ends of t's slots 1 and 2 from
+    a working copy of alpha, rewires 6 dart pairs and takes 4 fresh
+    labels.  The result's all-A dessin, memoized for the caller that reads
+    it next, must have one vertex: that checks the whole reduction.
     """
-    from .dessin import build_dessin
+    from .dessin import _forest, build_dessin
 
     d = build_dessin(pd, 0)
     if d.n_vertices == 1:
         return pd
-    vertex_of = d.vertex_of
-    parent = list(range(d.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    forest = _forest(d, (1 << pd.n) - 1)
     crossings = [list(tup) for tup in pd.crossings]
     alpha = list(pd.alpha)
     top = max(map(max, crossings))
     for target in range(pd.n):
-        ra, rb = find(vertex_of[2 * target]), find(vertex_of[2 * target + 1])
-        if ra == rb:
+        if not forest >> target & 1:
             continue
-        parent[ra] = rb
         dx, dy = 4 * target + 1, 4 * target + 2
         fx, fy = alpha[dx], alpha[dy]
         if fx == dy:

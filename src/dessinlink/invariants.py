@@ -516,10 +516,14 @@ def coefficient_restricted(pd: PDCode, l: int, cap: int = 24) -> int:
     reach down to level l, so the restricted sum must match the table.
     When the all-A dessin has one vertex (as after `reduce_to_one_vertex`),
     l0(H) is the genus g(H), and a[l] is the sum over the subsets with
-    g(H) <= l of (-1)^e(H) C(e(H) - 2 g(H), l - g(H)).
+    g(H) <= l of (-1)^e(H) C(e(H) - 2 g(H), l - g(H)).  No subset spreads
+    past level e + v - 1, so a[l] is 0 there; the cap is checked at every l.
     """
     l = _level(l)
-    return _spread(build_dessin(pd, 0), l, cap)[l]
+    d = build_dessin(pd, 0)
+    top = d.n_edges + d.n_vertices - 1
+    spread = _spread(d, min(l, top), cap)
+    return spread[l] if l <= top else 0
 
 
 def top_coefficient_closed_form(d: Dessin) -> int:

@@ -714,6 +714,14 @@ def test_cache_key_includes_the_version(monkeypatch):
     assert _cache_key("det", args) != before
 
 
+def test_cache_key_follows_the_source(monkeypatch):
+    args = _build_parser().parse_args(["det", "--name", "3_1"])
+    before = _cache_key("det", args)
+    assert _cache_key("det", args) == before
+    monkeypatch.setattr(cli, "_source_digest", lambda: "other source")
+    assert _cache_key("det", args) != before
+
+
 def test_undecodable_cache_lines_are_misses(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     cache.write_bytes(b'{"key": "trunc\n[1, 2]\n\xff\xfe not utf-8\n')

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dessinlink import dessin, diagram
 from dessinlink.chord import ChordDiagram, parse_chords, to_dessin
@@ -232,6 +233,42 @@ def test_component_counts_match_a_bfs():
                 assert k == bfs_component_count(dd, mask)
                 seen.add(k)
     assert {1, 2, 3, 4} <= seen
+
+
+def assert_forest_matches_a_bfs(d: Dessin, mask: int) -> None:
+    # edge i of the mask is in the forest exactly when it joins two
+    # components of the mask's lower edges: the index-order spanning forest
+    forest = dessin._forest(d, mask)
+    k = bfs_component_count(d, mask)
+    assert forest & ~mask == 0
+    assert forest.bit_count() == d.n_vertices - k
+    assert bfs_component_count(d, forest) == k
+    for i in range(d.n_edges):
+        if mask >> i & 1:
+            lower = mask & ((1 << i) - 1)
+            joins = bfs_component_count(d, lower | 1 << i) < bfs_component_count(d, lower)
+            assert (forest >> i & 1) == joins, (d, mask, i)
+
+
+def test_forest_matches_a_bfs_on_corpus(corpus200):
+    rng = random.Random(61)
+    for pd in corpus200:
+        d = build_dessin(pd, 0)
+        for dd in (d, dual(d)):
+            full = (1 << dd.n_edges) - 1
+            for mask in [0, full] + [rng.randint(0, full) for _ in range(6)]:
+                assert_forest_matches_a_bfs(dd, mask)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_forest_matches_a_bfs_on_decorated_diagrams(seed, data):
+    d = build_dessin(random_decorated_diagram(random.Random(seed), max_crossings=10), 0)
+    for dd in (d, dual(d)):
+        full = (1 << dd.n_edges) - 1
+        masks = data.draw(st.lists(st.integers(min_value=0, max_value=full), max_size=8))
+        for mask in [0, full, *masks]:
+            assert_forest_matches_a_bfs(dd, mask)
 
 
 def test_duality_on_corpus():

@@ -1,5 +1,6 @@
 """PD parsing, state smoothing, writhe, families, and the state-sum oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -396,6 +397,23 @@ def test_reduce_matches_resmoothing_reference(corpus200):
     inputs += corpus200 + large_reduction_inputs()
     for pd in inputs:
         assert pd_to_text(reduce_to_one_vertex(pd)) == pd_to_text(reduce_by_resmoothing(pd))
+
+
+def test_reduce_clasps_at_the_all_a_forest(corpus200):
+    for pd in corpus200:
+        forest = dessin._forest(build_dessin(pd, 0), (1 << pd.n) - 1)
+        assert reduce_to_one_vertex(pd).n == pd.n + 2 * forest.bit_count()
+
+
+def test_reduced_codes_frozen(corpus200):
+    # clasp sites, their order and the fresh labels of every reduction of
+    # the corpus and of a shuffled twin of each diagram
+    rng = random.Random(37)
+    inputs = corpus200 + [shuffled(pd, rng) for pd in corpus200]
+    text = "\n".join(pd_to_text(reduce_to_one_vertex(pd)) for pd in inputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "114f2b65cc9b73b996cfe48a363380d5fcf73efaf2553ba5c9070e501c1f9b6c"
+    )
 
 
 def test_reduce_smooths_once(monkeypatch):

@@ -286,6 +286,39 @@ def test_coefficient_restricted_locality():
             assert coefficient_restricted(pd, l) == table.coefficient(l), (name, l)
 
 
+def test_coefficient_restricted_spreads_no_level_past_the_top(monkeypatch):
+    # no subset spreads past level e + v - 1: a level past it is 0, read
+    # without building a digit for each level up to it
+    pd = table_pd("3_1")
+    d = build_dessin(pd, 0)
+    top = d.n_edges + d.n_vertices - 1
+    real = invariants.delta_spread
+
+    def spy(profile, v, bound):
+        if bound > top:
+            raise AssertionError(f"spread to level {bound}, past {top}")
+        return real(profile, v, bound)
+
+    monkeypatch.setattr(invariants, "delta_spread", spy)
+    assert coefficient_restricted(pd, 10**12) == 0
+    assert coefficient_restricted(pd, top + 1) == 0
+
+
+def test_coefficient_restricted_matches_the_table_at_and_past_the_top(corpus200):
+    for pd in corpus200:
+        d = build_dessin(pd, 0)
+        table = coefficient_table(pd)
+        for l in range(d.n_edges + d.n_vertices + 2):
+            assert coefficient_restricted(pd, l) == table.coefficient(l), (pd, l)
+
+
+def test_coefficient_restricted_checks_the_cap_at_every_level():
+    pd = table_pd("8_21")
+    for l in (0, 5, pd.n + 20, 10**12):
+        with pytest.raises(CapExceededError, match="exceeds the cap 4"):
+            coefficient_restricted(pd, l, cap=4)
+
+
 def test_coefficient_restricted_rejects_a_negative_level():
     with pytest.raises(DiagramError, match="coefficient level must be >= 0"):
         coefficient_restricted(table_pd("8_21"), -1)
@@ -720,25 +753,26 @@ def test_determinant_scans_once(scans):
 
 
 def test_profile_readers_count_components_of_the_full_dessin_only(scans, monkeypatch):
-    # the 2^16 subsets are scanned once, for faces only; components are
-    # counted by `dessin_counts` of the full dessin, never per subset
-    real = dessin._components
+    # the 2^16 subsets are scanned once, for faces only; the spanning
+    # forest is read of full dessins alone, never per subset: by
+    # `dessin_counts` for components and by the `charpoly` route's reduction
+    real = dessin._forest
     calls = []
 
     def counting(d, mask):
         calls.append(mask == (1 << d.n_edges) - 1)
         return real(d, mask)
 
-    # `dessin` alone counts components, so patching it sees every call
-    assert not hasattr(invariants, "_components")
-    monkeypatch.setattr(dessin, "_components", counting)
+    # `dessin` alone builds spanning forests, so patching it sees every call
+    assert not hasattr(invariants, "_forest")
+    monkeypatch.setattr(dessin, "_forest", counting)
     pd = braid_pd([1, -2] * 8, 3)
     assert pd.n == 16
     assert determinant(pd).value == 2205
     coefficient_table(pd, check=True)
     quasi_tree_counts(build_dessin(pd, 0))
     assert scans() == 1
-    assert calls == [True] * 3
+    assert calls == [True] * 4
 
 
 def test_quasi_tree_counts_reuse_the_bracket_profile(scans):

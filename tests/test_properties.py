@@ -199,7 +199,7 @@ def test_dessin_faces_are_the_complementary_state_circles(pd: PDCode, data):
 @given(diagrams, st.data())
 def test_component_counts_match_a_bfs(pd: PDCode, data):
     # the subset kernel counts no components; `dessin_counts` gets them
-    # from its own union-find, checked here on the dessin and its dual
+    # from the spanning forest, checked here on the dessin and its dual
     d = build_dessin(pd, 0)
     for dd in (d, dual(d)):
         full = (1 << dd.n_edges) - 1
