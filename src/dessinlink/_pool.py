@@ -1,13 +1,15 @@
 """The fork pool shared by the package's two 2^n enumerations.
 
 `diagram.state_sum_bracket` walks 2^n states and `dessin._profile_scan`
-2^e edge subsets; each tallies a kernel over contiguous index ranges, and
-`pooled_tally` alone decides whether those ranges run in forked workers
-or in one call in this process, and how many workers it forks.  A worker
-is a bare `os.fork` child: it runs its range on the memory it inherited,
-so nothing is pickled on the way in, sends its pickled tally back over a
-pipe and leaves with `os._exit`.  The parent does no work of its own
-while the workers run; it only waits for them.
+2^e edge subsets, and each imports this module when it runs, so a process
+that never enumerates never loads it.  Each tallies a kernel over
+contiguous index ranges, and `pooled_tally` alone decides whether those
+ranges run in forked workers or in one call in this process, and how
+many workers it forks.  A worker is a bare `os.fork` child: it runs its
+range on the memory it inherited, so nothing is pickled on the way in,
+sends its pickled tally back over a pipe and leaves with `os._exit`.
+The parent does no work of its own while the workers run; it only waits
+for them.
 """
 
 import os

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
 
 from ._record import Record
 from .errors import DiagramError, InternalError, PreconditionError, _integers
-from .dessin import Dessin
 from .poly import LaurentPoly
+
+if TYPE_CHECKING:
+    from .dessin import Dessin
 
 __all__ = [
     "ChordDiagram",
@@ -83,6 +85,8 @@ def to_chord_diagram(d: Dessin) -> ChordDiagram:
 
 def to_dessin(cd: ChordDiagram) -> Dessin:
     """One-vertex dessin of the word: chord i gets half-edges 2i, 2i+1."""
+    from .dessin import Dessin  # here, so a chord word alone never loads the dessin layer
+
     seen: Dict[int, int] = {}
     rot: List[int] = []
     for lab in cd.word:

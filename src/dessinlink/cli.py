@@ -6,7 +6,8 @@ cannot be read or written), 1 internal error or a payload whose own
 checks failed (such a payload is emitted but never cached).
 
 Each command imports the math modules it uses when it runs, so
-`--version` and a cache hit load none of them.
+`--version` and a cache hit load none of them, and a request builds the
+subparser of its own command only.
 """
 
 from __future__ import annotations
@@ -531,7 +532,10 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of `command` alone when it names one (the first argument
+    of a request), else of every command, as `--help` and a typo need.
+    Both give the same parse, help, usage and error text for `command`."""
     # options of every command; each command adds the groups it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to a file")
@@ -547,46 +551,52 @@ def _build_parser() -> argparse.ArgumentParser:
     capped.add_argument(
         "--allow-large", action="store_true", help="acknowledge caps beyond 28"
     )
-    scans_diagram = [source, capped, common]
 
     parser = argparse.ArgumentParser(
         prog="dessinlink",
         description="Exact link invariants via dessin expansions.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("bracket", parents=scans_diagram)
-    p.add_argument(
-        "--oracle", action="store_true",
-        help="cross-check by state sum (20-crossing cap, not --cap)",
+    one = command in _COMMANDS
+    # the metavar keeps every command in the one-command usage line; the
+    # full tree has none, as it would rename `argument command` in a typo's error
+    sub = parser.add_subparsers(
+        dest="command", metavar="{%s}" % ",".join(_COMMANDS) if one else None
     )
-    sub.add_parser("jones", parents=scans_diagram)
-    p = sub.add_parser("det", parents=scans_diagram)
-    p.add_argument(
-        "--method",
-        choices=sorted(_METHOD_ALIASES) + ["all"],
-        default="all",
-    )
-    p = sub.add_parser("dessin", parents=[source, common])
-    p.add_argument("--state", default="A", help="A, B, or a per-crossing string")
-    sub.add_parser("quasitrees", parents=scans_diagram)
-    sub.add_parser("coeffs", parents=scans_diagram)
-    sub.add_parser("reduce", parents=scans_diagram)
-    p = sub.add_parser("charpoly", parents=[source, common])
-    p.add_argument("--chords", help="endpoint sequence, e.g. '1 2 1 2'")
-    p = sub.add_parser("pretzel", parents=[capped, common])
-    p.add_argument("params", type=int, nargs="+")
-    p.add_argument("--det", action="store_true")
-    p = sub.add_parser("twist", parents=[capped, common])
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    sub.add_parser("verify", parents=[capped, common])
+    for name in (command,) if one else _COMMANDS:
+        if name in ("pretzel", "twist", "verify"):  # these build or read their diagrams
+            p = sub.add_parser(name, parents=[capped, common])
+        elif name in ("dessin", "charpoly"):  # these run no scan
+            p = sub.add_parser(name, parents=[source, common])
+        else:
+            p = sub.add_parser(name, parents=[source, capped, common])
+        if name == "bracket":
+            p.add_argument(
+                "--oracle", action="store_true",
+                help="cross-check by state sum (20-crossing cap, not --cap)",
+            )
+        elif name == "det":
+            p.add_argument(
+                "--method",
+                choices=sorted(_METHOD_ALIASES) + ["all"],
+                default="all",
+            )
+        elif name == "dessin":
+            p.add_argument("--state", default="A", help="A, B, or a per-crossing string")
+        elif name == "charpoly":
+            p.add_argument("--chords", help="endpoint sequence, e.g. '1 2 1 2'")
+        elif name == "pretzel":
+            p.add_argument("params", type=int, nargs="+")
+            p.add_argument("--det", action="store_true")
+        elif name == "twist":
+            p.add_argument("p", type=int)
+            p.add_argument("q", type=int)
     return parser
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_usage(sys.stderr)

@@ -38,7 +38,6 @@ from typing import (
     Tuple,
 )
 
-from ._pool import pooled_tally
 from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError, _integers
 
@@ -303,6 +302,8 @@ def _profile_scan(d: Dessin) -> Dict[Tuple[int, int], int]:
     """The (e, f) tally over every edge subset, split over the CPUs from
     2^16 subsets on by `_pool.pooled_tally`.  Its readers take the
     multiplicities in whatever order the tally was filled."""
+    from ._pool import pooled_tally  # once per scanned dessin: a cache hit never gets here
+
     return pooled_tally(_profile_range, (d,), 1 << d.n_edges)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._pool import pooled_tally
 from ._record import Record
 from .errors import CapExceededError, DiagramError, InternalError, OrientationError, _integers
 from .poly import LaurentPoly, delta_spread
@@ -127,15 +126,18 @@ class PDCode(Record):
 
 _X_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]\Z")
 _S_RE = re.compile(r"S\[([^\]]*)\]\Z")
+# a run of non-space characters, spaces allowed inside a closed [...] group
+_TOKEN_RE = re.compile(r"(?:\[[^\[\]]*\]|\S)+")
 
 
 def parse_pd(text: str) -> PDCode:
-    """Parse whitespace-separated `X[a,b,c,d]` tokens, optionally `S[+,-,..]`.
+    """Parse whitespace-separated `X[a,b,c,d]` tokens, optionally `S[+,-,..]`;
+    whitespace inside the brackets is allowed, as in `X[1, 5, 2, 4]`.
 
     Arc labels must be positive, as in `PDCode`; they are normalized to
     1..2n, for n crossings, preserving their relative order.
     """
-    tokens = text.split()
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise DiagramError("empty PD input")
     crossings: List[Crossing] = []
@@ -413,6 +415,8 @@ def state_sum_bracket(pd: PDCode, cap: int = 20, workers: Optional[int] = None) 
     break-even, which is lower; the `_POOL_MIN_STATES` comment in
     `_pool.py` says why it stays.
     """
+    from ._pool import pooled_tally
+
     n = len(pd.crossings)
     if n > cap:
         raise CapExceededError(f"{n} crossings exceeds the state-sum cap {cap}")

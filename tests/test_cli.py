@@ -105,6 +105,8 @@ def test_jones_and_bracket(capsys):
     assert code == EXIT_OK
     assert payload["variable"] == "t"
     assert payload["jones"]["string"] == "-t^4 + t^3 + t"
+    spaced = "X[1, 5, 2, 4] X[3, 1, 4, 6] X[5, 3, 6, 2]"  # KnotAtlas spacing
+    assert run_json(capsys, "jones", "--pd", spaced)[1] == run_json(capsys, "jones", "--pd", TREFOIL)[1]
     code, payload, _ = run_json(capsys, "bracket", "--name", "5_2", "--oracle")
     assert code == EXIT_OK
     assert payload["oracle_equal"] is True
@@ -858,6 +860,70 @@ def test_verify_plain_lists_checks(capsys):
 
 
 # ==========================================================================
+# one-command parser: a request builds only the subparser of its command
+# ==========================================================================
+
+_PARSE = {
+    "bracket": ["--name", "3_1", "--oracle", "--cap", "20"],
+    "jones": ["--pd", TREFOIL, "--plain"],
+    "det": ["--name", "3_1", "--method", "charpoly", "--cap", "30", "--allow-large"],
+    "dessin": ["--pd", TREFOIL, "--state", "ABA", "--out", "dessin.json"],
+    "quasitrees": ["--name", "8_21", "--cache", "cache.jsonl"],
+    "coeffs": ["--name", "5_2"],
+    "reduce": ["--name", "6_2", "--plain"],
+    "charpoly": ["--chords", "1 2 1 2"],
+    "pretzel": ["2", "3", "-5", "--det"],
+    "twist": ["2", "3", "--cap", "12"],
+    "verify": ["--plain"],
+}
+
+
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def _exit_of(parser, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_one_command_parser_parses_as_the_full_tree():
+    full = _build_parser()
+    assert _subparsers(full) == list(_PARSE)
+    for command, rest in _PARSE.items():
+        one = _build_parser(command)
+        assert _subparsers(one) == [command]
+        for argv in ([command, *rest], [command, *_POSITIONALS.get(command, [])]):
+            assert vars(one.parse_args(argv)) == vars(full.parse_args(argv)), argv
+
+
+def test_one_command_parser_prints_the_full_tree_help_and_errors(capsys):
+    for argv in (
+        *([command, "-h"] for command in _PARSE),
+        ["twist", "2"],  # a missing positional
+        ["det", "--method", "scan"],  # a bad choice
+        ["det", "--name", "3_1", "--bogus"],  # an unknown option: the top-level usage
+    ):
+        one = _exit_of(_build_parser(argv[0]), argv, capsys)
+        assert one == _exit_of(_build_parser(), argv, capsys), argv
+        assert one[0] == (0 if argv[-1] == "-h" else EXIT_USAGE) and one[1] + one[2]
+
+
+def test_a_request_that_names_no_command_lists_every_command(capsys):
+    commands = "{" + ",".join(_PARSE) + "}"
+    for argv, code in ((["-h"], 0), (["detx"], EXIT_USAGE)):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == code and commands in captured.out + captured.err, argv
+    assert "invalid choice: 'detx' (choose from 'bracket', 'jones', 'det'," in captured.err
+
+
+# ==========================================================================
 # import budget: each command loads only the modules it uses
 # ==========================================================================
 
@@ -965,10 +1031,14 @@ def test_startup_and_small_scans_import_no_multiprocessing(tmp_path, capsys):
 
 def test_cache_miss_loads_no_dataclass_machinery(tmp_path):
     cache = str(tmp_path / "cache.jsonl")
-    for argv in (("det", "--name", "3_1"), ("twist", "2", "3"), ("charpoly", "--chords", "1 2 1 2")):
+    for argv, computes in (
+        (("det", "--name", "3_1"), "dessinlink.invariants"),
+        (("twist", "2", "3"), "dessinlink.invariants"),
+        (("charpoly", "--chords", "1 2 1 2"), "dessinlink.chord"),
+    ):
         code, modules = probe_cli(*argv, "--cache", cache)
         assert code == EXIT_OK
-        assert "dessinlink.dessin" in modules, argv  # a miss: the math ran
+        assert computes in modules, argv  # a miss: the math ran
         assert not modules & {"dataclasses", "inspect", "ast"}, argv
 
 
@@ -976,7 +1046,21 @@ def test_charpoly_from_chords_loads_no_diagram_layer():
     code, modules = probe_cli("charpoly", "--chords", "1 2 1 2")
     assert code == EXIT_OK
     assert "dessinlink.chord" in modules
-    assert not modules & {"dessinlink.diagram", "dessinlink.invariants"}
+    assert not modules & {
+        "dessinlink.diagram", "dessinlink.invariants", "dessinlink.dessin", "dessinlink._pool",
+    }
+
+
+def test_jones_and_bracket_misses_load_no_pool():
+    # the contraction answers both: only a subset scan or a state sum loads the pool
+    for argv in (("jones", "--pd", TREFOIL), ("bracket", "--name", "8_21")):
+        code, modules = probe_cli(*argv)
+        assert code == EXIT_OK
+        assert "dessinlink.invariants" in modules, argv
+        assert "dessinlink._pool" not in modules, argv
+    code, modules = probe_cli("bracket", "--name", "3_1", "--oracle")
+    assert code == EXIT_OK
+    assert "dessinlink._pool" in modules
 
 
 _DETERMINANTS = """

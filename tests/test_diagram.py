@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -67,6 +68,23 @@ def test_parse_signs():
     assert pd.signs == (-1,)
     with pytest.raises(DiagramError):
         parse_pd("X[1,1,2,2] S[1,1]")
+
+
+def test_parse_allows_whitespace_inside_brackets():
+    # KnotAtlas prints its PD codes with a space after each comma
+    spaced = parse_pd("X[1, 5, 2, 4] X[3, 1, 4, 6] X[5, 3, 6, 2] S[+, +, +]")
+    assert spaced == parse_pd(TREFOIL + " S[+,+,+]")
+    assert parse_pd("\tX[ 1,5 ,2,4 ]\nX[3,1,4,6]  X[5,3,6,2] ") == parse_pd(TREFOIL)
+    # a malformed token is quoted whole; an unclosed bracket ends at whitespace
+    for text, token in (
+        ("X[1,5 2,4] X[3,1,4,6]", "'X[1,5 2,4]'"),
+        ("X[1,5,2 X[3,1,4,6]", "'X[1,5,2'"),
+        ("X[1,5,2,4]X[3,1,4,6]", "'X[1,5,2,4]X[3,1,4,6]'"),
+    ):
+        with pytest.raises(DiagramError, match=f"^malformed PD token {re.escape(token)}$"):
+            parse_pd(text)
+    with pytest.raises(DiagramError, match=re.escape("bad sign entry in 'S[+, x]'")):
+        parse_pd(TREFOIL + " S[+, x]")
 
 
 def test_parse_rejects_bad_codes():
